@@ -251,11 +251,8 @@ def channel_yield(psi: ChannelEncoding, f: Callable[[Encoding], object],
             if mu not in seen:
                 seen.add(mu)
                 inputs.append(mu)
-    best = None
-    for mu in inputs:
-        value = f(apply_input(psi, mu))
-        if best is None or value > best:
-            best = value
-    maximizers = [mu for mu in inputs if f(apply_input(psi, mu)) == best]
+    values = [f(apply_input(psi, mu)) for mu in inputs]
+    best = max(values)
+    maximizers = [mu for mu, value in zip(inputs, values) if value == best]
     exact = any(channel_equivalent(psi, apply_input(psi, mu)) for mu in maximizers)
     return ChannelYield(value=best, exact=exact, maximizer=maximizers[0])

@@ -90,9 +90,9 @@ def _farkas_certificate(res) -> dict:
     return cert
 
 
-def _conversion_doc(res) -> dict:
+def _conversion_doc(res, witness_json) -> dict:
     if res.convertible:
-        return {"convertible": True, "witness": res.witness.to_json()}
+        return {"convertible": True, "witness": witness_json(res.witness)}
     doc = {"convertible": False}
     if res.farkas is not None and res.problem is not None:
         doc["certificate"] = _farkas_certificate(res)
@@ -137,7 +137,7 @@ def _monotone_from_args(args):
 def _cmd_check_order(args) -> dict:
     x = _encoding(args.x)
     y = _encoding(args.y)
-    return _conversion_doc(mj.majorizes(x, y))
+    return _conversion_doc(mj.majorizes(x, y), mj.StochasticMap.to_json)
 
 
 def _cmd_zonotope(args) -> dict:
@@ -198,10 +198,7 @@ def _cmd_possibilistic(args) -> dict:
         edges = ps.to_hypergraph(x)
         return {"edges": [sorted(e) for e in edges]}
     y = _coerce_bool_encoding(args.y)
-    res = ps.bool_majorizes(x, y)
-    if res.convertible:
-        return {"convertible": True, "witness": _bool_map_json(res.witness)}
-    return {"convertible": False, "certificate": {"exhaustive": True}}
+    return _conversion_doc(ps.bool_majorizes(x, y), _bool_map_json)
 
 
 def _cmd_channel(args) -> dict:
@@ -218,13 +215,7 @@ def _cmd_channel(args) -> dict:
     if args.channel_cmd == "simulate":
         x = _encoding(args.x)
         psi = ch.ChannelEncoding.from_json(_read_doc(args.psi))
-        res = ch.comb_simulates(x, psi)
-        if res.convertible:
-            return {"convertible": True, "witness": _sigma_json(res.witness)}
-        doc = {"convertible": False}
-        if res.farkas is not None:
-            doc["certificate"] = _farkas_certificate(res)
-        return doc
+        return _conversion_doc(ch.comb_simulates(x, psi), _sigma_json)
     if args.channel_cmd == "equivalent":
         psi = ch.ChannelEncoding.from_json(_read_doc(args.psi))
         x = _encoding(args.x)
@@ -319,8 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=SCHEMAS,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="reserved for parallel evaluation; current build is serial")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("check-order", help="matrix majorization decision with witness/certificate")
@@ -436,8 +425,6 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.threads < 1:
-            raise FormatError("--threads must be a positive integer")
         doc = args.fn(args)
         _emit(doc, getattr(args, "format", "json"))
         return 0

@@ -196,13 +196,7 @@ class LpOutcome:
     dual: Optional[list] = None
     farkas: Optional[list] = None
     ray: Optional[list] = None
-
-    @property
-    def objective(self):
-        return self._objective
-
-    def __post_init__(self):
-        self._objective = None
+    objective: Optional[Fraction] = None
 
 
 class LpBuilder:
@@ -398,9 +392,8 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
         for i in range(m)
     ]
     dual = [s * y for s, y in zip(signs, y_flip)]
-    out = LpOutcome(status=OPTIMAL, primal=primal, dual=dual)
-    out._objective = sum((ci * vi for ci, vi in zip(problem.c, primal)), F0)
-    return out
+    objective = sum((ci * vi for ci, vi in zip(problem.c, primal)), F0)
+    return LpOutcome(status=OPTIMAL, primal=primal, dual=dual, objective=objective)
 
 
 def verify_certificate(problem: LpProblem, outcome: LpOutcome) -> bool:

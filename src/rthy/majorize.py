@@ -69,6 +69,8 @@ class Encoding:
     matrix: Matrix
 
     def __post_init__(self):
+        if self.matrix.ncols == 0:
+            raise FormatError("an encoding needs at least one hypothesis")
         _check_stochastic(self.matrix, "encoding")
 
     @property

@@ -1,19 +1,20 @@
 """Convex-mixture monotones for encodings.
 
-All four members of the weight/robustness family are minimizations of a
-mixing coefficient over exact LPs; the free polytope for
-distinguishability is the set of constant encodings (all columns equal).
-``weight_fmk`` refines weight by rank strata of deterministic encodings.
+The free set for distinguishability is the constant-column encodings.
+It is convex with a simple shape, so the four members of the
+weight/robustness family have exact closed forms and need no LP.
+``weight_fmk`` refines weight by rank strata of deterministic encodings,
+by an exact LP over their convex hull.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .errors import BadStratumBounds, EnumerationTooLarge, ShapeMismatch
-from .exactmath import F0, F1, LpBuilder, Matrix, OPTIMAL, lp_solve, rank
+from .exactmath import F0, F1, LpBuilder, OPTIMAL, lp_solve, rank
 from .majorize import Encoding, enumeration_guard
 from .monotone import PLUS_INF
 
@@ -46,103 +47,48 @@ def cva(x: Encoding, y: Encoding, z: Encoding):
     return lam if 0 <= lam <= 1 else PLUS_INF
 
 
-def _lam_lp(build_constraints) -> object:
-    """min lam over constraints added by the callback; returns the outcome."""
-    b = LpBuilder()
-    lam = b.nonneg("lam")
-    build_constraints(b, lam)
-    b.minimize({lam: F1})
-    return lp_solve(b.build()), lam
+def _is_free(x: Encoding) -> bool:
+    """Free encodings are the constant-column ones."""
+    first = x.column(0)
+    return all(x.column(c) == first for c in range(1, x.hypotheses))
 
 
 def weight(x: Encoding) -> Fraction:
     """Least total mass of a general encoding in a mixture producing x.
 
-    x = lam*g + (1-lam)*s with g an arbitrary encoding and s constant;
-    substituting G = lam*g, u = (1-lam)*s keeps it one LP.
+    x = lam*g + (1-lam)*s with s constant; the largest constant part
+    u = (1-lam)*s has u[i] <= min_c x[i,c], so lam = 1 - sum_i min_c x[i,c].
     """
-    n, h = x.outcomes, x.hypotheses
-
-    def constraints(b, lam):
-        g = [[b.nonneg(f"G[{i},{c}]") for c in range(h)] for i in range(n)]
-        u = [b.nonneg(f"u[{i}]") for i in range(n)]
-        for i in range(n):
-            for c in range(h):
-                b.add_eq({g[i][c]: F1, u[i]: F1}, x.matrix[i, c])
-        for c in range(h):
-            b.add_eq({g[i][c]: F1 for i in range(n)} | {lam: -F1}, F0)
-        b.add_eq({u[i]: F1 for i in range(n)} | {lam: F1}, F1)
-
-    outcome, _ = _lam_lp(constraints)
-    assert outcome.status == OPTIMAL  # lam = 1 is always feasible
-    return outcome.primal[0]
+    return F1 - sum((min(x.matrix.row(i)) for i in range(x.outcomes)), F0)
 
 
 def robustness(z: Encoding) -> Fraction:
     """Least mass of an arbitrary encoding whose mixture with z is free.
 
-    lam*y + (1-lam)*z constant-columned, minimized over lam and y.
+    lam*y + (1-lam)*z can be made constant exactly when
+    (1-lam) * sum_i max_c z[i,c] <= 1, so lam = 1 - 1 / sum_i max_c z[i,c].
     """
-    n, h = z.outcomes, z.hypotheses
-
-    def constraints(b, lam):
-        y = [[b.nonneg(f"Y[{i},{c}]") for c in range(h)] for i in range(n)]
-        u = [b.nonneg(f"u[{i}]") for i in range(n)]
-        for i in range(n):
-            for c in range(h):
-                # Y[i,c] + (1-lam) z[i,c] = u[i]
-                b.add_eq({y[i][c]: F1, lam: -z.matrix[i, c], u[i]: -F1}, -z.matrix[i, c])
-        for c in range(h):
-            b.add_eq({y[i][c]: F1 for i in range(n)} | {lam: -F1}, F0)
-        b.add_eq({u[i]: F1 for i in range(n)}, F1)
-        b.add_le({lam: F1}, F1)
-
-    outcome, _ = _lam_lp(constraints)
-    assert outcome.status == OPTIMAL  # lam = 1 with y free is always feasible
-    return outcome.primal[0]
+    return F1 - F1 / sum((max(z.matrix.row(i)) for i in range(z.outcomes)), F0)
 
 
 def free_robustness(z: Encoding):
-    """Like robustness, but the mixing partner must itself be free; +inf if
-    no mixture within the free polytope reaches it."""
-    n, h = z.outcomes, z.hypotheses
+    """Like robustness, but the mixing partner must itself be free.
 
-    def constraints(b, lam):
-        w = [b.nonneg(f"w[{i}]") for i in range(n)]
-        u = [b.nonneg(f"u[{i}]") for i in range(n)]
-        for i in range(n):
-            for c in range(h):
-                b.add_eq({w[i]: F1, lam: -z.matrix[i, c], u[i]: -F1}, -z.matrix[i, c])
-        b.add_eq({w[i]: F1 for i in range(n)} | {lam: -F1}, F0)
-        b.add_eq({u[i]: F1 for i in range(n)}, F1)
-        b.add_le({lam: F1}, F1)
-
-    outcome, _ = _lam_lp(constraints)
-    assert outcome.status == OPTIMAL  # lam = 1 hides z entirely, so always feasible
-    lam = outcome.primal[0]
-    # lam = 1 corresponds to unbounded partner mass in the unnormalized scale;
-    # the feasible mass set is upward closed, so any finite witness gives lam < 1
-    return PLUS_INF if lam == F1 else lam
+    Mixing two free encodings gives a free encoding, so only a free z
+    reaches lam < 1: the value is 0 on the free set and +inf elsewhere.
+    """
+    return F0 if _is_free(z) else PLUS_INF
 
 
 def nonconvexity(x: Encoding):
     """Least weight on the first component when writing x as a mixture of two
-    free encodings; 0 on the free set, +inf outside its (convex) hull."""
-    n, h = x.outcomes, x.hypotheses
+    free encodings.
 
-    def constraints(b, lam):
-        w = [b.nonneg(f"w[{i}]") for i in range(n)]
-        u = [b.nonneg(f"u[{i}]") for i in range(n)]
-        for i in range(n):
-            for c in range(h):
-                b.add_eq({w[i]: F1, u[i]: F1}, x.matrix[i, c])
-        b.add_eq({w[i]: F1 for i in range(n)} | {lam: -F1}, F0)
-        b.add_eq({u[i]: F1 for i in range(n)} | {lam: F1}, F1)
-
-    outcome, _ = _lam_lp(constraints)
-    if outcome.status != OPTIMAL:
-        return PLUS_INF
-    return outcome.primal[0]
+    Mixing two free encodings gives a free encoding, so only a free x has
+    such a decomposition, with lam = 0: the value is 0 on the free set and
+    +inf elsewhere.
+    """
+    return F0 if _is_free(x) else PLUS_INF
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FormatError, NotLeftInvariant, NotRightInvariant
+from .exactmath import format_rational, parse_rational
 from .order import FinitePreorder
 from .quantale import FiniteQuantaleModule, is_left_invariant, is_right_invariant
 
@@ -24,8 +25,7 @@ def value_to_json(v) -> str:
         return "+inf"
     if v == MINUS_INF:
         return "-inf"
-    v = Fraction(v)
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    return format_rational(v)
 
 
 def value_from_json(s):
@@ -33,12 +33,7 @@ def value_from_json(s):
         return PLUS_INF
     if s == "-inf":
         return MINUS_INF
-    if isinstance(s, int):
-        return Fraction(s)
-    if "/" in s:
-        p, q = s.split("/")
-        return Fraction(int(p), int(q))
-    return Fraction(int(s))
+    return parse_rational(s)
 
 
 @dataclass(frozen=True)

@@ -145,12 +145,6 @@ def degradation_geq(p: FinitePreorder, y, z) -> bool:
     return up_closure(p, y) <= up_closure(p, z)
 
 
-# spec-facing aliases: the *_leq names read as "is the relation <first arg
-# dominates second arg> true", matching the operation contracts
-enhancement_leq = enhancement_geq
-degradation_leq = degradation_geq
-
-
 def downsets_fixed(p: FinitePreorder, subset) -> bool:
     """True when ``subset`` is already downward closed."""
     s = _check_indices(p.size, subset) if not isinstance(subset, int) else _to_set(subset)

@@ -150,6 +150,20 @@ def test_channel_yield_grid_refines_deltas():
         channel_yield(psi, f, mode=("lattice", 2))
 
 
+def test_channel_yield_evaluates_each_input_once():
+    calls = []
+
+    def f(e):
+        calls.append(e)
+        return weight_fmk(e, 1, 3)
+
+    # three delta inputs; the denominator-2 grid adds the three midpoints
+    for mode, n_inputs in (("deltas", 3), (("grid", 2), 6)):
+        calls.clear()
+        channel_yield(channel_y(), f, mode=mode)
+        assert len(calls) == n_inputs
+
+
 @given(encodings(max_outcomes=3, max_hypotheses=2, min_hypotheses=2))
 def test_channel_yield_input_ignoring_lift(x):
     from rthy import weight

@@ -236,7 +236,20 @@ def test_exit_codes(files, capsys, monkeypatch):
     assert "search too large" in err
 
     assert run(["no-such-command"]) == 2
-    assert run(["--threads", "0", "weight", x]) == 2
+
+    empty = files("empty.json", {"hypotheses": 0, "outcomes": 3, "columns": []})
+    for argv in (["weight", empty], ["robustness", empty],
+                 ["robustness", empty, "--kind", "free"]):
+        assert run(argv) == 2
+        _, err = _out(capsys)
+        assert "Traceback" not in err and "hypothesis" in err
+
+    mod = files("m.json", diamond_module().to_json())
+    for name, gold in (("zero_den.json", {"0": "1/0"}), ("float.json", {"0": 0.5})):
+        path = files(name, gold)
+        assert run(["module", "yield", mod, "--gold", path, "--at", "1p"]) == 2
+        _, err = _out(capsys)
+        assert "Traceback" not in err
 
 
 def test_output_is_deterministic(files, capsys):

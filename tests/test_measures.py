@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rthy import (
     BadStratumBounds,
@@ -20,6 +20,7 @@ from rthy import (
     weight,
     weight_fmk,
 )
+from rthy.exactmath import F0, F1, OPTIMAL, LpBuilder, lp_solve
 from rthy.instances import incomparable_x, incomparable_y, two_point_encoding
 
 from conftest import encodings, stochastic_maps
@@ -36,6 +37,86 @@ def _mix(lam, y: Encoding, z: Encoding) -> Encoding:
     rows = [[lam * y.matrix[i, c] + (1 - lam) * z.matrix[i, c]
              for c in range(y.hypotheses)] for i in range(y.outcomes)]
     return Encoding.from_rows(rows)
+
+
+# Reference LPs: each minimizes the mixing weight lam directly over the
+# free polytope, independently of the closed forms in rthy.measures.
+
+def _lam_lp(build_constraints):
+    b = LpBuilder()
+    lam = b.nonneg("lam")
+    build_constraints(b, lam)
+    b.minimize({lam: F1})
+    return lp_solve(b.build())
+
+
+def _robustness_lp(z: Encoding):
+    """min lam over y with lam*y + (1-lam)*z constant-columned."""
+    n, h = z.outcomes, z.hypotheses
+
+    def constraints(b, lam):
+        y = [[b.nonneg(f"Y[{i},{c}]") for c in range(h)] for i in range(n)]
+        u = [b.nonneg(f"u[{i}]") for i in range(n)]
+        for i in range(n):
+            for c in range(h):
+                # Y[i,c] + (1-lam) z[i,c] = u[i]
+                b.add_eq({y[i][c]: F1, lam: -z.matrix[i, c], u[i]: -F1}, -z.matrix[i, c])
+        for c in range(h):
+            b.add_eq({y[i][c]: F1 for i in range(n)} | {lam: -F1}, F0)
+        b.add_eq({u[i]: F1 for i in range(n)}, F1)
+        b.add_le({lam: F1}, F1)
+
+    outcome = _lam_lp(constraints)
+    assert outcome.status == OPTIMAL  # lam = 1 with y free is always feasible
+    return outcome.primal[0]
+
+
+def _free_robustness_lp(z: Encoding):
+    """As _robustness_lp with a free partner; lam = 1 means no mixture."""
+    n, h = z.outcomes, z.hypotheses
+
+    def constraints(b, lam):
+        w = [b.nonneg(f"w[{i}]") for i in range(n)]
+        u = [b.nonneg(f"u[{i}]") for i in range(n)]
+        for i in range(n):
+            for c in range(h):
+                b.add_eq({w[i]: F1, lam: -z.matrix[i, c], u[i]: -F1}, -z.matrix[i, c])
+        b.add_eq({w[i]: F1 for i in range(n)} | {lam: -F1}, F0)
+        b.add_eq({u[i]: F1 for i in range(n)}, F1)
+        b.add_le({lam: F1}, F1)
+
+    outcome = _lam_lp(constraints)
+    assert outcome.status == OPTIMAL  # lam = 1 hides z entirely
+    lam = outcome.primal[0]
+    return PLUS_INF if lam == F1 else lam
+
+
+def _nonconvexity_lp(x: Encoding):
+    """min lam with x = lam*w + (1-lam)*u for free w, u; +inf if infeasible."""
+    n, h = x.outcomes, x.hypotheses
+
+    def constraints(b, lam):
+        w = [b.nonneg(f"w[{i}]") for i in range(n)]
+        u = [b.nonneg(f"u[{i}]") for i in range(n)]
+        for i in range(n):
+            for c in range(h):
+                b.add_eq({w[i]: F1, u[i]: F1}, x.matrix[i, c])
+        b.add_eq({w[i]: F1 for i in range(n)} | {lam: -F1}, F0)
+        b.add_eq({u[i]: F1 for i in range(n)} | {lam: F1}, F1)
+
+    outcome = _lam_lp(constraints)
+    if outcome.status != OPTIMAL:
+        return PLUS_INF
+    return outcome.primal[0]
+
+
+@given(encodings())
+@example(Encoding.from_columns([[H, H], [H, H]]))
+@example(Encoding.from_columns([[1, 0, 0], [1, 0, 0]]))
+def test_closed_forms_match_reference_lps(x):
+    assert robustness(x) == _robustness_lp(x)
+    assert free_robustness(x) == _free_robustness_lp(x)
+    assert nonconvexity(x) == _nonconvexity_lp(x)
 
 
 @given(encodings())
