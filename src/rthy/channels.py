@@ -16,16 +16,8 @@ from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .errors import FormatError, HypothesisMismatch, LengthMismatch
-from .exactmath import (
-    F0,
-    F1,
-    LpBuilder,
-    OPTIMAL,
-    format_rational,
-    lp_solve,
-    parse_rational,
-)
-from .majorize import Convertible, Encoding, NotConvertible, majorizes
+from .exactmath import F0, F1, format_rational, parse_rational
+from .majorize import Convertible, Encoding, majorizes
 
 
 @dataclass(frozen=True)
@@ -77,7 +69,10 @@ class ChannelEncoding:
                 "channel JSON needs 'hypotheses', 'input', 'output', 'columns'") from exc
         tensor = [[None] * a for _ in range(h)]
         for key, col in cols.items():
-            hh, aa = (int(v) for v in key.split(","))
+            try:
+                hh, aa = (int(v) for v in key.split(","))
+            except ValueError:
+                raise FormatError(f"channel column key {key!r} is not 'h,a'") from None
             if not (0 <= hh < h and 0 <= aa < a):
                 raise FormatError(f"channel column key {key!r} out of range")
             if len(col) != bb:
@@ -164,32 +159,25 @@ def check_comb_witness(x: Encoding, psi: ChannelEncoding, witness: CombWitness) 
 def comb_simulates(x: Encoding, psi: ChannelEncoding):
     """Can an input-copy comb turn the state encoding x into the channel psi?
 
-    Searches for stochastic sigma(b'|b,a) with
-    sum_b x(b|h) sigma(b'|b,a) = psi(b'|h,a); linear, so one LP.
+    A comb sigma(b'|b,a) is a stochastic map on the outcomes of x (x) id_A,
+    so this is one majorization: x (x) id_A, outcome (b, a) at b*A + a and
+    hypothesis (h, a) at h*A + a, against psi read as an encoding with the
+    same hypothesis order.
     """
     if x.hypotheses != psi.hypotheses:
         raise HypothesisMismatch(
             f"{x.hypotheses} vs {psi.hypotheses} hypotheses")
-    nb, na, nbp = x.outcomes, psi.inputs, psi.outputs
-    builder = LpBuilder()
-    s = [[[builder.nonneg(f"s[{bp},{b},{a}]") for a in range(na)]
-          for b in range(nb)] for bp in range(nbp)]
-    for h in range(psi.hypotheses):
-        for a in range(na):
-            for bp in range(nbp):
-                builder.add_eq({s[bp][b][a]: x.matrix[b, h] for b in range(nb)},
-                               psi.tensor[h][a][bp])
-    for b in range(nb):
-        for a in range(na):
-            builder.add_eq({s[bp][b][a]: F1 for bp in range(nbp)}, F1)
-    builder.minimize({})
-    problem = builder.build()
-    outcome = lp_solve(problem)
-    if outcome.status != OPTIMAL:
-        return NotConvertible(farkas=tuple(outcome.farkas), problem=problem)
-    values = problem.extract(outcome.primal)
+    nb, na, hs = x.outcomes, psi.inputs, range(psi.hypotheses)
+    copied = Encoding.from_columns(
+        [[x.matrix[b, h] if a2 == a else F0 for b in range(nb) for a2 in range(na)]
+         for h in hs for a in range(na)])
+    res = majorizes(copied, Encoding.from_columns(
+        [psi.tensor[h][a] for h in hs for a in range(na)]))
+    if not res.convertible:
+        return res
+    t = res.witness.matrix
     sigma = tuple(
-        tuple(tuple(values[f"s[{bp},{b},{a}]"] for bp in range(nbp)) for a in range(na))
+        tuple(tuple(t[bp, b * na + a] for bp in range(psi.outputs)) for a in range(na))
         for b in range(nb)
     )
     return Convertible(witness=CombWitness(sigma=sigma))

@@ -209,8 +209,9 @@ def _conversion_problem(x: Encoding, target: Matrix) -> LpProblem:
 def majorizes(x: Encoding, y: Encoding):
     """Decide whether x converts to y by a hypothesis-independent stochastic map.
 
-    Returns ``Convertible`` carrying an exact witness, or ``NotConvertible``
-    carrying a Farkas certificate together with the LP it refutes.
+    Returns ``Convertible`` carrying an exact witness, replayed on x before it
+    is returned, or ``NotConvertible`` carrying a Farkas certificate together
+    with the LP it refutes.
     """
     if x.hypotheses != y.hypotheses:
         raise HypothesisMismatch(
@@ -221,7 +222,13 @@ def majorizes(x: Encoding, y: Encoding):
         values = problem.extract(outcome.primal)
         rows = [[values[f"t[{i},{j}]"] for j in range(x.outcomes)]
                 for i in range(y.outcomes)]
-        return Convertible(witness=StochasticMap(Matrix(rows)))
+        try:
+            witness = StochasticMap(Matrix(rows))
+        except FormatError:
+            witness = None
+        if witness is None or witness(x) != y:
+            raise RuntimeError("majorization witness does not map x to y: solver fault")
+        return Convertible(witness=witness)
     assert outcome.status == INFEASIBLE
     return NotConvertible(farkas=tuple(outcome.farkas), problem=problem)
 
@@ -348,10 +355,7 @@ def markotope_contains(x: Encoding, z: Encoding, k: int) -> bool:
     """Is z a k-outcome post-processing of x?"""
     if z.outcomes != k:
         raise DimensionMismatch(f"candidate has {z.outcomes} outcomes, expected {k}")
-    if z.hypotheses != x.hypotheses:
-        raise HypothesisMismatch(
-            f"encodings have {x.hypotheses} vs {z.hypotheses} hypotheses")
-    return lp_solve(_conversion_problem(x, z.matrix)).status == OPTIMAL
+    return majorizes(x, z).convertible
 
 
 # --------------------------------------------------------------------------

@@ -98,15 +98,18 @@ def _to_mask(p: FinitePreorder, subset) -> int:
     return mask
 
 
-def _to_set(mask: int) -> FrozenSet[int]:
-    out = set()
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, ascending."""
     i = 0
     while mask:
         if mask & 1:
-            out.add(i)
+            yield i
         mask >>= 1
         i += 1
-    return frozenset(out)
+
+
+def _to_set(mask: int) -> FrozenSet[int]:
+    return frozenset(_bits(mask))
 
 
 def down_closure(p: FinitePreorder, subset) -> FrozenSet[int]:

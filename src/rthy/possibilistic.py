@@ -172,5 +172,8 @@ def bool_majorizes(x: BoolEncoding, y: BoolEncoding):
 
     if not search(0, 0):
         return NotConvertible()
-    witness = [[1 if choice[j] & (1 << i) else 0 for j in range(nx)] for i in range(ny)]
-    return Convertible(witness=BoolStochasticMap(witness))
+    witness = BoolStochasticMap(
+        [[1 if choice[j] & (1 << i) else 0 for j in range(nx)] for i in range(ny)])
+    if witness(x) != y:
+        raise RuntimeError("boolean witness does not map x to y: search fault")
+    return Convertible(witness=witness)

@@ -19,16 +19,7 @@ from .errors import (
     NotReflexiveTransitive,
     NotRightInvariant,
 )
-from .order import FinitePreorder
-
-
-def _bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+from .order import FinitePreorder, _bits
 
 
 @dataclass(frozen=True)
@@ -69,6 +60,67 @@ def _names_from(mask: int, names: tuple) -> FrozenSet[str]:
     return frozenset(names[i] for i in _bits(mask))
 
 
+# Composition and action tables: ``table[i][j]`` is the bitmask of the
+# product of row atom i and column atom j; JSON spells a cell ``"a,b"``.
+
+
+def _pairs_from_json(section) -> dict:
+    """``{"a,b": names}`` as ``{(a, b): names}``."""
+    if not isinstance(section, dict):
+        raise FormatError("a table must be a JSON object with 'a,b' keys")
+    pairs = {}
+    for key, out in section.items():
+        names = key.split(",")
+        if len(names) != 2:
+            raise FormatError(f"table key {key!r} is not two comma-separated atom names")
+        pairs[tuple(names)] = out
+    return pairs
+
+
+def _table(pairs: dict, row_index: dict, col_index: dict, symmetric: bool = False) -> tuple:
+    """Bitmask table of ``pairs``; cells hold column atoms, absent cells are empty.
+
+    ``symmetric`` also fills each mirrored cell (rows and columns then coincide).
+    """
+    table = [[0] * len(col_index) for _ in row_index]
+    for (a, b), out in pairs.items():
+        mask = _mask_from(out, col_index)
+        if a not in row_index or b not in col_index:
+            raise FormatError(f"table key '{a},{b}' names an unknown atom")
+        table[row_index[a]][col_index[b]] = mask
+        if symmetric:
+            table[col_index[b]][row_index[a]] = mask
+    return tuple(tuple(r) for r in table)
+
+
+def _table_to_json(table: tuple, row_names: tuple, col_names: tuple, upper: bool = False) -> dict:
+    """Nonempty cells as ``{"a,b": sorted names}``; ``upper`` skips cells below the diagonal."""
+    return {
+        f"{a},{b}": sorted(_names_from(table[i][j], col_names))
+        for i, a in enumerate(row_names)
+        for j, b in enumerate(col_names)
+        if table[i][j] and not (upper and j < i)
+    }
+
+
+def _lift(table: tuple, left: int, right: int) -> int:
+    """Product of two atom sets: the union of the cells of ``left`` x ``right``."""
+    out = 0
+    for i in _bits(left):
+        row = table[i]
+        for j in _bits(right):
+            out |= row[j]
+    return out
+
+
+def _union(images, mask: int) -> int:
+    """Image of an atom set under an atom-wise map: the union of ``images[i]``."""
+    out = 0
+    for i in _bits(mask):
+        out |= images[i]
+    return out
+
+
 @dataclass(frozen=True)
 class FiniteQuantaleModule:
     transformations: tuple
@@ -90,18 +142,11 @@ class FiniteQuantaleModule:
     def build(transformations, resources, star: dict, act: dict, unit, free) -> "FiniteQuantaleModule":
         tnames, tindex = _index_names(transformations)
         xnames, xindex = _index_names(resources)
-        nt, nx = len(tnames), len(xnames)
-        star_table = [[0] * nt for _ in range(nt)]
-        for (a, b), out in star.items():
-            star_table[tindex[a]][tindex[b]] = _mask_from(out, tindex)
-        act_table = [[0] * nx for _ in range(nt)]
-        for (a, x), out in act.items():
-            act_table[tindex[a]][xindex[x]] = _mask_from(out, xindex)
         return FiniteQuantaleModule(
             transformations=tnames,
             resources=xnames,
-            star_table=tuple(tuple(r) for r in star_table),
-            act_table=tuple(tuple(r) for r in act_table),
+            star_table=_table(star, tindex, tindex),
+            act_table=_table(act, tindex, xindex),
             unit_mask=_mask_from(unit, tindex),
             free_mask=_mask_from(free, tindex),
         )
@@ -115,36 +160,21 @@ class FiniteQuantaleModule:
             xnames = list(doc["X"])
         except (KeyError, TypeError) as exc:
             raise FormatError("module JSON needs 'T' and 'X' atom lists") from exc
-        star = {}
-        for key, out in doc.get("star", {}).items():
-            a, b = key.split(",")
-            star[(a, b)] = out
-        act = {}
-        for key, out in doc.get("act", {}).items():
-            a, x = key.split(",")
-            act[(a, x)] = out
         return FiniteQuantaleModule.build(
-            tnames, xnames, star, act, doc.get("unit", []), doc.get("free", [])
+            tnames, xnames,
+            _pairs_from_json(doc.get("star", {})), _pairs_from_json(doc.get("act", {})),
+            doc.get("unit", []), doc.get("free", []),
         )
 
     def to_json(self) -> dict:
-        star = {}
-        for i, a in enumerate(self.transformations):
-            for j, b in enumerate(self.transformations):
-                if self.star_table[i][j]:
-                    star[f"{a},{b}"] = sorted(_names_from(self.star_table[i][j], self.transformations))
-        act = {}
-        for i, a in enumerate(self.transformations):
-            for j, x in enumerate(self.resources):
-                if self.act_table[i][j]:
-                    act[f"{a},{x}"] = sorted(_names_from(self.act_table[i][j], self.resources))
+        t, x = self.transformations, self.resources
         return {
-            "T": list(self.transformations),
-            "X": list(self.resources),
+            "T": list(t),
+            "X": list(x),
             "unit": sorted(self.t_set(self.unit_mask)),
             "free": sorted(self.t_set(self.free_mask)),
-            "star": star,
-            "act": act,
+            "star": _table_to_json(self.star_table, t, t),
+            "act": _table_to_json(self.act_table, t, x),
         }
 
     @property
@@ -170,20 +200,10 @@ class FiniteQuantaleModule:
         return _names_from(mask, self.resources)
 
     def star_set(self, left: int, right: int) -> int:
-        out = 0
-        for i in _bits(left):
-            row = self.star_table[i]
-            for j in _bits(right):
-                out |= row[j]
-        return out
+        return _lift(self.star_table, left, right)
 
     def act_set(self, tmask: int, xmask: int) -> int:
-        out = 0
-        for i in _bits(tmask):
-            row = self.act_table[i]
-            for j in _bits(xmask):
-                out |= row[j]
-        return out
+        return _lift(self.act_table, tmask, xmask)
 
 
 def validate(m: FiniteQuantaleModule) -> list:
@@ -349,13 +369,6 @@ class PermutationAction(FunctionAction):
                 raise FormatError("permutation action contains a non-bijective map")
 
 
-def _apply_map_to_mask(mp: tuple, mask: int) -> int:
-    out = 0
-    for i in _bits(mask):
-        out |= 1 << mp[i]
-    return out
-
-
 def action_from_names(m: FiniteQuantaleModule, maps, permutations: bool = True) -> FunctionAction:
     """Build an action from name-based maps: either dicts {atom: image} or
     lists where position k holds the image of resource atom k."""
@@ -378,8 +391,9 @@ def is_g_compatible(m: FiniteQuantaleModule, subset, action: FunctionAction) -> 
         raise FormatError("action degree does not match resource count")
     smask = m.tmask(subset)
     for mp in action.maps:
+        images = [1 << v for v in mp]
         for x in range(len(m.resources)):
-            lhs = _apply_map_to_mask(mp, m.act_set(smask, 1 << x))
+            lhs = _union(images, m.act_set(smask, 1 << x))
             rhs = m.act_set(smask, 1 << mp[x])
             if lhs != rhs:
                 return False
@@ -417,37 +431,24 @@ def check_morphism(src: FiniteQuantaleModule, dst: FiniteQuantaleModule,
         raise FormatError(f"unknown morphism mode {mode!r}")
     ell_masks = [dst.tmask(ell[name]) for name in src.transformations]
     f_masks = [dst.xmask(f[name]) for name in src.resources]
-
-    def ell_set(mask):
-        out = 0
-        for i in _bits(mask):
-            out |= ell_masks[i]
-        return out
-
-    def f_set(mask):
-        out = 0
-        for i in _bits(mask):
-            out |= f_masks[i]
-        return out
-
     ok = (lambda a, b: a == b) if mode == "strict" else (lambda a, b: a & ~b == 0)
     out = []
     nt, nx = len(src.transformations), len(src.resources)
     for i in range(nt):
         for j in range(nt):
-            lhs = ell_set(src.star_table[i][j])
+            lhs = _union(ell_masks, src.star_table[i][j])
             rhs = dst.star_set(ell_masks[i], ell_masks[j])
             if not ok(lhs, rhs):
                 out.append(Violation("StarMismatch",
                                      (src.transformations[i], src.transformations[j])))
     for i in range(nt):
         for x in range(nx):
-            lhs = f_set(src.act_table[i][x])
+            lhs = _union(f_masks, src.act_table[i][x])
             rhs = dst.act_set(ell_masks[i], f_masks[x])
             if not ok(lhs, rhs):
                 out.append(Violation("ActionMismatch",
                                      (src.transformations[i], src.resources[x])))
-    if ell_set(src.free_mask) & ~dst.free_mask:
+    if _union(ell_masks, src.free_mask) & ~dst.free_mask:
         out.append(Violation("FreePreservationViolation"))
     return out
 
@@ -471,15 +472,9 @@ class CommutativeQuantale:
     @staticmethod
     def build(resources, box: dict, unit, free) -> "CommutativeQuantale":
         names, index = _index_names(resources)
-        n = len(names)
-        table = [[0] * n for _ in range(n)]
-        for (a, b), out in box.items():
-            mask = _mask_from(out, index)
-            table[index[a]][index[b]] = mask
-            table[index[b]][index[a]] = mask
         return CommutativeQuantale(
             resources=names,
-            box_table=tuple(tuple(r) for r in table),
+            box_table=_table(box, index, index, symmetric=True),
             unit_mask=_mask_from(unit, index),
             free_mask=_mask_from(free, index),
         )
@@ -492,22 +487,13 @@ class CommutativeQuantale:
             names = list(doc["R"])
         except (KeyError, TypeError) as exc:
             raise FormatError("quantale JSON needs an 'R' atom list") from exc
-        box = {}
-        for key, out in doc.get("box", {}).items():
-            a, b = key.split(",")
-            box[(a, b)] = out
-        return CommutativeQuantale.build(names, box, doc.get("unit", []), doc.get("free", []))
+        return CommutativeQuantale.build(names, _pairs_from_json(doc.get("box", {})),
+                                         doc.get("unit", []), doc.get("free", []))
 
     def to_json(self) -> dict:
-        box = {}
-        for i, a in enumerate(self.resources):
-            for j, b in enumerate(self.resources):
-                if j < i or not self.box_table[i][j]:
-                    continue
-                box[f"{a},{b}"] = sorted(_names_from(self.box_table[i][j], self.resources))
         return {
             "R": list(self.resources),
-            "box": box,
+            "box": _table_to_json(self.box_table, self.resources, self.resources, upper=True),
             "unit": sorted(_names_from(self.unit_mask, self.resources)),
             "free": sorted(_names_from(self.free_mask, self.resources)),
         }
@@ -519,12 +505,7 @@ class CommutativeQuantale:
         return _names_from(mask, self.resources)
 
     def box_set(self, left: int, right: int) -> int:
-        out = 0
-        for i in _bits(left):
-            row = self.box_table[i]
-            for j in _bits(right):
-                out |= row[j]
-        return out
+        return _lift(self.box_table, left, right)
 
 
 def validate_quantale(q: CommutativeQuantale) -> list:

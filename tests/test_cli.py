@@ -251,6 +251,28 @@ def test_exit_codes(files, capsys, monkeypatch):
         _, err = _out(capsys)
         assert "Traceback" not in err
 
+    # malformed tables: not an object, a key of wrong arity, or an unknown atom
+    unit_module = {"T": ["e"], "X": ["x"], "star": {"e,e": ["e"]},
+                   "act": {"e,x": ["x"]}, "unit": ["e"], "free": ["e"]}
+    psi = channel_x().to_json()
+    bad_docs = [
+        (["module", "validate"], [], {**unit_module, "act": [["e", "x"]]}),
+        (["module", "validate"], [], {**unit_module, "star": {"e,e,e": ["e"]}}),
+        (["module", "validate"], [], {**unit_module, "star": {"e,q": ["e"]}}),
+        (["ucrt", "order"], ["--source", "0", "--target", "0"],
+         {**max_quantale().to_json(), "box": {"0": ["0"]}}),
+        (["ucrt", "order"], ["--source", "0", "--target", "0"],
+         {**max_quantale().to_json(), "box": {"0,7": ["0"]}}),
+    ]
+    for key in ("0", "0,1,2", "a,0"):
+        cols = dict(psi["columns"])
+        cols[key] = cols.pop("0,0")
+        bad_docs.append((["channel", "apply"], ["--delta", "0"], {**psi, "columns": cols}))
+    for cmd, extra, doc in bad_docs:
+        assert run([*cmd, files("malformed.json", doc), *extra]) == 2
+        _, err = _out(capsys)
+        assert "rthy:" in err and "Traceback" not in err
+
 
 def test_output_is_deterministic(files, capsys):
     x = files("x.json", incomparable_x().to_json())

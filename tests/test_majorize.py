@@ -8,29 +8,37 @@ from rthy import (
     Encoding,
     EnumerationTooLarge,
     FormatError,
+    FunctionAction,
     HypothesisMismatch,
     INFEASIBLE,
     LengthMismatch,
     LpOutcome,
+    OPTIMAL,
+    PermutationAction,
+    RthyError,
     StochasticMap,
     ZeroReference,
+    comb_simulates,
     det_postprocessings,
     lorenz,
     majorizes,
     markotope_contains,
+    orbit_encoding,
     relative_majorizes,
     verify_certificate,
+    weight,
     zonotope,
     zonotope_includes,
 )
 from rthy.instances import (
     binary_image_of_x,
+    channel_x,
     incomparable_x,
     incomparable_y,
     two_point_encoding,
 )
 
-from conftest import encodings, stochastic_maps
+from conftest import distributions, encodings, stochastic_maps
 
 H = Fraction(1, 2)
 
@@ -79,6 +87,22 @@ def test_bundled_pair_incomparable_with_certificates():
         assert not res.convertible
         replay = LpOutcome(status=INFEASIBLE, farkas=list(res.farkas))
         assert verify_certificate(res.problem, replay)
+
+
+def test_witness_is_replayed_before_it_is_reported(monkeypatch):
+    def collapsing_solver(problem):
+        # stochastic, but sends every outcome to outcome 0
+        return LpOutcome(status=OPTIMAL, primal=[
+            Fraction(name.startswith("t[0,")) for name in problem.var_names])
+
+    monkeypatch.setattr("rthy.majorize.lp_solve", collapsing_solver)
+    x = incomparable_x()
+    for decide in (lambda: majorizes(x, x),
+                   lambda: comb_simulates(x, channel_x()),
+                   lambda: markotope_contains(x, binary_image_of_x(), 2)):
+        with pytest.raises(RuntimeError) as err:
+            decide()
+        assert not isinstance(err.value, RthyError)
 
 
 def test_hypothesis_count_mismatch():
@@ -205,3 +229,31 @@ def test_enumeration_guard(monkeypatch):
         det_postprocessings(3, 2)
     monkeypatch.setenv("RTHY_ENUM_GUARD", "8")
     assert len(det_postprocessings(3, 2)) == 8
+
+
+CYCLE3 = PermutationAction([(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+DEGREE3_ACTIONS = (
+    CYCLE3,
+    PermutationAction([(0, 1, 2)]),
+    PermutationAction([(0, 1, 2), (1, 0, 2)]),
+    FunctionAction([(0, 1, 2), (0, 0, 0)]),
+)
+
+
+def test_orbit_encoding_pinned():
+    orbit = orbit_encoding([H, H, 0], CYCLE3)
+    assert orbit == Encoding.from_columns([[H, H, 0], [0, H, H], [H, 0, H]])
+
+
+@given(st.one_of(distributions(3),
+                 st.sampled_from([[1, 0, 0], [Fraction(1, 3)] * 3, [H, H, 0]])),
+       st.sampled_from(DEGREE3_ACTIONS))
+def test_orbit_encoding_weight_vanishes_exactly_on_fixed_points(x, action):
+    fixed = all(sum(x[j] for j in range(3) if mp[j] == i) == x[i]
+                for mp in action.maps for i in range(3))
+    assert (weight(orbit_encoding(x, action)) == 0) == fixed
+
+
+def test_orbit_encoding_degree_mismatch():
+    with pytest.raises(LengthMismatch):
+        orbit_encoding([H, H], CYCLE3)

@@ -97,6 +97,15 @@ def test_hypothesis_mismatch():
         bool_majorizes(BoolEncoding([[1]]), BoolEncoding([[1, 1]]))
 
 
+def test_witness_is_replayed_before_it_is_reported(monkeypatch):
+    # a witness garbled on its way out (rows swapped) must not be reported
+    monkeypatch.setattr("rthy.possibilistic.BoolStochasticMap",
+                        lambda rows: BoolStochasticMap(list(reversed(rows))))
+    x = BoolEncoding([[1, 0], [0, 1]])
+    with pytest.raises(RuntimeError):
+        bool_majorizes(x, x)
+
+
 def test_search_guard_trips():
     x = BoolEncoding([[1]])
     y = BoolEncoding([[1]] * 25)
