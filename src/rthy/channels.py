@@ -67,6 +67,8 @@ class ChannelEncoding:
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(
                 "channel JSON needs 'hypotheses', 'input', 'output', 'columns'") from exc
+        if not isinstance(cols, dict):
+            raise FormatError("channel 'columns' must be an object with 'h,a' keys")
         tensor = [[None] * a for _ in range(h)]
         for key, col in cols.items():
             try:
@@ -75,8 +77,8 @@ class ChannelEncoding:
                 raise FormatError(f"channel column key {key!r} is not 'h,a'") from None
             if not (0 <= hh < h and 0 <= aa < a):
                 raise FormatError(f"channel column key {key!r} out of range")
-            if len(col) != bb:
-                raise FormatError(f"channel column {key!r} has wrong length")
+            if not isinstance(col, list) or len(col) != bb:
+                raise FormatError(f"channel column {key!r} is not a list of {bb} rationals")
             tensor[hh][aa] = [parse_rational(v) for v in col]
         for hh in range(h):
             for aa in range(a):

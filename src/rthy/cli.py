@@ -22,8 +22,8 @@ from .errors import FormatError, GuardError, RthyError
 from .exactmath import INFEASIBLE, LpOutcome, format_rational, parse_rational, verify_certificate
 
 SCHEMAS = """\
-file formats (all rationals are strings like "3/4"; "+inf"/"-inf" allowed
-only where noted):
+file formats (all rationals are strings like "3/4"; "+inf" (or "inf") and
+"-inf" allowed only where noted):
 
   encoding      {"hypotheses": h, "outcomes": n,
                  "columns": [[n rationals] per hypothesis]}   (column-major)
@@ -36,7 +36,7 @@ only where noted):
                  "unit": [names], "free": [names]}             (omitted keys = empty)
   quantale      {"R": [names], "box": {"a,b": [names]},
                  "unit": [names], "free": [names]}
-  valuation     {"atom name": rational or "+inf"/"-inf", ...}
+  valuation     {"atom name": rational or "+inf"/"inf"/"-inf", ...}
   action        {"maps": [{"x": "y", ...}, ...], "permutations": bool}
 
 atom names must not contain commas.

@@ -1,8 +1,10 @@
 """Exact rational linear algebra and a certified LP solver.
 
-Everything here works over `fractions.Fraction`; no floats are ever
-produced.  The simplex implementation returns machine-checkable
-certificates for all three outcomes:
+Inputs and outputs are `fractions.Fraction`s; no floats are ever
+produced.  Inside, the simplex keeps its tableau as Python ints over one
+common positive denominator and pivots fraction-free (Edmonds/Bareiss),
+so no cell update pays a gcd.  It returns machine-checkable certificates
+for all three outcomes:
 
 * ``Optimal``     -- primal solution plus dual multipliers (checked via
   feasibility, dual feasibility and complementary slackness),
@@ -117,15 +119,19 @@ class Matrix:
         return [list(r) for r in self.rows]
 
 
+def _scaled(values):
+    """Integers ``values * s`` with ``s`` the lcm of their denominators, and ``s``."""
+    values = [v if type(v) is Fraction else Fraction(v) for v in values]
+    s = lcm(*(v.denominator for v in values))
+    return [v.numerator * (s // v.denominator) for v in values], s
+
+
 def rank(mat: Matrix) -> int:
     """Rank via fraction-free (Bareiss) elimination on a denominator-cleared copy."""
     if not mat.rows or mat.ncols == 0:
         return 0
     # row-wise clearing of denominators keeps every later pivot an integer
-    work = []
-    for row in mat.rows:
-        scale = lcm(*(v.denominator for v in row)) if row else 1
-        work.append([int(v * scale) for v in row])
+    work = [_scaled(row)[0] for row in mat.rows]
     nr, nc = len(work), len(work[0])
     prev = 1
     r = 0
@@ -273,125 +279,140 @@ class LpBuilder:
                          var_names=list(self._names), user_vars=dict(self._user))
 
 
-def _pivot(tableau, costrow, basis, r, col):
-    piv = tableau[r][col]
-    inv = F1 / piv
-    tableau[r] = [v * inv for v in tableau[r]]
+# The tableau holds integers: the true tableau times one common positive
+# denominator ``den``.  Row ``m`` (the last) is the cost row.  Only positive
+# scalings separate it from the textbook Fraction tableau of the same LP, so
+# every sign test and ratio comparison, and hence every Bland pivot, agrees.
+
+
+def _pivot(tableau, basis, den, r, col):
+    """Fraction-free (Edmonds/Bareiss) pivot on ``tableau[r][col]``.
+
+    Every other row becomes ``(p*row - row[col]*prow) / den``, an exact
+    division, and the pivot ``p`` becomes the denominator.  Returns it,
+    made positive by negating the whole tableau when ``p < 0`` (possible
+    only when driving artificials out), so stored signs are true signs.
+    """
     prow = tableau[r]
+    p = prow[col]
+    nonzero = [j for j, w in enumerate(prow) if w]
     for i, row in enumerate(tableau):
-        if i != r and row[col] != 0:
-            f = row[col]
-            tableau[i] = [v - f * p for v, p in zip(row, prow)]
-    if costrow[col] != 0:
-        f = costrow[col]
-        for j in range(len(costrow)):
-            costrow[j] -= f * prow[j]
+        f = row[col]
+        if i == r or (not f and p == den):
+            continue
+        new = [p * v // den if v else 0 for v in row] if p != den else row[:]
+        if f:
+            for j in nonzero:
+                new[j] = (p * row[j] - f * prow[j]) // den
+        tableau[i] = new
+    if p < 0:
+        tableau[:] = [[-v for v in row] for row in tableau]
+        p = -p
     basis[r] = col
+    return p
 
 
-def _bland_step(tableau, costrow, basis, allowed_cols):
-    """One Bland-rule pivot.  Returns 'optimal', 'pivoted', or the entering
-    column index when the problem is unbounded in that direction."""
-    enter = next((j for j in allowed_cols if costrow[j] < 0), None)
-    if enter is None:
-        return "optimal", None
-    best = None
-    for i, row in enumerate(tableau):
-        a = row[enter]
-        if a > 0:
-            ratio = row[-1] / a
-            if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                best = (ratio, i)
-    if best is None:
-        return "unbounded", enter
-    _pivot(tableau, costrow, basis, best[1], enter)
-    return "pivoted", None
+def _bland(tableau, basis, den, ncols):
+    """Bland-rule pivots over columns ``0..ncols-1`` until no cost is negative.
+
+    Returns ``(den, None)`` at the optimum, or ``(den, enter)`` when column
+    ``enter`` improves without bound.
+    """
+    costrow = tableau[-1]
+    while True:
+        enter = next((j for j in range(ncols) if costrow[j] < 0), None)
+        if enter is None:
+            return den, None
+        best = None
+        for i, b in enumerate(basis):
+            a = tableau[i][enter]
+            if a <= 0:
+                continue
+            rhs = tableau[i][-1]
+            if best is not None:
+                # rhs/a against best_rhs/best_a, cross-multiplied (both a > 0)
+                here, there = rhs * best_a, best_rhs * a
+                if here > there or (here == there and b > basis[best]):
+                    continue
+            best, best_a, best_rhs = i, a, rhs
+        if best is None:
+            return den, enter
+        den = _pivot(tableau, basis, den, best, enter)
+        costrow = tableau[-1]
 
 
 def lp_solve(problem: LpProblem) -> LpOutcome:
-    """Two-phase simplex with Bland's anti-cycling rule, fully exact."""
+    """Two-phase simplex with Bland's anti-cycling rule, fully exact.
+
+    Row i is flipped to a nonnegative right-hand side (sign ``signs[i]``)
+    and cleared of denominators by its lcm ``scales[i]``; artificial column
+    i stays ``e_i``, i.e. the artificial is rescaled by ``scales[i]``.
+    """
     m, n = problem.nrows, problem.ncols
-    signs = []
-    tableau = []
+    signs, scales, tableau = [], [], []
     for i in range(m):
-        row = [Fraction(v) for v in problem.a_rows[i]]
-        rhs = Fraction(problem.b[i])
-        if rhs < 0:  # flip so artificial start is feasible; remember for duals
-            row = [-v for v in row]
-            rhs = -rhs
-            signs.append(-1)
-        else:
-            signs.append(1)
-        art = [F1 if k == i else F0 for k in range(m)]
-        tableau.append(row + art + [rhs])
+        row, s = _scaled(list(problem.a_rows[i]) + [problem.b[i]])
+        sign = -1 if row[-1] < 0 else 1
+        art = [0] * m
+        art[i] = 1
+        tableau.append([sign * v for v in row[:-1]] + art + [sign * row[-1]])
+        signs.append(sign)
+        scales.append(s)
     basis = [n + i for i in range(m)]
+    den = 1
 
-    # phase 1: minimize the sum of artificials; price the cost row out
-    width = n + m + 1
-    costrow = [F0] * width
-    for j in range(n, n + m):
-        costrow[j] = F1
-    for row in tableau:
-        costrow = [cv - rv for cv, rv in zip(costrow, row)]
+    # phase 1: minimize sum_i L/s_i * art_i (L = lcm of the s_i); price it out
+    big = lcm(*scales)
+    weights = [big // s for s in scales]
+    costrow = [-sum(w * row[j] for w, row in zip(weights, tableau)) for j in range(n)]
+    costrow += [0] * m + [-sum(w * row[-1] for w, row in zip(weights, tableau))]
+    tableau.append(costrow)
+    den, _ = _bland(tableau, basis, den, n + m)
 
-    allowed = range(n + m)
-    while True:
-        state, _ = _bland_step(tableau, costrow, basis, allowed)
-        if state == "optimal":
-            break
-
-    if -costrow[-1] > 0:  # residual infeasibility; costrow[-1] holds -objective
-        y_flip = [F1 - costrow[n + i] for i in range(m)]
-        farkas = [s * y for s, y in zip(signs, y_flip)]
+    costrow = tableau[-1]
+    if costrow[-1] < 0:  # residual infeasibility; costrow[-1] holds -objective
+        scale = den * big
+        farkas = [Fraction(sg * (scale - s * costrow[n + i]), scale)
+                  for i, (sg, s) in enumerate(zip(signs, scales))]
         return LpOutcome(status=INFEASIBLE, farkas=farkas)
 
     # drive leftover artificials out of the basis where possible
     for r in range(m):
         if basis[r] >= n:
-            col = next((j for j in range(n) if tableau[r][j] != 0), None)
+            col = next((j for j in range(n) if tableau[r][j]), None)
             if col is not None:
-                _pivot(tableau, costrow, basis, r, col)
+                den = _pivot(tableau, basis, den, r, col)
             # else: redundant 0 = 0 row; inert from here on
 
-    # phase 2: original objective, artificial columns barred from entering
-    costrow = [F0] * width
-    for j in range(n):
-        costrow[j] = Fraction(problem.c[j])
-    for r, row in enumerate(tableau):
-        cb = problem.c[basis[r]] if basis[r] < n else F0
-        if cb != 0:
+    # phase 2: the objective times the lcm of its denominators; artificial
+    # columns are barred from entering
+    cost, cscale = _scaled(problem.c)
+    basic_cost = [cost[b] if b < n else 0 for b in basis]
+    costrow = [den * v for v in cost] + [0] * (m + 1)
+    for cb, row in zip(basic_cost, tableau):
+        if cb:
             costrow = [cv - cb * rv for cv, rv in zip(costrow, row)]
-
-    allowed = range(n)
-    while True:
-        state, enter = _bland_step(tableau, costrow, basis, allowed)
-        if state == "optimal":
-            break
-        if state == "unbounded":
-            primal = [F0] * n
-            for r in range(m):
-                if basis[r] < n:
-                    primal[basis[r]] = tableau[r][-1]
-            ray = [F0] * n
-            ray[enter] = F1
-            for r in range(m):
-                if basis[r] < n:
-                    ray[basis[r]] = -tableau[r][enter]
-            return LpOutcome(status=UNBOUNDED, primal=primal, ray=ray)
+    tableau[-1] = costrow
+    den, enter = _bland(tableau, basis, den, n)
 
     primal = [F0] * n
-    for r in range(m):
-        if basis[r] < n:
-            primal[basis[r]] = tableau[r][-1]
-    y_flip = [
-        sum(
-            (Fraction(problem.c[basis[r]]) * tableau[r][n + i]
-             for r in range(m) if basis[r] < n),
-            F0,
-        )
-        for i in range(m)
+    for r, b in enumerate(basis):
+        if b < n:
+            primal[b] = Fraction(tableau[r][-1], den)
+    if enter is not None:
+        ray = [F0] * n
+        ray[enter] = F1
+        for r, b in enumerate(basis):
+            if b < n:
+                ray[b] = Fraction(-tableau[r][enter], den)
+        return LpOutcome(status=UNBOUNDED, primal=primal, ray=ray)
+
+    basic_cost = [cost[b] if b < n else 0 for b in basis]
+    scale = den * cscale
+    dual = [
+        Fraction(sg * s * sum(cb * row[n + i] for cb, row in zip(basic_cost, tableau)), scale)
+        for i, (sg, s) in enumerate(zip(signs, scales))
     ]
-    dual = [s * y for s, y in zip(signs, y_flip)]
     objective = sum((ci * vi for ci, vi in zip(problem.c, primal)), F0)
     return LpOutcome(status=OPTIMAL, primal=primal, dual=dual, objective=objective)
 

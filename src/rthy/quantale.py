@@ -46,14 +46,20 @@ def _index_names(names) -> Tuple[tuple, dict]:
 
 
 def _mask_from(subset, index: dict) -> int:
-    if isinstance(subset, int):
-        return subset
+    """Bitmask of a list (or set) of atom names, as read from JSON."""
+    if not isinstance(subset, (list, tuple, set, frozenset)):
+        raise FormatError(f"an atom set must be a list of names, not {type(subset).__name__}")
     mask = 0
     for item in subset:
-        if item not in index:
+        if not isinstance(item, str) or item not in index:
             raise FormatError(f"unknown atom {item!r}")
         mask |= 1 << index[item]
     return mask
+
+
+def _as_mask(subset, index: dict) -> int:
+    """``_mask_from``, except that an int is taken as a bitmask already."""
+    return subset if isinstance(subset, int) else _mask_from(subset, index)
 
 
 def _names_from(mask: int, names: tuple) -> FrozenSet[str]:
@@ -188,10 +194,10 @@ class FiniteQuantaleModule:
     # -- masks and lifted operations ---------------------------------------
 
     def tmask(self, subset) -> int:
-        return _mask_from(subset, self._tindex)
+        return _as_mask(subset, self._tindex)
 
     def xmask(self, subset) -> int:
-        return _mask_from(subset, self._xindex)
+        return _as_mask(subset, self._xindex)
 
     def t_set(self, mask: int) -> FrozenSet[str]:
         return _names_from(mask, self.transformations)
@@ -499,7 +505,7 @@ class CommutativeQuantale:
         }
 
     def rmask(self, subset) -> int:
-        return _mask_from(subset, self._index)
+        return _as_mask(subset, self._index)
 
     def r_set(self, mask: int) -> FrozenSet[str]:
         return _names_from(mask, self.resources)

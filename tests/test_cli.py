@@ -11,6 +11,7 @@ from rthy.instances import (
     incomparable_y,
     max_quantale,
     rotation_module,
+    three_chain_module,
     two_point_encoding,
 )
 
@@ -268,6 +269,19 @@ def test_exit_codes(files, capsys, monkeypatch):
         cols = dict(psi["columns"])
         cols[key] = cols.pop("0,0")
         bad_docs.append((["channel", "apply"], ["--delta", "0"], {**psi, "columns": cols}))
+    # channel columns that are not an object of lists
+    bad_docs.append((["channel", "apply"], ["--delta", "0"],
+                     {**psi, "columns": list(psi["columns"].values())}))
+    bad_docs.append((["channel", "apply"], ["--delta", "0"],
+                     {**psi, "columns": {**psi["columns"], "0,0": 1}}))
+    # atom sets given as JSON integers rather than lists of names
+    chain = three_chain_module().to_json()
+    quantale = max_quantale().to_json()
+    for doc in ({**chain, "free": 64}, {**chain, "unit": 1},
+                {**unit_module, "star": {"e,e": 8}}, {**unit_module, "act": {"e,x": 1}}):
+        bad_docs.append((["module", "validate"], [], doc))
+    for doc in ({**quantale, "free": 1}, {**quantale, "box": {"0,0": 1}}):
+        bad_docs.append((["ucrt", "order"], ["--source", "0", "--target", "0"], doc))
     for cmd, extra, doc in bad_docs:
         assert run([*cmd, files("malformed.json", doc), *extra]) == 2
         _, err = _out(capsys)

@@ -3,7 +3,9 @@
 The LP oracle here is deliberately independent of the solver: basic
 solutions are enumerated by brute force with a tiny Gaussian solver, so
 optimal values are cross-checked against vertex enumeration and
-infeasibility against the absence of any basic feasible point.
+infeasibility against the absence of any basic feasible point.  The
+integer-tableau ``lp_solve`` is also compared, field for field, with the
+dense ``Fraction`` tableau simplex it replaced (``_reference_lp_solve``).
 """
 
 import itertools
@@ -11,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rthy import (
     FormatError,
@@ -28,6 +30,8 @@ from rthy import (
     rank,
     verify_certificate,
 )
+from rthy import exactmath
+from rthy.exactmath import F0, F1
 
 F = Fraction
 
@@ -236,6 +240,201 @@ def test_lp_self_certification(problem):
     else:
         assert out.status == UNBOUNDED
         assert basics, "unbounded LP is still feasible"
+
+
+# ---------------------------------------------------------------------------
+# simplex: the integer tableau against the Fraction tableau it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_pivot(tableau, costrow, basis, r, col):
+    piv = tableau[r][col]
+    inv = F1 / piv
+    tableau[r] = [v * inv for v in tableau[r]]
+    prow = tableau[r]
+    for i, row in enumerate(tableau):
+        if i != r and row[col] != 0:
+            f = row[col]
+            tableau[i] = [v - f * p for v, p in zip(row, prow)]
+    if costrow[col] != 0:
+        f = costrow[col]
+        for j in range(len(costrow)):
+            costrow[j] -= f * prow[j]
+    basis[r] = col
+
+
+def _reference_bland_step(tableau, costrow, basis, allowed_cols):
+    """One Bland-rule pivot.  Returns 'optimal', 'pivoted', or the entering
+    column index when the problem is unbounded in that direction."""
+    enter = next((j for j in allowed_cols if costrow[j] < 0), None)
+    if enter is None:
+        return "optimal", None
+    best = None
+    for i, row in enumerate(tableau):
+        a = row[enter]
+        if a > 0:
+            ratio = row[-1] / a
+            if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
+                best = (ratio, i)
+    if best is None:
+        return "unbounded", enter
+    _reference_pivot(tableau, costrow, basis, best[1], enter)
+    return "pivoted", None
+
+
+def _reference_lp_solve(problem):
+    """Two-phase simplex with Bland's rule on a dense ``Fraction`` tableau.
+
+    The textbook form of ``lp_solve``: the same set-up, pivot rule and
+    certificate read-out, with every cell an exact rational.  ``lp_solve``
+    must agree with it field for field.
+    """
+    m, n = problem.nrows, problem.ncols
+    signs = []
+    tableau = []
+    for i in range(m):
+        row = [Fraction(v) for v in problem.a_rows[i]]
+        rhs = Fraction(problem.b[i])
+        if rhs < 0:  # flip so artificial start is feasible; remember for duals
+            row = [-v for v in row]
+            rhs = -rhs
+            signs.append(-1)
+        else:
+            signs.append(1)
+        art = [F1 if k == i else F0 for k in range(m)]
+        tableau.append(row + art + [rhs])
+    basis = [n + i for i in range(m)]
+
+    # phase 1: minimize the sum of artificials; price the cost row out
+    width = n + m + 1
+    costrow = [F0] * width
+    for j in range(n, n + m):
+        costrow[j] = F1
+    for row in tableau:
+        costrow = [cv - rv for cv, rv in zip(costrow, row)]
+
+    allowed = range(n + m)
+    while True:
+        state, _ = _reference_bland_step(tableau, costrow, basis, allowed)
+        if state == "optimal":
+            break
+
+    if -costrow[-1] > 0:  # residual infeasibility; costrow[-1] holds -objective
+        y_flip = [F1 - costrow[n + i] for i in range(m)]
+        farkas = [s * y for s, y in zip(signs, y_flip)]
+        return LpOutcome(status=INFEASIBLE, farkas=farkas)
+
+    # drive leftover artificials out of the basis where possible
+    for r in range(m):
+        if basis[r] >= n:
+            col = next((j for j in range(n) if tableau[r][j] != 0), None)
+            if col is not None:
+                _reference_pivot(tableau, costrow, basis, r, col)
+            # else: redundant 0 = 0 row; inert from here on
+
+    # phase 2: original objective, artificial columns barred from entering
+    costrow = [F0] * width
+    for j in range(n):
+        costrow[j] = Fraction(problem.c[j])
+    for r, row in enumerate(tableau):
+        cb = problem.c[basis[r]] if basis[r] < n else F0
+        if cb != 0:
+            costrow = [cv - cb * rv for cv, rv in zip(costrow, row)]
+
+    allowed = range(n)
+    while True:
+        state, enter = _reference_bland_step(tableau, costrow, basis, allowed)
+        if state == "optimal":
+            break
+        if state == "unbounded":
+            primal = [F0] * n
+            for r in range(m):
+                if basis[r] < n:
+                    primal[basis[r]] = tableau[r][-1]
+            ray = [F0] * n
+            ray[enter] = F1
+            for r in range(m):
+                if basis[r] < n:
+                    ray[basis[r]] = -tableau[r][enter]
+            return LpOutcome(status=UNBOUNDED, primal=primal, ray=ray)
+
+    primal = [F0] * n
+    for r in range(m):
+        if basis[r] < n:
+            primal[basis[r]] = tableau[r][-1]
+    y_flip = [
+        sum(
+            (Fraction(problem.c[basis[r]]) * tableau[r][n + i]
+             for r in range(m) if basis[r] < n),
+            F0,
+        )
+        for i in range(m)
+    ]
+    dual = [s * y for s, y in zip(signs, y_flip)]
+    objective = sum((ci * vi for ci, vi in zip(problem.c, primal)), F0)
+    return LpOutcome(status=OPTIMAL, primal=primal, dual=dual, objective=objective)
+
+
+def _fields(out):
+    return (out.status, out.primal, out.dual, out.farkas, out.ray, out.objective)
+
+
+@st.composite
+def mixed_problems(draw):
+    """Small LPs with mixed denominators and signs, sometimes a row that is
+    a multiple of row 0 (redundant, or contradictory when its rhs is not)."""
+    m = draw(st.integers(0, 3))
+    n = draw(st.integers(1, 5))
+    q = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    a_rows = [[draw(q) for _ in range(n)] for _ in range(m)]
+    b = [draw(q) for _ in range(m)]
+    if m and draw(st.booleans()):
+        k = draw(st.sampled_from([F(1), F(-2), F(1, 3)]))
+        a_rows.append([k * v for v in a_rows[0]])
+        b.append(k * b[0] if draw(st.booleans()) else draw(q))
+    c = [draw(q) for _ in range(n)]
+    return LpProblem(c=c, a_rows=a_rows, b=b)
+
+
+def _lp(a_rows, b, c):
+    return LpProblem(c=[F(v) for v in c], a_rows=[[F(v) for v in r] for r in a_rows],
+                     b=[F(v) for v in b])
+
+
+@settings(max_examples=300)
+@given(mixed_problems())
+@example(_lp([["1/2", "1/3"], ["2/5", "-3/4"]], ["1/6", "-2/7"], ["1", "-1/2"]))  # mixed denominators
+@example(_lp([[1, -1, 0], [0, 1, -1]], [-1, "-1/2"], [1, 2, 3]))                   # negative rhs
+@example(_lp([[1, 2], [2, 4], ["-1/2", -1]], [3, 6, "-3/2"], [1, 1]))               # redundant rows
+@example(_lp([[1, 1], [1, 1]], [1, 2], [0, 0]))                                     # infeasible
+@example(_lp([[1, -1]], [1], [-1, 0]))                                              # unbounded
+def test_lp_solve_matches_fraction_reference(problem):
+    out = lp_solve(problem)
+    assert _fields(out) == _fields(_reference_lp_solve(problem))
+    assert verify_certificate(problem, out)
+
+
+def test_drive_out_on_negative_pivot(monkeypatch):
+    """After phase 1 the artificial of row 1 is basic at zero and its row's
+    only entry is -2, so driving it out pivots on a negative entry and the
+    tableau is negated to keep the common denominator positive."""
+    pivots = []
+    real_pivot = exactmath._pivot
+
+    def spy(tableau, basis, den, r, col):
+        pivots.append(tableau[r][col])
+        return real_pivot(tableau, basis, den, r, col)
+
+    monkeypatch.setattr(exactmath, "_pivot", spy)
+    problem = _lp([[-1, 0, -1], [0, -2, 0]], [-2, 0], [2, -1, -2])
+    out = lp_solve(problem)
+    assert any(p < 0 for p in pivots)
+    assert out.status == OPTIMAL
+    assert out.primal == [F(0), F(0), F(2)]
+    assert out.dual == [F(2), F(1, 2)]
+    assert out.objective == F(-4)
+    assert _fields(out) == _fields(_reference_lp_solve(problem))
+    assert verify_certificate(problem, out)
 
 
 def test_problem_extract_names():

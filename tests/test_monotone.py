@@ -20,6 +20,7 @@ from rthy import (
     yield_,
     yield_witness,
 )
+from rthy.cli import SCHEMAS
 from rthy.instances import (
     diamond_module,
     downset_module,
@@ -33,6 +34,8 @@ def test_extended_value_json():
     assert value_to_json(MINUS_INF) == "-inf"
     assert value_to_json(Fraction(3, 4)) == "3/4"
     assert value_from_json("+inf") == PLUS_INF
+    assert value_from_json("inf") == PLUS_INF  # accepted, and documented as such
+    assert '"inf"' in SCHEMAS
     assert value_from_json("-5/2") == Fraction(-5, 2)
 
 
