@@ -235,9 +235,12 @@ def channel_yield(psi: ChannelEncoding, f: Callable[[Encoding], object],
         kind, g = mode
         if kind != "grid":
             raise FormatError(f"unknown channel_yield mode {mode!r}")
+        g = int(g)
+        if g < 1:
+            raise FormatError(f"grid denominator must be at least 1, got {g}")
         seen = set(deltas)
         inputs = list(deltas)
-        for mu in _simplex_grid(psi.inputs, int(g)):
+        for mu in _simplex_grid(psi.inputs, g):
             if mu not in seen:
                 seen.add(mu)
                 inputs.append(mu)

@@ -18,7 +18,7 @@ from scratch, using nothing from the solver's internals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
@@ -31,6 +31,8 @@ F1 = Fraction(1)
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or ``"p"`` (integers, optional sign) into a Fraction."""
+    if isinstance(text, bool):
+        raise FormatError("expected rational string, got bool")
     if isinstance(text, int):
         return Fraction(text)
     if not isinstance(text, str):
@@ -165,16 +167,14 @@ UNBOUNDED = "Unbounded"
 class LpProblem:
     """Standard-form LP: minimize c.v subject to A v = b, v >= 0.
 
-    ``var_names`` labels the standard-form columns; user-facing variables
-    created through :class:`LpBuilder` record how they map onto columns
-    (plain column index, or a +/- split pair for free variables).
+    ``c``, the rows of ``a_rows`` and ``b`` are dense lists of rationals;
+    callers lay out their own columns, with a slack column per inequality
+    and a +/- column pair per free variable.
     """
 
     c: list
     a_rows: list
     b: list
-    var_names: list = field(default_factory=list)
-    user_vars: dict = field(default_factory=dict)
 
     @property
     def nrows(self) -> int:
@@ -183,16 +183,6 @@ class LpProblem:
     @property
     def ncols(self) -> int:
         return len(self.c)
-
-    def extract(self, primal: Sequence[Fraction]) -> dict:
-        """Map a standard-form primal vector back to user variables."""
-        out = {}
-        for name, spec in self.user_vars.items():
-            if spec[0] == "nonneg":
-                out[name] = primal[spec[1]]
-            else:  # free variable stored as a difference of two columns
-                out[name] = primal[spec[1]] - primal[spec[2]]
-        return out
 
 
 @dataclass
@@ -203,80 +193,6 @@ class LpOutcome:
     farkas: Optional[list] = None
     ray: Optional[list] = None
     objective: Optional[Fraction] = None
-
-
-class LpBuilder:
-    """Incremental construction of a standard-form LP.
-
-    Inequalities get slack columns, free variables get split into a
-    difference of two nonnegative columns; the bookkeeping needed to map
-    solutions back lands in ``LpProblem.user_vars``.
-    """
-
-    def __init__(self):
-        self._names = []
-        self._user = {}
-        self._rows = []
-        self._rhs = []
-        self._objective = {}
-
-    def _new_col(self, name: str) -> int:
-        self._names.append(name)
-        return len(self._names) - 1
-
-    def nonneg(self, name: str) -> str:
-        if name in self._user:
-            raise FormatError(f"duplicate variable {name!r}")
-        self._user[name] = ("nonneg", self._new_col(name))
-        return name
-
-    def free(self, name: str) -> str:
-        if name in self._user:
-            raise FormatError(f"duplicate variable {name!r}")
-        pos = self._new_col(name + "+")
-        neg = self._new_col(name + "-")
-        self._user[name] = ("free", pos, neg)
-        return name
-
-    def _expand(self, coeffs: dict) -> dict:
-        cols = {}
-        for name, coeff in coeffs.items():
-            coeff = Fraction(coeff)
-            spec = self._user[name]
-            if spec[0] == "nonneg":
-                cols[spec[1]] = cols.get(spec[1], F0) + coeff
-            else:
-                cols[spec[1]] = cols.get(spec[1], F0) + coeff
-                cols[spec[2]] = cols.get(spec[2], F0) - coeff
-        return cols
-
-    def add_eq(self, coeffs: dict, rhs) -> None:
-        self._rows.append(self._expand(coeffs))
-        self._rhs.append(Fraction(rhs))
-
-    def add_le(self, coeffs: dict, rhs) -> None:
-        cols = self._expand(coeffs)
-        slack = self._new_col(f"_slack{len(self._rows)}")
-        cols[slack] = F1
-        self._rows.append(cols)
-        self._rhs.append(Fraction(rhs))
-
-    def add_ge(self, coeffs: dict, rhs) -> None:
-        cols = self._expand(coeffs)
-        surplus = self._new_col(f"_surplus{len(self._rows)}")
-        cols[surplus] = -F1
-        self._rows.append(cols)
-        self._rhs.append(Fraction(rhs))
-
-    def minimize(self, coeffs: dict) -> None:
-        self._objective = self._expand(coeffs)
-
-    def build(self) -> LpProblem:
-        n = len(self._names)
-        c = [self._objective.get(j, F0) for j in range(n)]
-        a_rows = [[row.get(j, F0) for j in range(n)] for row in self._rows]
-        return LpProblem(c=c, a_rows=a_rows, b=list(self._rhs),
-                         var_names=list(self._names), user_vars=dict(self._user))
 
 
 # The tableau holds integers: the true tableau times one common positive

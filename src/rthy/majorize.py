@@ -29,7 +29,6 @@ from .exactmath import (
     F0,
     F1,
     INFEASIBLE,
-    LpBuilder,
     LpProblem,
     Matrix,
     OPTIMAL,
@@ -192,18 +191,27 @@ class NotConvertible:
 
 
 def _conversion_problem(x: Encoding, target: Matrix) -> LpProblem:
-    """Feasibility LP for a stochastic t with t * x = target."""
+    """Feasibility LP for a stochastic t with t * x = target.
+
+    Column ``i*n_from + j`` holds ``t[i][j]``.  One row per hypothesis c and
+    output i asks ``sum_j t[i][j] x[j, c] = target[i, c]``; then one row per
+    input j asks that column j of t sums to 1.
+    """
     n_from, h = x.outcomes, x.hypotheses
     n_to = target.nrows
-    b = LpBuilder()
-    t = [[b.nonneg(f"t[{i},{j}]") for j in range(n_from)] for i in range(n_to)]
+    width = n_to * n_from
+    a_rows, b = [], []
     for c in range(h):
+        col = x.column(c)
         for i in range(n_to):
-            b.add_eq({t[i][j]: x.matrix[j, c] for j in range(n_from)}, target[i, c])
+            row = [F0] * width
+            row[i * n_from:(i + 1) * n_from] = col
+            a_rows.append(row)
+            b.append(target[i, c])
     for j in range(n_from):
-        b.add_eq({t[i][j]: F1 for i in range(n_to)}, F1)
-    b.minimize({})
-    return b.build()
+        a_rows.append([F1 if k % n_from == j else F0 for k in range(width)])
+        b.append(F1)
+    return LpProblem(c=[F0] * width, a_rows=a_rows, b=b)
 
 
 def majorizes(x: Encoding, y: Encoding):
@@ -219,9 +227,8 @@ def majorizes(x: Encoding, y: Encoding):
     problem = _conversion_problem(x, y.matrix)
     outcome = lp_solve(problem)
     if outcome.status == OPTIMAL:
-        values = problem.extract(outcome.primal)
-        rows = [[values[f"t[{i},{j}]"] for j in range(x.outcomes)]
-                for i in range(y.outcomes)]
+        n_from = x.outcomes
+        rows = [outcome.primal[i * n_from:(i + 1) * n_from] for i in range(y.outcomes)]
         try:
             witness = StochasticMap(Matrix(rows))
         except FormatError:
@@ -315,15 +322,15 @@ def zonotope(x: Encoding) -> Zonotope2:
 
 
 def _point_in_zonotope_lp(x: Encoding, point: Sequence[Fraction]) -> bool:
-    """Membership of a point of [0,1]^h in {sum_j u_j row_j(x) : u in [0,1]^n}."""
-    b = LpBuilder()
-    u = [b.nonneg(f"u[{j}]") for j in range(x.outcomes)]
-    for c in range(x.hypotheses):
-        b.add_eq({u[j]: x.matrix[j, c] for j in range(x.outcomes)}, point[c])
-    for j in range(x.outcomes):
-        b.add_le({u[j]: F1}, F1)
-    b.minimize({})
-    return lp_solve(b.build()).status == OPTIMAL
+    """Membership of a point of [0,1]^h in {sum_j u_j row_j(x) : u in [0,1]^n}.
+
+    Columns are ``u_0..u_{n-1}`` and then the slack of ``u_j <= 1`` for each j.
+    """
+    n = x.outcomes
+    a_rows = [list(x.column(c)) + [F0] * n for c in range(x.hypotheses)]
+    a_rows += [[F1 if k in (j, n + j) else F0 for k in range(2 * n)] for j in range(n)]
+    b = [Fraction(v) for v in point] + [F1] * n
+    return lp_solve(LpProblem(c=[F0] * (2 * n), a_rows=a_rows, b=b)).status == OPTIMAL
 
 
 def zonotope_includes(x: Encoding, y: Encoding) -> bool:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Sequence
 
 from .errors import BadStratumBounds, EnumerationTooLarge, ShapeMismatch
-from .exactmath import F0, F1, LpBuilder, OPTIMAL, lp_solve, rank
+from .exactmath import F0, F1, LpProblem, OPTIMAL, lp_solve, rank
 from .majorize import Encoding, enumeration_guard
 from .monotone import PLUS_INF
 
@@ -108,21 +108,17 @@ def convex_combination_weight(x: Encoding, primary: Sequence[Encoding],
     for e in itertools.chain(primary, base):
         if (e.outcomes, e.hypotheses) != (n, h):
             raise ShapeMismatch("mixture vertices must match the target's shape")
-    b = LpBuilder()
-    lams = [b.nonneg(f"lam[{i}]") for i in range(len(primary))]
-    nus = [b.nonneg(f"nu[{j}]") for j in range(len(base))]
-    for i in range(n):
-        for c in range(h):
-            coeffs = {lams[t]: primary[t].matrix[i, c] for t in range(len(primary))}
-            for j in range(len(base)):
-                coeffs[nus[j]] = coeffs.get(nus[j], F0) + base[j].matrix[i, c]
-            b.add_eq(coeffs, x.matrix[i, c])
-    b.add_eq({v: F1 for v in lams + nus}, F1)
-    b.minimize({v: F1 for v in lams})
-    outcome = lp_solve(b.build())
+    # columns: the primary vertices, then the base vertices; one row per
+    # entry (i, c) of x, then the row asking the weights to sum to 1
+    verts = [*primary, *base]
+    a_rows = [[e.matrix[i, c] for e in verts] for i in range(n) for c in range(h)]
+    a_rows.append([F1] * len(verts))
+    b = [x.matrix[i, c] for i in range(n) for c in range(h)] + [F1]
+    cost = [F1] * len(primary) + [F0] * len(base)
+    outcome = lp_solve(LpProblem(c=cost, a_rows=a_rows, b=b))
     if outcome.status != OPTIMAL:
         return PLUS_INF
-    return sum((outcome.primal[i] for i in range(len(lams))), F0)
+    return outcome.objective
 
 
 def deterministic_encodings(n: int, h: int) -> List[Encoding]:

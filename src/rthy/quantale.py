@@ -378,15 +378,19 @@ class PermutationAction(FunctionAction):
 def action_from_names(m: FiniteQuantaleModule, maps, permutations: bool = True) -> FunctionAction:
     """Build an action from name-based maps: either dicts {atom: image} or
     lists where position k holds the image of resource atom k."""
+    if not isinstance(maps, (list, tuple)):
+        raise FormatError("action 'maps' must be a list of maps")
     idx = []
     for mp in maps:
+        if not isinstance(mp, (dict, list, tuple)):
+            raise FormatError("an action map must be a list of names or a {name: name} object")
         try:
-            if isinstance(mp, dict):
-                idx.append([m._xindex[mp[name]] for name in m.resources])
-            else:
-                idx.append([m._xindex[name] for name in mp])
+            images = [mp[name] for name in m.resources] if isinstance(mp, dict) else mp
+            idx.append([m._xindex[name] for name in images])
         except KeyError as exc:
             raise FormatError(f"action map mentions unknown atom {exc}") from exc
+        except TypeError as exc:  # an image that is not a name, e.g. a list
+            raise FormatError("action map images must be atom names") from exc
     cls = PermutationAction if permutations else FunctionAction
     return cls(idx)
 

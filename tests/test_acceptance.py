@@ -12,8 +12,8 @@ from rthy import (
     Encoding,
     FinitePreorder,
     INFEASIBLE,
-    LpBuilder,
     LpOutcome,
+    LpProblem,
     MINUS_INF,
     NotConvertible,
     OPTIMAL,
@@ -213,19 +213,22 @@ def test_criterion_9a_lp_self_certification():
     rng = random.Random(190405)
     statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
     for _ in range(500):
-        b = LpBuilder()
-        names = []
-        for j in range(rng.randrange(1, 5)):
-            name = f"x{j}"
-            (b.free if rng.random() < 0.3 else b.nonneg)(name)
-            names.append(name)
+        free = [rng.random() < 0.3 for _ in range(rng.randrange(1, 5))]
+        # (variable, sign) per column: a free variable is a +/- column pair
+        cols = [(v, s) for v, f in enumerate(free) for s in ((1, -1) if f else (1,))]
+        a_rows, b, kinds = [], [], []
         for _ in range(rng.randrange(1, 4)):
-            coeffs = {nm: Fraction(rng.randrange(-3, 4)) for nm in names}
-            rhs = Fraction(rng.randrange(-4, 5))
-            adder = rng.choice([b.add_eq, b.add_le, b.add_ge])
-            adder(coeffs, rhs)
-        b.minimize({nm: Fraction(rng.randrange(-2, 3)) for nm in names})
-        problem = b.build()
+            coeffs = [Fraction(rng.randrange(-3, 4)) for _ in free]
+            b.append(Fraction(rng.randrange(-4, 5)))
+            kinds.append(rng.choice([0, 1, -1]))  # =, <= (slack +1), >= (surplus -1)
+            a_rows.append([s * coeffs[v] for v, s in cols])
+        # the slack and surplus columns follow the variable columns, in row order
+        ineq = [r for r, kind in enumerate(kinds) if kind]
+        for r, row in enumerate(a_rows):
+            row += [Fraction(kinds[r] if q == r else 0) for q in ineq]
+        cost = [Fraction(rng.randrange(-2, 3)) for _ in free]
+        problem = LpProblem(c=[s * cost[v] for v, s in cols] + [Fraction(0)] * len(ineq),
+                            a_rows=a_rows, b=b)
         outcome = lp_solve(problem)
         statuses[outcome.status] += 1
         assert verify_certificate(problem, outcome)

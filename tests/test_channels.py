@@ -148,6 +148,9 @@ def test_channel_yield_grid_refines_deltas():
     assert fine.value >= coarse.value
     with pytest.raises(FormatError):
         channel_yield(psi, f, mode=("lattice", 2))
+    for g in (0, -1):
+        with pytest.raises(FormatError):
+            channel_yield(psi, f, mode=("grid", g))
 
 
 def test_channel_yield_evaluates_each_input_once():

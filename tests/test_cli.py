@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from rthy import majorizes
 from rthy.cli import run
 from rthy.instances import (
+    binary_image_of_x,
     channel_x,
     channel_y,
     diamond_module,
@@ -53,6 +55,33 @@ def test_check_order_certificate(files, capsys):
     assert doc["certificate"]["farkas"]
 
 
+def test_check_order_pinned_layouts(files, capsys):
+    """The conversion LP's column and row order reaches stdout through the
+    witness and the Farkas vector, so both are pinned here exactly."""
+    x = files("x.json", incomparable_x().to_json())
+    y = files("y.json", incomparable_y().to_json())
+    z = files("z.json", binary_image_of_x().to_json())
+    expected = [
+        (x, y, {"certificate": {"farkas": ["1", "1", "-4", "-4", "1", "1", "1", "-4", "1", "1",
+                                           "-1/2", "-1/2", "-1/2"], "verified": True},
+                "convertible": False}),
+        (y, x, {"certificate": {"farkas": ["-1", "1", "-3", "-3", "-1", "-3", "1", "-3", "-1",
+                                           "-3", "-3", "1", "1", "1", "1"], "verified": True},
+                "convertible": False}),
+        (x, z, {"convertible": True,
+                "witness": {"columns": [["0", "1"], ["1", "0"], ["0", "1"], ["0", "1"]],
+                            "from": 4, "to": 2}}),
+    ]
+    for a, b, doc in expected:
+        assert run(["check-order", a, b]) == 0
+        out, _ = _out(capsys)
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    for a, b, shape in ((incomparable_x(), incomparable_y(), (13, 12)),
+                        (incomparable_y(), incomparable_x(), (15, 12))):
+        problem = majorizes(a, b).problem
+        assert (problem.nrows, problem.ncols) == shape
+
+
 def test_zonotope_vertices_and_csv(files, capsys):
     x = files("x.json", two_point_encoding("1/8", "1/2").to_json())
     assert run(["zonotope", x]) == 0
@@ -93,7 +122,6 @@ def test_lorenz_uniform_and_explicit(files, capsys):
 
 
 def test_markotope(files, capsys):
-    from rthy.instances import binary_image_of_x
     x = files("x.json", incomparable_x().to_json())
     y = files("y.json", incomparable_y().to_json())
     z = files("z.json", binary_image_of_x().to_json())
@@ -282,6 +310,18 @@ def test_exit_codes(files, capsys, monkeypatch):
         bad_docs.append((["module", "validate"], [], doc))
     for doc in ({**quantale, "free": 1}, {**quantale, "box": {"0,0": 1}}):
         bad_docs.append((["ucrt", "order"], ["--source", "0", "--target", "0"], doc))
+    # JSON booleans are not rationals
+    bad_docs.append((["weight"], [], {"hypotheses": 2, "outcomes": 2,
+                                      "columns": [[True, False], [False, True]]}))
+    # a grid denominator below 1
+    for g in ("0", "-1"):
+        bad_docs.append((["channel", "yield"], ["--monotone", "weight", "--mode", f"grid:{g}"],
+                         psi))
+    # action files whose maps are not a list of name lists or {name: name} objects
+    rot = files("rot.json", rotation_module()[0].to_json())
+    for action in ({"maps": 5}, {"maps": [5]}, {"maps": [{"base": ["x"]}]},
+                   {"maps": [[["base"], "orb1", "orb2", "orb3"]]}):
+        bad_docs.append((["module", "covariant", rot, "--action"], [], action))
     for cmd, extra, doc in bad_docs:
         assert run([*cmd, files("malformed.json", doc), *extra]) == 2
         _, err = _out(capsys)

@@ -18,7 +18,6 @@ from hypothesis import example, given, settings, strategies as st
 from rthy import (
     FormatError,
     INFEASIBLE,
-    LpBuilder,
     LpOutcome,
     LpProblem,
     Matrix,
@@ -84,27 +83,22 @@ def test_rank_pinned():
 # ---------------------------------------------------------------------------
 
 
+def _lp(a_rows, b, c):
+    return LpProblem(c=[F(v) for v in c], a_rows=[[F(v) for v in r] for r in a_rows],
+                     b=[F(v) for v in b])
+
+
 def test_lp_optimal_pinned():
-    b = LpBuilder()
-    x = b.nonneg("x")
-    y = b.nonneg("y")
-    b.add_le({x: F(1), y: F(1)}, F(4))
-    b.add_le({x: F(1)}, F(2))
-    b.minimize({x: F(-1), y: F(-1)})
-    problem = b.build()
+    # columns x, y, then the slacks of x + y <= 4 and x <= 2
+    problem = _lp([[1, 1, 1, 0], [1, 0, 0, 1]], [4, 2], [-1, -1, 0, 0])
     out = lp_solve(problem)
     assert out.status == OPTIMAL
     assert verify_certificate(problem, out)
-    sol = problem.extract(out.primal)
-    assert sol["x"] + sol["y"] == F(4)
+    assert out.primal[0] + out.primal[1] == F(4)
 
 
 def test_lp_infeasible_pinned():
-    b = LpBuilder()
-    x = b.nonneg("x")
-    b.add_eq({x: F(1)}, F(-1))
-    b.minimize({x: F(1)})
-    problem = b.build()
+    problem = _lp([[1]], [-1], [1])
     out = lp_solve(problem)
     assert out.status == INFEASIBLE
     assert out.farkas is not None
@@ -112,43 +106,31 @@ def test_lp_infeasible_pinned():
 
 
 def test_lp_unbounded_pinned():
-    b = LpBuilder()
-    x = b.free("x")
-    b.minimize({x: F(1)})
-    problem = b.build()
+    # free x as the column pair x+, x-; no constraints
+    problem = _lp([], [], [1, -1])
     out = lp_solve(problem)
     assert out.status == UNBOUNDED
     assert verify_certificate(problem, out)
 
 
 def test_lp_free_variable_split():
-    b = LpBuilder()
-    x = b.free("x")
-    b.add_eq({x: F(1)}, F(-3))
-    b.minimize({x: F(1)})
-    out = lp_solve(b.build())
+    # free x as the column pair x+, x-: minimize x subject to x = -3
+    out = lp_solve(_lp([[1, -1]], [-3], [1, -1]))
     assert out.status == OPTIMAL
-    assert b.build().extract(out.primal)["x"] == F(-3)
+    assert out.primal[0] - out.primal[1] == F(-3)
 
 
 def test_lp_ge_constraint():
-    b = LpBuilder()
-    x = b.nonneg("x")
-    b.add_ge({x: F(1)}, F(5))
-    b.minimize({x: F(1)})
-    problem = b.build()
+    # x >= 5 as x - s = 5 with the surplus column s
+    problem = _lp([[1, -1]], [5], [1, 0])
     out = lp_solve(problem)
     assert out.status == OPTIMAL
-    assert problem.extract(out.primal)["x"] == F(5)
+    assert out.primal[0] == F(5)
     assert verify_certificate(problem, out)
 
 
 def test_verify_rejects_tampered_certificates():
-    b = LpBuilder()
-    x = b.nonneg("x")
-    b.add_eq({x: F(1)}, F(2))
-    b.minimize({x: F(1)})
-    problem = b.build()
+    problem = _lp([[1]], [2], [1])
     out = lp_solve(problem)
     bad = LpOutcome(status=OPTIMAL, primal=tuple(v + 1 for v in out.primal),
                     dual=out.dual, farkas=None, ray=None)
@@ -221,9 +203,7 @@ def random_problems(draw):
     a_rows = [tuple(F(draw(coeff)) for _ in range(n)) for _ in range(m)]
     b = tuple(F(draw(coeff)) for _ in range(m))
     c = tuple(F(draw(coeff)) for _ in range(n))
-    names = tuple(f"v{j}" for j in range(n))
-    return LpProblem(c=list(c), a_rows=[list(r) for r in a_rows], b=list(b), var_names=list(names),
-                     user_vars={nm: ("nonneg", j) for j, nm in enumerate(names)})
+    return LpProblem(c=list(c), a_rows=[list(r) for r in a_rows], b=list(b))
 
 
 @settings(max_examples=120)
@@ -396,11 +376,6 @@ def mixed_problems(draw):
     return LpProblem(c=c, a_rows=a_rows, b=b)
 
 
-def _lp(a_rows, b, c):
-    return LpProblem(c=[F(v) for v in c], a_rows=[[F(v) for v in r] for r in a_rows],
-                     b=[F(v) for v in b])
-
-
 @settings(max_examples=300)
 @given(mixed_problems())
 @example(_lp([["1/2", "1/3"], ["2/5", "-3/4"]], ["1/6", "-2/7"], ["1", "-1/2"]))  # mixed denominators
@@ -438,14 +413,9 @@ def test_drive_out_on_negative_pivot(monkeypatch):
 
 
 def test_problem_extract_names():
-    b = LpBuilder()
-    x = b.nonneg("cats")
-    y = b.free("dogs")
-    b.add_eq({x: F(1), y: F(1)}, F(1))
-    b.add_eq({y: F(1)}, F(-2))
-    b.minimize({x: F(1)})
-    problem = b.build()
+    # columns: cats, then free dogs as the pair dogs+, dogs-
+    problem = _lp([[1, 1, -1], [0, 1, -1]], [1, -2], [1, 0, 0])
     out = lp_solve(problem)
-    sol = problem.extract(out.primal)
-    assert set(sol) == {"cats", "dogs"}
-    assert sol["dogs"] == F(-2) and sol["cats"] == F(3)
+    assert out.status == OPTIMAL and len(out.primal) == 3
+    cats, dogs = out.primal[0], out.primal[1] - out.primal[2]
+    assert dogs == F(-2) and cats == F(3)

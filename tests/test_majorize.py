@@ -91,9 +91,11 @@ def test_bundled_pair_incomparable_with_certificates():
 
 def test_witness_is_replayed_before_it_is_reported(monkeypatch):
     def collapsing_solver(problem):
-        # stochastic, but sends every outcome to outcome 0
+        # stochastic, but sends every outcome to outcome 0: t[0][j] is column j,
+        # and the last row (input n_from - 1) has its first 1 in column n_from - 1
+        n_from = problem.a_rows[-1].index(1) + 1
         return LpOutcome(status=OPTIMAL, primal=[
-            Fraction(name.startswith("t[0,")) for name in problem.var_names])
+            Fraction(k < n_from) for k in range(problem.ncols)])
 
     monkeypatch.setattr("rthy.majorize.lp_solve", collapsing_solver)
     x = incomparable_x()

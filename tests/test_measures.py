@@ -20,7 +20,7 @@ from rthy import (
     weight,
     weight_fmk,
 )
-from rthy.exactmath import F0, F1, OPTIMAL, LpBuilder, lp_solve
+from rthy.exactmath import F0, F1, OPTIMAL, LpProblem, lp_solve
 from rthy.instances import incomparable_x, incomparable_y, two_point_encoding
 
 from conftest import encodings, stochastic_maps
@@ -40,71 +40,80 @@ def _mix(lam, y: Encoding, z: Encoding) -> Encoding:
 
 
 # Reference LPs: each minimizes the mixing weight lam directly over the
-# free polytope, independently of the closed forms in rthy.measures.
+# free polytope, independently of the closed forms in rthy.measures.  Column
+# 0 is lam; the other columns are listed in each docstring.
 
-def _lam_lp(build_constraints):
-    b = LpBuilder()
-    lam = b.nonneg("lam")
-    build_constraints(b, lam)
-    b.minimize({lam: F1})
-    return lp_solve(b.build())
+def _row(width, entries):
+    """Dense row of ``width`` rationals, zero outside the ``{column: value}`` entries."""
+    return [Fraction(entries.get(k, 0)) for k in range(width)]
+
+
+def _lam_lp(width, rows, b):
+    return lp_solve(LpProblem(c=_row(width, {0: F1}), a_rows=rows, b=b))
 
 
 def _robustness_lp(z: Encoding):
-    """min lam over y with lam*y + (1-lam)*z constant-columned."""
+    """min lam over y with lam*y + (1-lam)*z constant-columned.
+
+    Columns: lam, Y[i,c] at 1 + i*h + c, u[i] at 1 + n*h + i, the slack of lam <= 1.
+    """
     n, h = z.outcomes, z.hypotheses
-
-    def constraints(b, lam):
-        y = [[b.nonneg(f"Y[{i},{c}]") for c in range(h)] for i in range(n)]
-        u = [b.nonneg(f"u[{i}]") for i in range(n)]
-        for i in range(n):
-            for c in range(h):
-                # Y[i,c] + (1-lam) z[i,c] = u[i]
-                b.add_eq({y[i][c]: F1, lam: -z.matrix[i, c], u[i]: -F1}, -z.matrix[i, c])
+    width = 2 + n * h + n
+    rows, b = [], []
+    for i in range(n):
         for c in range(h):
-            b.add_eq({y[i][c]: F1 for i in range(n)} | {lam: -F1}, F0)
-        b.add_eq({u[i]: F1 for i in range(n)}, F1)
-        b.add_le({lam: F1}, F1)
-
-    outcome = _lam_lp(constraints)
+            # Y[i,c] + (1-lam) z[i,c] = u[i]
+            rows.append(_row(width, {1 + i * h + c: F1, 0: -z.matrix[i, c], 1 + n * h + i: -F1}))
+            b.append(-z.matrix[i, c])
+    for c in range(h):
+        rows.append(_row(width, {1 + i * h + c: F1 for i in range(n)} | {0: -F1}))
+        b.append(F0)
+    rows.append(_row(width, {1 + n * h + i: F1 for i in range(n)}))
+    rows.append(_row(width, {0: F1, width - 1: F1}))
+    b += [F1, F1]
+    outcome = _lam_lp(width, rows, b)
     assert outcome.status == OPTIMAL  # lam = 1 with y free is always feasible
     return outcome.primal[0]
 
 
 def _free_robustness_lp(z: Encoding):
-    """As _robustness_lp with a free partner; lam = 1 means no mixture."""
+    """As _robustness_lp with a free partner; lam = 1 means no mixture.
+
+    Columns: lam, w[i] at 1 + i, u[i] at 1 + n + i, the slack of lam <= 1.
+    """
     n, h = z.outcomes, z.hypotheses
-
-    def constraints(b, lam):
-        w = [b.nonneg(f"w[{i}]") for i in range(n)]
-        u = [b.nonneg(f"u[{i}]") for i in range(n)]
-        for i in range(n):
-            for c in range(h):
-                b.add_eq({w[i]: F1, lam: -z.matrix[i, c], u[i]: -F1}, -z.matrix[i, c])
-        b.add_eq({w[i]: F1 for i in range(n)} | {lam: -F1}, F0)
-        b.add_eq({u[i]: F1 for i in range(n)}, F1)
-        b.add_le({lam: F1}, F1)
-
-    outcome = _lam_lp(constraints)
+    width = 2 + 2 * n
+    rows, b = [], []
+    for i in range(n):
+        for c in range(h):
+            rows.append(_row(width, {1 + i: F1, 0: -z.matrix[i, c], 1 + n + i: -F1}))
+            b.append(-z.matrix[i, c])
+    rows.append(_row(width, {1 + i: F1 for i in range(n)} | {0: -F1}))
+    rows.append(_row(width, {1 + n + i: F1 for i in range(n)}))
+    rows.append(_row(width, {0: F1, width - 1: F1}))
+    b += [F0, F1, F1]
+    outcome = _lam_lp(width, rows, b)
     assert outcome.status == OPTIMAL  # lam = 1 hides z entirely
     lam = outcome.primal[0]
     return PLUS_INF if lam == F1 else lam
 
 
 def _nonconvexity_lp(x: Encoding):
-    """min lam with x = lam*w + (1-lam)*u for free w, u; +inf if infeasible."""
+    """min lam with x = lam*w + (1-lam)*u for free w, u; +inf if infeasible.
+
+    Columns: lam, w[i] at 1 + i, u[i] at 1 + n + i.
+    """
     n, h = x.outcomes, x.hypotheses
-
-    def constraints(b, lam):
-        w = [b.nonneg(f"w[{i}]") for i in range(n)]
-        u = [b.nonneg(f"u[{i}]") for i in range(n)]
-        for i in range(n):
-            for c in range(h):
-                b.add_eq({w[i]: F1, u[i]: F1}, x.matrix[i, c])
-        b.add_eq({w[i]: F1 for i in range(n)} | {lam: -F1}, F0)
-        b.add_eq({u[i]: F1 for i in range(n)} | {lam: F1}, F1)
-
-    outcome = _lam_lp(constraints)
+    width = 1 + 2 * n
+    rows, b = [], []
+    for i in range(n):
+        for c in range(h):
+            rows.append(_row(width, {1 + i: F1, 1 + n + i: F1}))
+            b.append(x.matrix[i, c])
+    rows.append(_row(width, {1 + i: F1 for i in range(n)} | {0: -F1}))
+    rows.append(_row(width, {1 + n + i: F1 for i in range(n)} | {0: F1}))
+    b += [F0, F1]
+    outcome = _lam_lp(width, rows, b)
     if outcome.status != OPTIMAL:
         return PLUS_INF
     return outcome.primal[0]
