@@ -271,9 +271,11 @@ def _cmd_module(args) -> dict:
     if args.module_cmd == "covariant":
         doc = _read_doc(args.action)
         try:
-            maps, perm = doc["maps"], bool(doc.get("permutations", True))
+            maps, perm = doc["maps"], doc.get("permutations", True)
         except (KeyError, TypeError) as exc:
             raise FormatError("action JSON needs a 'maps' list") from exc
+        if not isinstance(perm, bool):
+            raise FormatError("action 'permutations' must be true or false")
         action = qt.action_from_names(m, maps, permutations=perm)
         return {"covariant": sorted(qt.covariant_transformations(m, action))}
     # augment

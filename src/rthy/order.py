@@ -99,13 +99,11 @@ def _to_mask(p: FinitePreorder, subset) -> int:
 
 
 def _bits(mask: int):
-    """Indices of the set bits of ``mask``, ascending."""
-    i = 0
+    """Indices of the set bits of ``mask``, ascending, one lowest set bit at a time."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _to_set(mask: int) -> FrozenSet[int]:

@@ -127,6 +127,32 @@ def _union(images, mask: int) -> int:
     return out
 
 
+def _assoc_sweep(table: tuple, right_table: tuple) -> list:
+    """Atom triples (i, j, k) where (i·j)·k differs from i·(j·k), in i, j, k order.
+
+    ``table`` composes the first two atoms (star, or box); ``right_table``
+    applies the result to k (the same table, or the action).  Each pair
+    (i, j) compares two whole rows over k: the left row is the union of
+    the ``right_table`` rows of the atoms of ``table[i][j]``, the right row
+    is row j of ``right_table`` with each cell lifted through row i.  Only
+    rows that differ are scanned for their k.
+    """
+    columns = list(zip(*right_table))
+    cells = {c for row in right_table for c in row}
+    left_rows = {}  # cell of ``table`` -> its left row
+    out = []
+    for i, row_i in enumerate(right_table):
+        lift = {c: _union(row_i, c) for c in cells}.__getitem__
+        for j, ij in enumerate(table[i]):
+            left = left_rows.get(ij)
+            if left is None:
+                left = left_rows[ij] = tuple(_union(col, ij) for col in columns)
+            right = tuple(map(lift, right_table[j]))
+            if left != right:
+                out.extend((i, j, k) for k, (a, b) in enumerate(zip(left, right)) if a != b)
+    return out
+
+
 @dataclass(frozen=True)
 class FiniteQuantaleModule:
     transformations: tuple
@@ -213,40 +239,25 @@ class FiniteQuantaleModule:
 
 
 def validate(m: FiniteQuantaleModule) -> list:
-    """All module/free-set axiom violations, each naming its witnesses."""
-    out = []
-    nt = len(m.transformations)
-    nx = len(m.resources)
-    tb = m.star_table
-    # associativity of star on atom triples (unions lift it to all sets)
-    for i in range(nt):
-        for j in range(nt):
-            ij = tb[i][j]
-            for k in range(nt):
-                left = m.star_set(ij, 1 << k)
-                right = m.star_set(1 << i, tb[j][k])
-                if left != right:
-                    out.append(Violation("AssociativityViolation",
-                                         (m.transformations[i], m.transformations[j],
-                                          m.transformations[k])))
-    # mixed associativity (S*T) |> Y = S |> (T |> Y)
-    for i in range(nt):
-        for j in range(nt):
-            ij = tb[i][j]
-            for x in range(nx):
-                left = m.act_set(ij, 1 << x)
-                right = m.act_set(1 << i, m.act_table[j][x])
-                if left != right:
-                    out.append(Violation("MixedAssociativityViolation",
-                                         (m.transformations[i], m.transformations[j],
-                                          m.resources[x])))
+    """All module/free-set axiom violations, each naming its witnesses.
+
+    Associativity of star and the mixed law (S*T) |> Y = S |> (T |> Y) are
+    checked on atom triples (unions lift them to all sets) by
+    ``_assoc_sweep``, a row at a time; violations are listed in triple
+    order, star before mixed.
+    """
+    t, x = m.transformations, m.resources
+    out = [Violation("AssociativityViolation", (t[i], t[j], t[k]))
+           for i, j, k in _assoc_sweep(m.star_table, m.star_table)]
+    out += [Violation("MixedAssociativityViolation", (t[i], t[j], x[k]))
+            for i, j, k in _assoc_sweep(m.star_table, m.act_table)]
     # the unit is an identity for the action and neutral for star
-    for x in range(nx):
-        if m.act_set(m.unit_mask, 1 << x) != 1 << x:
-            out.append(Violation("UnitActionViolation", (m.resources[x],)))
-    for i in range(nt):
+    for k in range(len(x)):
+        if m.act_set(m.unit_mask, 1 << k) != 1 << k:
+            out.append(Violation("UnitActionViolation", (x[k],)))
+    for i in range(len(t)):
         if m.star_set(m.unit_mask, 1 << i) != 1 << i or m.star_set(1 << i, m.unit_mask) != 1 << i:
-            out.append(Violation("UnitStarViolation", (m.transformations[i],)))
+            out.append(Violation("UnitStarViolation", (t[i],)))
     # free set: reflexive (contains the unit) and closed under star
     if m.unit_mask & ~m.free_mask:
         out.append(Violation("FreeNotReflexive"))
@@ -519,22 +530,16 @@ class CommutativeQuantale:
 
 
 def validate_quantale(q: CommutativeQuantale) -> list:
-    out = []
-    n = len(q.resources)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if q.box_table[i][j] != q.box_table[j][i]:
-                out.append(Violation("CommutativityViolation", (q.resources[i], q.resources[j])))
-    for i in range(n):
-        for j in range(n):
-            ij = q.box_table[i][j]
-            for k in range(n):
-                if q.box_set(ij, 1 << k) != q.box_set(1 << i, q.box_table[j][k]):
-                    out.append(Violation("AssociativityViolation",
-                                         (q.resources[i], q.resources[j], q.resources[k])))
+    """All quantale axiom violations; associativity is checked by ``_assoc_sweep``."""
+    r, box = q.resources, q.box_table
+    n = len(r)
+    out = [Violation("CommutativityViolation", (r[i], r[j]))
+           for i in range(n) for j in range(i + 1, n) if box[i][j] != box[j][i]]
+    out += [Violation("AssociativityViolation", (r[i], r[j], r[k]))
+            for i, j, k in _assoc_sweep(box, box)]
     for i in range(n):
         if q.box_set(q.unit_mask, 1 << i) != 1 << i:
-            out.append(Violation("UnitStarViolation", (q.resources[i],)))
+            out.append(Violation("UnitStarViolation", (r[i],)))
     if q.unit_mask & ~q.free_mask:
         out.append(Violation("FreeNotReflexive"))
     if q.box_set(q.free_mask, q.free_mask) & ~q.free_mask:

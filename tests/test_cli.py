@@ -13,6 +13,7 @@ from rthy.instances import (
     incomparable_y,
     max_quantale,
     rotation_module,
+    stochastic_pair_module,
     three_chain_module,
     two_point_encoding,
 )
@@ -218,6 +219,40 @@ def test_module_subcommands(files, capsys):
     assert _json_out(capsys) == {"at": "1p", "value": "2"}
 
 
+def test_module_validate_pinned_violations(files, capsys):
+    """Every violating triple is listed, in triple order, star before mixed."""
+    doc = stochastic_pair_module().to_json()
+    star, act = dict(doc["star"]), dict(doc["act"])
+    star["swap,swap"] = ["id", "swap"]
+    star["to0,mix"] = ["to1"]
+    act["mix,p0"] = ["even", "p0"]
+    mod = files("m.json", {**doc, "star": star, "act": act})
+    triples = [
+        ("AssociativityViolation", "swap swap to0"),
+        ("AssociativityViolation", "swap swap to1"),
+        ("AssociativityViolation", "swap to0 mix"),
+        ("AssociativityViolation", "swap to1 mix"),
+        ("AssociativityViolation", "to0 to0 mix"),
+        ("AssociativityViolation", "to0 to1 mix"),
+        ("MixedAssociativityViolation", "swap swap p0"),
+        ("MixedAssociativityViolation", "swap swap p1"),
+        ("MixedAssociativityViolation", "swap mix p0"),
+        ("MixedAssociativityViolation", "mix swap p0"),
+        ("MixedAssociativityViolation", "mix swap p1"),
+        ("MixedAssociativityViolation", "mix to0 p1"),
+        ("MixedAssociativityViolation", "mix to0 even"),
+        ("MixedAssociativityViolation", "mix to1 p0"),
+        ("MixedAssociativityViolation", "to0 mix p0"),
+        ("MixedAssociativityViolation", "to0 mix p1"),
+        ("MixedAssociativityViolation", "to0 mix even"),
+    ]
+    expected = {"valid": False,
+                "violations": [{"kind": k, "witness": w.split()} for k, w in triples]}
+    assert run(["module", "validate", mod]) == 0
+    out, _ = _out(capsys)
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
 def test_module_covariant(files, capsys):
     m, action = rotation_module()
     mod = files("m.json", m.to_json())
@@ -322,6 +357,12 @@ def test_exit_codes(files, capsys, monkeypatch):
     for action in ({"maps": 5}, {"maps": [5]}, {"maps": [{"base": ["x"]}]},
                    {"maps": [[["base"], "orb1", "orb2", "orb3"]]}):
         bad_docs.append((["module", "covariant", rot, "--action"], [], action))
+    # "permutations" must be a JSON boolean
+    rm, ra = rotation_module()
+    rot_maps = [[rm.resources[i] for i in mp] for mp in ra.maps]
+    for flag in ("false", 0):
+        bad_docs.append((["module", "covariant", rot, "--action"], [],
+                         {"maps": rot_maps, "permutations": flag}))
     for cmd, extra, doc in bad_docs:
         assert run([*cmd, files("malformed.json", doc), *extra]) == 2
         _, err = _out(capsys)

@@ -14,6 +14,7 @@ from rthy import (
     InvalidModule,
     NotReflexiveTransitive,
     PermutationAction,
+    Violation,
     action_from_names,
     augment,
     catalytic_order,
@@ -103,6 +104,131 @@ def test_validate_catches_free_problems():
     assert "FreeNotReflexive" in {v.kind for v in validate(no_unit)}
     leaky = _tamper(doc, free=doc["free"] + ["f120"])  # a rotation: not closed
     assert "FreeNotIdempotent" in {v.kind for v in validate(leaky)}
+
+
+def _reference_validate(m):
+    """``validate`` by the textbook sweep: both associativity laws checked on
+    every atom triple (i, j, k), one cell at a time."""
+    out = []
+    nt = len(m.transformations)
+    nx = len(m.resources)
+    tb = m.star_table
+    for i in range(nt):
+        for j in range(nt):
+            ij = tb[i][j]
+            for k in range(nt):
+                left = m.star_set(ij, 1 << k)
+                right = m.star_set(1 << i, tb[j][k])
+                if left != right:
+                    out.append(Violation("AssociativityViolation",
+                                         (m.transformations[i], m.transformations[j],
+                                          m.transformations[k])))
+    for i in range(nt):
+        for j in range(nt):
+            ij = tb[i][j]
+            for x in range(nx):
+                left = m.act_set(ij, 1 << x)
+                right = m.act_set(1 << i, m.act_table[j][x])
+                if left != right:
+                    out.append(Violation("MixedAssociativityViolation",
+                                         (m.transformations[i], m.transformations[j],
+                                          m.resources[x])))
+    for x in range(nx):
+        if m.act_set(m.unit_mask, 1 << x) != 1 << x:
+            out.append(Violation("UnitActionViolation", (m.resources[x],)))
+    for i in range(nt):
+        if m.star_set(m.unit_mask, 1 << i) != 1 << i or m.star_set(1 << i, m.unit_mask) != 1 << i:
+            out.append(Violation("UnitStarViolation", (m.transformations[i],)))
+    if m.unit_mask & ~m.free_mask:
+        out.append(Violation("FreeNotReflexive"))
+    if m.star_set(m.free_mask, m.free_mask) & ~m.free_mask:
+        out.append(Violation("FreeNotIdempotent"))
+    return out
+
+
+def _reference_validate_quantale(q):
+    """``validate_quantale`` by the textbook sweep over every atom triple."""
+    out = []
+    n = len(q.resources)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if q.box_table[i][j] != q.box_table[j][i]:
+                out.append(Violation("CommutativityViolation", (q.resources[i], q.resources[j])))
+    for i in range(n):
+        for j in range(n):
+            ij = q.box_table[i][j]
+            for k in range(n):
+                if q.box_set(ij, 1 << k) != q.box_set(1 << i, q.box_table[j][k]):
+                    out.append(Violation("AssociativityViolation",
+                                         (q.resources[i], q.resources[j], q.resources[k])))
+    for i in range(n):
+        if q.box_set(q.unit_mask, 1 << i) != 1 << i:
+            out.append(Violation("UnitStarViolation", (q.resources[i],)))
+    if q.unit_mask & ~q.free_mask:
+        out.append(Violation("FreeNotReflexive"))
+    if q.box_set(q.free_mask, q.free_mask) & ~q.free_mask:
+        out.append(Violation("FreeNotIdempotent"))
+    return out
+
+
+def _cell(width):
+    """An atom set over ``width`` atoms: empty, one atom, or any set."""
+    return st.one_of(st.just(0), st.integers(0, width - 1).map(lambda b: 1 << b),
+                     st.integers(0, (1 << width) - 1))
+
+
+def _set_table(draw, rows, cols, base=None):
+    """A random table, or ``base`` with up to three cells redrawn."""
+    if base is None or draw(st.booleans()):
+        return tuple(tuple(draw(_cell(cols)) for _ in range(cols)) for _ in range(rows))
+    table = [list(r) for r in base]
+    for _ in range(draw(st.integers(0, 3))):
+        table[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(_cell(cols))
+    return tuple(tuple(r) for r in table)
+
+
+LAWFUL_MODULES = (diamond_module, boolean_pair_module, stochastic_pair_module,
+                  lambda: rotation_module()[0])
+
+
+@st.composite
+def _modules(draw):
+    base = draw(st.one_of(st.none(), st.sampled_from(LAWFUL_MODULES).map(lambda f: f())))
+    if base is None:
+        t = tuple(f"t{i}" for i in range(draw(st.integers(1, 5))))
+        x = tuple(f"x{i}" for i in range(draw(st.integers(0, 4))))
+        star = act = unit = free = None
+    else:
+        t, x = base.transformations, base.resources
+        star, act, unit, free = base.star_table, base.act_table, base.unit_mask, base.free_mask
+    if unit is None or draw(st.booleans()):
+        unit, free = draw(_cell(len(t))), draw(_cell(len(t)))
+    return FiniteQuantaleModule(t, x, _set_table(draw, len(t), len(t), star),
+                                _set_table(draw, len(t), len(x), act), unit, free)
+
+
+@st.composite
+def _quantales(draw):
+    base = draw(st.one_of(st.none(), st.just(max_quantale())))
+    r = base.resources if base else tuple(str(i) for i in range(draw(st.integers(1, 5))))
+    n = len(r)
+    box = _set_table(draw, n, n, base.box_table if base else None)
+    if draw(st.booleans()):  # keep it commutative: mirror the upper triangle
+        box = tuple(tuple(box[min(i, j)][max(i, j)] for j in range(n)) for i in range(n))
+    if base is None or draw(st.booleans()):
+        unit, free = draw(_cell(n)), draw(_cell(n))
+    else:
+        unit, free = base.unit_mask, base.free_mask
+    return CommutativeQuantale(r, box, unit, free)
+
+
+@given(_modules(), _quantales())
+def test_validate_matches_reference_sweep(m, q):
+    """The row sweep lists the same violations, in the same order, as the
+    full atom-triple loops, on lawful, tampered and random tables."""
+    assert validate(m) == _reference_validate(m)
+    assert validate_quantale(q) == _reference_validate_quantale(q)
+    assert validate(induced_module(q)) == _reference_validate(induced_module(q))
 
 
 def test_reachability_refuses_invalid():
