@@ -122,10 +122,14 @@ class Matrix:
 
 
 def _scaled(values):
-    """Integers ``values * s`` with ``s`` the lcm of their denominators, and ``s``."""
-    values = [v if type(v) is Fraction else Fraction(v) for v in values]
-    s = lcm(*(v.denominator for v in values))
-    return [v.numerator * (s // v.denominator) for v in values], s
+    """Integers ``values * s`` with ``s`` the lcm of their denominators, and ``s``.
+
+    ``values`` are ints or Fractions; zeros are skipped.
+    """
+    s = lcm(*(v.denominator for v in values if v))
+    if s == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (s // v.denominator) if v else 0 for v in values], s
 
 
 def rank(mat: Matrix) -> int:
@@ -337,48 +341,73 @@ def verify_certificate(problem: LpProblem, outcome: LpOutcome) -> bool:
     """Re-derive the claimed outcome from first principles.
 
     No solver state is trusted: every check is a direct substitution into
-    the problem data.
+    the problem data.  Each row of [A | b] is cleared of denominators by its
+    own positive lcm and each certificate vector by its common denominator,
+    so y.A, y.b, A.x and A.d are integer sums over the nonzeros of A, each
+    off from the true value by a known positive factor.
     """
     m, n = problem.nrows, problem.ncols
-    a = problem.a_rows
-    b = problem.b
-    c = problem.c
+    scales, rows, rhs = [], [], []
+    for a_row, b_i in zip(problem.a_rows, problem.b):
+        ints, s = _scaled([*a_row, b_i])
+        scales.append(s)
+        rows.append([(j, v) for j, v in enumerate(ints[:-1]) if v])
+        rhs.append(ints[-1])
+    big = lcm(*scales)
+
+    def cleared(vec, size):
+        """``vec`` as (integers, positive denominator), or None if it is absent or the wrong size."""
+        if vec is None or len(vec) != size:
+            return None
+        return _scaled(vec)
+
+    def solves(v, den, target):
+        """A.(v/den) == target/den, row by row."""
+        return all(sum(a * v[j] for j, a in row) == t * den
+                   for row, t in zip(rows, target))
 
     def primal_feasible(x):
-        if x is None or len(x) != n or any(v < 0 for v in x):
-            return False
-        return all(
-            sum((aij * xj for aij, xj in zip(a[i], x)), F0) == b[i] for i in range(m)
-        )
+        return x is not None and min(x[0], default=0) >= 0 and solves(*x, rhs)
+
+    def y_times_a(y):
+        """For y = ints/den given its ints: big*den*(y.A) per column, and big*den*(y.b)."""
+        ya, yb = [0] * n, 0
+        for y_i, s, row, b_i in zip(y, scales, rows, rhs):
+            if y_i:
+                w = y_i * (big // s)
+                for j, a in row:
+                    ya[j] += w * a
+                yb += w * b_i
+        return ya, yb
 
     if outcome.status == OPTIMAL:
-        x, y = outcome.primal, outcome.dual
-        if not primal_feasible(x) or y is None or len(y) != m:
+        x, y = cleared(outcome.primal, n), cleared(outcome.dual, m)
+        if not primal_feasible(x) or y is None:
             return False
-        # reduced costs nonnegative, and zero wherever x is positive
-        for j in range(n):
-            red = c[j] - sum((y[i] * a[i][j] for i in range(m)), F0)
-            if red < 0 or (x[j] > 0 and red != 0):
+        # reduced costs c - y.A nonnegative, and zero wherever x is positive;
+        # with c = cost/cden and y = ints/yden, each is scaled by cden*yden*big > 0
+        cost, cden = _scaled(problem.c)
+        ya, _ = y_times_a(y[0])
+        for cj, yaj, xj in zip(cost, ya, x[0]):
+            red = cj * y[1] * big - cden * yaj
+            if red < 0 or (xj > 0 and red != 0):
                 return False
         return True
 
     if outcome.status == INFEASIBLE:
-        y = outcome.farkas
-        if y is None or len(y) != m:
+        y = cleared(outcome.farkas, m)
+        if y is None:
             return False
-        for j in range(n):
-            if sum((y[i] * a[i][j] for i in range(m)), F0) > 0:
-                return False
-        return sum((y[i] * b[i] for i in range(m)), F0) > 0
+        ya, yb = y_times_a(y[0])
+        return all(v <= 0 for v in ya) and yb > 0
 
     if outcome.status == UNBOUNDED:
-        x, d = outcome.primal, outcome.ray
-        if not primal_feasible(x) or d is None or len(d) != n:
+        x, d = cleared(outcome.primal, n), cleared(outcome.ray, n)
+        if not primal_feasible(x) or d is None or min(d[0], default=0) < 0:
             return False
-        if any(v < 0 for v in d):
+        if not solves(d[0], d[1], [0] * m):
             return False
-        if any(sum((a[i][j] * d[j] for j in range(n)), F0) != 0 for i in range(m)):
-            return False
-        return sum((c[j] * d[j] for j in range(n)), F0) < 0
+        cost, _ = _scaled(problem.c)
+        return sum(cj * dj for cj, dj in zip(cost, d[0])) < 0
 
     return False

@@ -61,6 +61,22 @@ def _check_stochastic(mat: Matrix, what: str):
             raise FormatError(f"{what} column {j} does not sum to 1")
 
 
+def _sized_columns(doc, count_key: str, length_key: str, what: str):
+    """``doc[count_key]``, ``doc[length_key]`` and ``doc["columns"]``, checked
+    to be two JSON integers (not booleans) and a list of lists."""
+    try:
+        count, length, cols = doc[count_key], doc[length_key], doc["columns"]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(
+            f"{what} JSON needs '{count_key}', '{length_key}' and 'columns'") from exc
+    for key, value in ((count_key, count), (length_key, length)):
+        if type(value) is not int:
+            raise FormatError(f"{what} '{key}' must be a JSON integer, got {value!r}")
+    if not isinstance(cols, list) or not all(isinstance(c, list) for c in cols):
+        raise FormatError(f"{what} 'columns' must be a list of lists")
+    return count, length, cols
+
+
 @dataclass(frozen=True)
 class Encoding:
     """n-outcome distributions indexed by h hypotheses (matrix is n x h)."""
@@ -96,13 +112,7 @@ class Encoding:
 
     @staticmethod
     def from_json(doc) -> "Encoding":
-        try:
-            h = int(doc["hypotheses"])
-            n = int(doc["outcomes"])
-            cols = doc["columns"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(
-                "encoding JSON needs 'hypotheses', 'outcomes' and 'columns'") from exc
+        h, n, cols = _sized_columns(doc, "hypotheses", "outcomes", "encoding")
         if len(cols) != h or any(len(c) != n for c in cols):
             raise FormatError("encoding 'columns' shape disagrees with declared sizes")
         return Encoding.from_columns([[parse_rational(v) for v in col] for col in cols])
@@ -153,10 +163,7 @@ class StochasticMap:
 
     @staticmethod
     def from_json(doc) -> "StochasticMap":
-        try:
-            n_from, n_to, cols = int(doc["from"]), int(doc["to"]), doc["columns"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError("stochastic map JSON needs 'from', 'to', 'columns'") from exc
+        n_from, n_to, cols = _sized_columns(doc, "from", "to", "stochastic map")
         if len(cols) != n_from or any(len(c) != n_to for c in cols):
             raise FormatError("stochastic map 'columns' shape disagrees with declared sizes")
         return StochasticMap(Matrix(
@@ -204,14 +211,14 @@ def _conversion_problem(x: Encoding, target: Matrix) -> LpProblem:
     for c in range(h):
         col = x.column(c)
         for i in range(n_to):
-            row = [F0] * width
+            row = [0] * width
             row[i * n_from:(i + 1) * n_from] = col
             a_rows.append(row)
             b.append(target[i, c])
     for j in range(n_from):
-        a_rows.append([F1 if k % n_from == j else F0 for k in range(width)])
-        b.append(F1)
-    return LpProblem(c=[F0] * width, a_rows=a_rows, b=b)
+        a_rows.append([1 if k % n_from == j else 0 for k in range(width)])
+        b.append(1)
+    return LpProblem(c=[0] * width, a_rows=a_rows, b=b)
 
 
 def majorizes(x: Encoding, y: Encoding):
@@ -327,10 +334,10 @@ def _point_in_zonotope_lp(x: Encoding, point: Sequence[Fraction]) -> bool:
     Columns are ``u_0..u_{n-1}`` and then the slack of ``u_j <= 1`` for each j.
     """
     n = x.outcomes
-    a_rows = [list(x.column(c)) + [F0] * n for c in range(x.hypotheses)]
-    a_rows += [[F1 if k in (j, n + j) else F0 for k in range(2 * n)] for j in range(n)]
-    b = [Fraction(v) for v in point] + [F1] * n
-    return lp_solve(LpProblem(c=[F0] * (2 * n), a_rows=a_rows, b=b)).status == OPTIMAL
+    a_rows = [list(x.column(c)) + [0] * n for c in range(x.hypotheses)]
+    a_rows += [[1 if k in (j, n + j) else 0 for k in range(2 * n)] for j in range(n)]
+    b = [Fraction(v) for v in point] + [1] * n
+    return lp_solve(LpProblem(c=[0] * (2 * n), a_rows=a_rows, b=b)).status == OPTIMAL
 
 
 def zonotope_includes(x: Encoding, y: Encoding) -> bool:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Sequence
 
 from .errors import BadStratumBounds, EnumerationTooLarge, ShapeMismatch
-from .exactmath import F0, F1, LpProblem, OPTIMAL, lp_solve, rank
+from .exactmath import F0, F1, LpProblem, OPTIMAL, lp_solve
 from .majorize import Encoding, enumeration_guard
 from .monotone import PLUS_INF
 
@@ -96,6 +96,25 @@ def nonconvexity(x: Encoding):
 # --------------------------------------------------------------------------
 
 
+def _mixture_weight(x: Encoding, entry_rows: list, n_primary: int):
+    """min total weight on the first ``n_primary`` vertices over all convex
+    combinations of the vertices equal to x; +inf when x is outside the hull.
+
+    ``entry_rows`` has one row per entry (i, c) of x, in row-major order,
+    holding that entry of each vertex; the weights form the LP's columns,
+    and a last row asks them to sum to 1.
+    """
+    n, h = x.outcomes, x.hypotheses
+    width = len(entry_rows[0])
+    a_rows = [*entry_rows, [1] * width]
+    b = [x.matrix[i, c] for i in range(n) for c in range(h)] + [1]
+    cost = [1] * n_primary + [0] * (width - n_primary)
+    outcome = lp_solve(LpProblem(c=cost, a_rows=a_rows, b=b))
+    if outcome.status != OPTIMAL:
+        return PLUS_INF
+    return outcome.objective
+
+
 def convex_combination_weight(x: Encoding, primary: Sequence[Encoding],
                               base: Sequence[Encoding]):
     """min sum of weights on ``primary`` vertices over all convex combinations
@@ -108,28 +127,27 @@ def convex_combination_weight(x: Encoding, primary: Sequence[Encoding],
     for e in itertools.chain(primary, base):
         if (e.outcomes, e.hypotheses) != (n, h):
             raise ShapeMismatch("mixture vertices must match the target's shape")
-    # columns: the primary vertices, then the base vertices; one row per
-    # entry (i, c) of x, then the row asking the weights to sum to 1
+    # columns: the primary vertices, then the base vertices
     verts = [*primary, *base]
-    a_rows = [[e.matrix[i, c] for e in verts] for i in range(n) for c in range(h)]
-    a_rows.append([F1] * len(verts))
-    b = [x.matrix[i, c] for i in range(n) for c in range(h)] + [F1]
-    cost = [F1] * len(primary) + [F0] * len(base)
-    outcome = lp_solve(LpProblem(c=cost, a_rows=a_rows, b=b))
-    if outcome.status != OPTIMAL:
-        return PLUS_INF
-    return outcome.objective
+    entry_rows = [[e.matrix[i, c] for e in verts] for i in range(n) for c in range(h)]
+    return _mixture_weight(x, entry_rows, len(primary))
+
+
+def _assignments(n: int, h: int):
+    """All n^h assignments of an outcome to each hypothesis, lexicographic;
+    raises before the first one when n^h exceeds the guard."""
+    total = n ** h
+    if total > enumeration_guard():
+        raise EnumerationTooLarge(
+            f"{n}^{h} = {total} deterministic encodings exceed the guard")
+    return itertools.product(range(n), repeat=h)
 
 
 def deterministic_encodings(n: int, h: int) -> List[Encoding]:
     """All n^h encodings with delta columns, lexicographic in the outcome
     assignment."""
-    total = n ** h
-    if total > enumeration_guard():
-        raise EnumerationTooLarge(
-            f"{n}^{h} = {total} deterministic encodings exceed the guard")
     out = []
-    for assignment in itertools.product(range(n), repeat=h):
+    for assignment in _assignments(n, h):
         cols = [[F1 if i == a else F0 for i in range(n)] for a in assignment]
         out.append(Encoding.from_columns(cols))
     return out
@@ -144,15 +162,23 @@ def weight_fmk(x: Encoding, m: int, k: int):
     """Rank-stratified weight: least total mass on deterministic encodings of
     rank in (m, k] when decomposing x over all deterministic encodings of
     rank at most k; +inf when x lies outside that hull.
+
+    A deterministic encoding is an outcome assignment ``a`` (hypothesis c
+    yields outcome a[c]): its entry (i, c) is ``a[c] == i`` and its rank is
+    the number of distinct outcomes it uses.  The LP is the one
+    ``convex_combination_weight`` builds from ``deterministic_encodings``,
+    with the rank-(m, k] vertices first, written straight from the assignments.
     """
     h, n = x.hypotheses, x.outcomes
     if not (1 <= m < k <= h):
         raise BadStratumBounds(f"need 1 <= m < k <= {h}, got m={m}, k={k}")
     primary, base = [], []
-    for e in deterministic_encodings(n, h):
-        r = rank(e.matrix)
+    for a in _assignments(n, h):
+        r = len(set(a))
         if r <= m:
-            base.append(e)
+            base.append(a)
         elif r <= k:
-            primary.append(e)
-    return convex_combination_weight(x, primary, base)
+            primary.append(a)
+    verts = primary + base
+    entry_rows = [[1 if a[c] == i else 0 for a in verts] for i in range(n) for c in range(h)]
+    return _mixture_weight(x, entry_rows, len(primary))

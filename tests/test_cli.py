@@ -348,6 +348,13 @@ def test_exit_codes(files, capsys, monkeypatch):
     # JSON booleans are not rationals
     bad_docs.append((["weight"], [], {"hypotheses": 2, "outcomes": 2,
                                       "columns": [[True, False], [False, True]]}))
+    # columns that are not a list of lists, and sizes that are not JSON integers
+    ident = {"hypotheses": 2, "outcomes": 2, "columns": [["1", "0"], ["0", "1"]]}
+    for doc in ({**ident, "columns": 5}, {**ident, "columns": [5, 6]},
+                {**ident, "columns": ["10", "01"]}, {**ident, "hypotheses": 2.5},
+                {**ident, "hypotheses": True}):
+        bad_docs.append((["weight"], [], doc))
+        bad_docs.append((["check-order", files("ident.json", ident)], [], doc))
     # a grid denominator below 1
     for g in ("0", "-1"):
         bad_docs.append((["channel", "yield"], ["--monotone", "weight", "--mode", f"grid:{g}"],

@@ -389,6 +389,104 @@ def test_lp_solve_matches_fraction_reference(problem):
     assert verify_certificate(problem, out)
 
 
+# ---------------------------------------------------------------------------
+# certificates: the integer verifier against the Fraction verifier it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_verify_certificate(problem, outcome):
+    """Dense Fraction substitution of the outcome into the problem data."""
+    m, n = problem.nrows, problem.ncols
+    a = problem.a_rows
+    b = problem.b
+    c = problem.c
+
+    def primal_feasible(x):
+        if x is None or len(x) != n or any(v < 0 for v in x):
+            return False
+        return all(
+            sum((aij * xj for aij, xj in zip(a[i], x)), F0) == b[i] for i in range(m)
+        )
+
+    if outcome.status == OPTIMAL:
+        x, y = outcome.primal, outcome.dual
+        if not primal_feasible(x) or y is None or len(y) != m:
+            return False
+        for j in range(n):
+            red = c[j] - sum((y[i] * a[i][j] for i in range(m)), F0)
+            if red < 0 or (x[j] > 0 and red != 0):
+                return False
+        return True
+
+    if outcome.status == INFEASIBLE:
+        y = outcome.farkas
+        if y is None or len(y) != m:
+            return False
+        for j in range(n):
+            if sum((y[i] * a[i][j] for i in range(m)), F0) > 0:
+                return False
+        return sum((y[i] * b[i] for i in range(m)), F0) > 0
+
+    if outcome.status == UNBOUNDED:
+        x, d = outcome.primal, outcome.ray
+        if not primal_feasible(x) or d is None or len(d) != n:
+            return False
+        if any(v < 0 for v in d):
+            return False
+        if any(sum((a[i][j] * d[j] for j in range(n)), F0) != 0 for i in range(m)):
+            return False
+        return sum((c[j] * d[j] for j in range(n)), F0) < 0
+
+    return False
+
+
+_VECTORS = ("primal", "dual", "farkas", "ray")
+
+
+@st.composite
+def tampered_outcomes(draw):
+    """A mixed LP, with integral entries sometimes given as ints (as the LP
+    builders write them), and its solver outcome, either as solved or with
+    one vector entry changed, sign-flipped, cut or padded, one vector set to
+    None, or the status swapped."""
+    problem = draw(mixed_problems())
+    if draw(st.booleans()):
+        def plain(v):
+            return v.numerator if v.denominator == 1 else v
+        problem = LpProblem(c=[plain(v) for v in problem.c],
+                            a_rows=[[plain(v) for v in r] for r in problem.a_rows],
+                            b=[plain(v) for v in problem.b])
+    fields = {k: getattr(lp_solve(problem), k) for k in ("status", *_VECTORS)}
+    how = draw(st.sampled_from(("none", "entry", "sign", "length", "status", "untouched")))
+    present = [k for k in _VECTORS if fields[k] is not None]
+    if how == "status":
+        fields["status"] = draw(st.sampled_from((OPTIMAL, INFEASIBLE, UNBOUNDED, "Bogus")))
+    elif how == "none":
+        fields[draw(st.sampled_from(present))] = None
+    elif how != "untouched":
+        key = draw(st.sampled_from(present))
+        vec = list(fields[key])
+        q = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+        if how == "length" or not vec:
+            vec = vec[:-1] if vec and draw(st.booleans()) else vec + [draw(q)]
+        else:
+            j = draw(st.integers(0, len(vec) - 1))
+            vec[j] = draw(q) if how == "entry" else -vec[j]
+        fields[key] = vec
+    return problem, LpOutcome(**fields)
+
+
+@settings(max_examples=300)
+@given(tampered_outcomes())
+@example((_lp([[1, 1], [1, 1]], [1, 2], [0, 0]), LpOutcome(INFEASIBLE, farkas=[0, 0])))  # y.b = 0
+@example((_lp([[1, -1]], [1], [-1, 0]), LpOutcome(UNBOUNDED, primal=[1, 0], ray=[0, 0])))  # c.d = 0
+@example((_lp([["1/2", "1/3"]], ["1/6"], [1, 1]),
+          LpOutcome(OPTIMAL, primal=[F(1, 3), 0], dual=[2])))                # row lcm 6
+def test_verify_matches_fraction_reference(case):
+    problem, outcome = case
+    assert verify_certificate(problem, outcome) == _reference_verify_certificate(problem, outcome)
+
+
 def test_drive_out_on_negative_pivot(monkeypatch):
     """After phase 1 the artificial of row 1 is basic at zero and its row's
     only entry is -2, so driving it out pivots on a negative entry and the

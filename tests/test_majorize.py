@@ -59,6 +59,16 @@ def test_encoding_json_rejects():
         Encoding.from_columns([["1", "0"], ["1"]])
 
 
+def test_stochastic_map_json_rejects():
+    good = {"from": 2, "to": 2, "columns": [["1", "0"], ["0", "1"]]}
+    assert StochasticMap.from_json(good) == StochasticMap.identity(2)
+    for bad in ({**good, "columns": 5}, {**good, "columns": [5, 6]},
+                {**good, "columns": ["10", "01"]}, {**good, "from": 2.5},
+                {**good, "to": True}, {**good, "from": "2"}, {"from": 2, "to": 2}):
+        with pytest.raises(FormatError):
+            StochasticMap.from_json(bad)
+
+
 def test_stochastic_map_json_roundtrip():
     t = StochasticMap.from_rows([[H, 1], [H, 0]])
     assert StochasticMap.from_json(t.to_json()) == t

@@ -20,7 +20,8 @@ from rthy import (
     weight,
     weight_fmk,
 )
-from rthy.exactmath import F0, F1, OPTIMAL, LpProblem, lp_solve
+from rthy import measures
+from rthy.exactmath import F0, F1, OPTIMAL, LpProblem, lp_solve, rank
 from rthy.instances import incomparable_x, incomparable_y, two_point_encoding
 
 from conftest import encodings, stochastic_maps
@@ -248,6 +249,46 @@ def test_weight_fmk_stratum_bounds():
             weight_fmk(x, m, k)
 
 
+def _reference_weight_fmk(x: Encoding, m: int, k: int):
+    """The enumeration weight_fmk replaced: one Encoding and one Bareiss rank
+    per deterministic encoding, then convex_combination_weight."""
+    primary, base = [], []
+    for e in deterministic_encodings(x.outcomes, x.hypotheses):
+        r = rank(e.matrix)
+        if r <= m:
+            base.append(e)
+        elif r <= k:
+            primary.append(e)
+    return convex_combination_weight(x, primary, base)
+
+
+def _with_lps(fn, *args):
+    """fn(*args), and the (c, a_rows, b) of each LP it handed to lp_solve."""
+    lps = []
+
+    def spy(problem):
+        lps.append((problem.c, problem.a_rows, problem.b))
+        return lp_solve(problem)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "lp_solve", spy)
+        return fn(*args), lps
+
+
+@given(encodings(max_outcomes=4, max_hypotheses=3, min_hypotheses=2))
+@example(Encoding.from_columns([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))  # outside low-rank hulls
+@example(Encoding.from_columns([[1, 0], [0, 1], [H, H], [Fraction(1, 3), Fraction(2, 3)]]))
+@example(incomparable_x())
+def test_weight_fmk_matches_reference(x):
+    h = x.hypotheses
+    for m in range(1, h):
+        for k in range(m + 1, h + 1):
+            got, got_lps = _with_lps(weight_fmk, x, m, k)
+            want, want_lps = _with_lps(_reference_weight_fmk, x, m, k)
+            assert got == want
+            assert got_lps == want_lps
+
+
 @given(encodings(max_outcomes=3, max_hypotheses=3, min_hypotheses=2))
 def test_weight_fmk_bottom_stratum_is_weight(x):
     # rank-1 deterministic encodings are the constant-column ones, so the
@@ -257,7 +298,6 @@ def test_weight_fmk_bottom_stratum_is_weight(x):
 
 @given(encodings(max_outcomes=3, max_hypotheses=3, min_hypotheses=2))
 def test_weight_fmk_zero_iff_low_rank_hull(x):
-    from rthy.exactmath import rank
     h, n = x.hypotheses, x.outcomes
     m = h - 1
     dets = [e for e in deterministic_encodings(n, h) if rank(e.matrix) <= m]
