@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .errors import FormatError, HypothesisMismatch, LengthMismatch
-from .exactmath import F0, F1, format_rational, parse_rational
+from .errors import FormatError, LengthMismatch
+from .exactmath import F0, F1, format_rational, json_int, parse_rational
 from .majorize import Convertible, Encoding, majorizes
 
 
@@ -60,11 +60,10 @@ class ChannelEncoding:
     @staticmethod
     def from_json(doc) -> "ChannelEncoding":
         try:
-            h = int(doc["hypotheses"])
-            a = int(doc["input"])
-            bb = int(doc["output"])
+            h, a, bb = (json_int(doc[k], f"channel '{k}'")
+                        for k in ("hypotheses", "input", "output"))
             cols = doc["columns"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise FormatError(
                 "channel JSON needs 'hypotheses', 'input', 'output', 'columns'") from exc
         if not isinstance(cols, dict):
@@ -128,9 +127,6 @@ class CombWitness:
 
     sigma: tuple  # sigma[b][a] = tuple over outputs
 
-    def column(self, b: int, a: int) -> tuple:
-        return self.sigma[b][a]
-
 
 def check_comb_witness(x: Encoding, psi: ChannelEncoding, witness: CombWitness) -> bool:
     """Does wiring x's outcome and a copied input through sigma reproduce psi?"""
@@ -161,27 +157,20 @@ def check_comb_witness(x: Encoding, psi: ChannelEncoding, witness: CombWitness) 
 def comb_simulates(x: Encoding, psi: ChannelEncoding):
     """Can an input-copy comb turn the state encoding x into the channel psi?
 
-    A comb sigma(b'|b,a) is a stochastic map on the outcomes of x (x) id_A,
-    so this is one majorization: x (x) id_A, outcome (b, a) at b*A + a and
-    hypothesis (h, a) at h*A + a, against psi read as an encoding with the
-    same hypothesis order.
+    A comb sigma(b'|b,a) acts on each input a on its own: sigma(.|.,a) is a
+    stochastic map that must take x to ``delta_input(psi, a)``.  So this is
+    one majorization of x per input, in input order.  The first refuted
+    input's ``NotConvertible`` is returned as it is: its Farkas vector
+    refutes that input's conversion LP.  Otherwise ``sigma[b][a]`` is
+    column b of input a's witness map.
     """
-    if x.hypotheses != psi.hypotheses:
-        raise HypothesisMismatch(
-            f"{x.hypotheses} vs {psi.hypotheses} hypotheses")
-    nb, na, hs = x.outcomes, psi.inputs, range(psi.hypotheses)
-    copied = Encoding.from_columns(
-        [[x.matrix[b, h] if a2 == a else F0 for b in range(nb) for a2 in range(na)]
-         for h in hs for a in range(na)])
-    res = majorizes(copied, Encoding.from_columns(
-        [psi.tensor[h][a] for h in hs for a in range(na)]))
-    if not res.convertible:
-        return res
-    t = res.witness.matrix
-    sigma = tuple(
-        tuple(tuple(t[bp, b * na + a] for bp in range(psi.outputs)) for a in range(na))
-        for b in range(nb)
-    )
+    maps = []
+    for a in range(psi.inputs):
+        res = majorizes(x, delta_input(psi, a))
+        if not res.convertible:
+            return res
+        maps.append(res.witness.matrix)
+    sigma = tuple(tuple(t.col(b) for t in maps) for b in range(x.outcomes))
     return Convertible(witness=CombWitness(sigma=sigma))
 
 

@@ -186,7 +186,7 @@ def _coerce_bool_encoding(path: str) -> ps.BoolEncoding:
     doc = _read_doc(path)
     try:
         return ps.ceil(mj.Encoding.from_json(doc))
-    except (FormatError, RthyError):
+    except RthyError:
         raise FormatError(
             f"{path}: expected an encoding JSON document (rational entries are "
             "rounded up to their supports)") from None

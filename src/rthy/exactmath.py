@@ -46,6 +46,13 @@ def parse_rational(text: str) -> Fraction:
         raise FormatError(f"bad rational literal {text!r}") from exc
 
 
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer (not a boolean); ``name`` labels the error."""
+    if type(value) is not int:
+        raise FormatError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical string form: ``"p"`` for integers, else ``"p/q"`` reduced."""
     value = Fraction(value)
@@ -116,9 +123,6 @@ class Matrix:
     @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix(tuple(F1 if i == j else F0 for j in range(n)) for i in range(n))
-
-    def to_lists(self) -> list:
-        return [list(r) for r in self.rows]
 
 
 def _scaled(values):

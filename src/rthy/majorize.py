@@ -33,6 +33,7 @@ from .exactmath import (
     Matrix,
     OPTIMAL,
     format_rational,
+    json_int,
     lp_solve,
     parse_rational,
 )
@@ -70,8 +71,7 @@ def _sized_columns(doc, count_key: str, length_key: str, what: str):
         raise FormatError(
             f"{what} JSON needs '{count_key}', '{length_key}' and 'columns'") from exc
     for key, value in ((count_key, count), (length_key, length)):
-        if type(value) is not int:
-            raise FormatError(f"{what} '{key}' must be a JSON integer, got {value!r}")
+        json_int(value, f"{what} '{key}'")
     if not isinstance(cols, list) or not all(isinstance(c, list) for c in cols):
         raise FormatError(f"{what} 'columns' must be a list of lists")
     return count, length, cols
@@ -149,9 +149,6 @@ class StochasticMap:
             raise DimensionMismatch(
                 f"map expects {self.n_from} outcomes, encoding has {x.outcomes}")
         return Encoding(self.matrix @ x.matrix)
-
-    def compose(self, other: "StochasticMap") -> "StochasticMap":
-        return StochasticMap(self.matrix @ other.matrix)
 
     @staticmethod
     def identity(n: int) -> "StochasticMap":

@@ -7,11 +7,11 @@ memory for O(1) closure queries.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable
 
 from .errors import FormatError, IndexOutOfRange, NotReflexiveTransitive
+from .exactmath import json_int
 
 
 def _check_indices(size: int, subset: Iterable[int]) -> frozenset:
@@ -74,14 +74,14 @@ class FinitePreorder:
 
     @staticmethod
     def from_json(doc) -> "FinitePreorder":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
         try:
-            size = int(doc["size"])
-            raw = doc.get("pairs", [])
+            size = json_int(doc["size"], "preorder 'size'")
+            pairs = [(json_int(a, "preorder pair entry"), json_int(b, "preorder pair entry"))
+                     for a, b in doc.get("pairs", [])]
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError("preorder JSON needs {'size': n, 'pairs': [[i,j],...]}") from exc
-        pairs = [(int(a), int(b)) for a, b in raw]
+        if size < 0:
+            raise FormatError(f"preorder 'size' must not be negative, got {size}")
         pairs.extend((i, i) for i in range(size))
         return FinitePreorder(size, pairs)
 

@@ -8,7 +8,6 @@ meaning the empty set.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Tuple
 
@@ -185,8 +184,6 @@ class FiniteQuantaleModule:
 
     @staticmethod
     def from_json(doc) -> "FiniteQuantaleModule":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
         try:
             tnames = list(doc["T"])
             xnames = list(doc["X"])
@@ -502,8 +499,6 @@ class CommutativeQuantale:
 
     @staticmethod
     def from_json(doc) -> "CommutativeQuantale":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
         try:
             names = list(doc["R"])
         except (KeyError, TypeError) as exc:

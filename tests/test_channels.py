@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rthy import (
+    INFEASIBLE,
     ChannelEncoding,
     CombWitness,
+    Convertible,
     Encoding,
     FormatError,
     HypothesisMismatch,
     LengthMismatch,
+    LpOutcome,
     apply_input,
     channel_equivalent,
     channel_yield,
@@ -17,6 +20,7 @@ from rthy import (
     comb_simulates,
     delta_input,
     majorizes,
+    verify_certificate,
     weight_fmk,
 )
 from rthy.instances import (
@@ -33,6 +37,43 @@ from conftest import distributions, encodings, stochastic_maps
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
+
+
+def _reference_comb_simulates(x, psi):
+    """comb_simulates as one majorization of the copied encoding x (x) id_A.
+
+    Outcome (b, a) of the copy sits at b*A + a and hypothesis (h, a) at
+    h*A + a; psi is read as an encoding with the same hypothesis order, and
+    the witness is read back through the same layout.
+    """
+    nb, na, hs = x.outcomes, psi.inputs, range(psi.hypotheses)
+    copied = Encoding.from_columns(
+        [[x.matrix[b, h] if a2 == a else 0 for b in range(nb) for a2 in range(na)]
+         for h in hs for a in range(na)])
+    res = majorizes(copied, Encoding.from_columns(
+        [psi.tensor[h][a] for h in hs for a in range(na)]))
+    if not res.convertible:
+        return res
+    t = res.witness.matrix
+    return Convertible(witness=CombWitness(sigma=tuple(
+        tuple(tuple(t[bp, b * na + a] for bp in range(psi.outputs)) for a in range(na))
+        for b in range(nb))))
+
+
+@st.composite
+def comb_pairs(draw):
+    """x with 1-4 outcomes and 1-3 hypotheses, and a channel psi with 1-3
+    inputs and outputs; half the time psi is x wired through a random comb."""
+    n, h = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    x = Encoding.from_columns([draw(distributions(n)) for _ in range(h)])
+    na, nout = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        sigma = [[draw(distributions(nout)) for _ in range(na)] for _ in range(n)]
+        tensor = [[[sum(x.matrix[b, c] * sigma[b][a][o] for b in range(n))
+                    for o in range(nout)] for a in range(na)] for c in range(h)]
+    else:
+        tensor = [[draw(distributions(nout)) for _ in range(na)] for _ in range(h)]
+    return x, ChannelEncoding(tensor)
 
 
 def test_channel_validation():
@@ -102,6 +143,20 @@ def test_cross_simulation_fails():
     res = comb_simulates(incomparable_y(), channel_x())
     assert not res.convertible
     assert res.farkas is not None
+
+
+@given(comb_pairs())
+def test_comb_simulates_matches_reference(pair):
+    x, psi = pair
+    res, ref = comb_simulates(x, psi), _reference_comb_simulates(x, psi)
+    assert res.convertible == ref.convertible
+    if res.convertible:
+        assert res.witness == ref.witness
+        return
+    first = next(r for r in (majorizes(x, delta_input(psi, a)) for a in range(psi.inputs))
+                 if not r.convertible)
+    assert (res.farkas, res.problem) == (first.farkas, first.problem)
+    assert verify_certificate(res.problem, LpOutcome(status=INFEASIBLE, farkas=res.farkas))
 
 
 @given(encodings(max_outcomes=3, max_hypotheses=2, min_hypotheses=2), st.data())

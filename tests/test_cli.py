@@ -337,6 +337,10 @@ def test_exit_codes(files, capsys, monkeypatch):
                      {**psi, "columns": list(psi["columns"].values())}))
     bad_docs.append((["channel", "apply"], ["--delta", "0"],
                      {**psi, "columns": {**psi["columns"], "0,0": 1}}))
+    # channel sizes that are not JSON integers
+    for key, size in (("hypotheses", 3.5), ("input", 4.9), ("output", "4"),
+                      ("hypotheses", True)):
+        bad_docs.append((["channel", "apply"], ["--delta", "0"], {**psi, key: size}))
     # atom sets given as JSON integers rather than lists of names
     chain = three_chain_module().to_json()
     quantale = max_quantale().to_json()

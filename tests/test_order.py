@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from rthy import (
     FinitePreorder,
+    FormatError,
     IndexOutOfRange,
     NotReflexiveTransitive,
     all_downsets,
@@ -51,6 +52,14 @@ def test_closure_is_transitive_and_reflexive(p):
 def test_json_roundtrip(p):
     q = FinitePreorder.from_json(p.to_json())
     assert q.size == p.size and set(q.pairs()) == set(p.pairs())
+
+
+def test_preorder_json_rejects():
+    for doc in ({"size": 2.5}, {"size": True}, {"size": "3"}, {"size": -2},
+                {"size": 2, "pairs": [[0]]}, {"size": 2, "pairs": 5},
+                '{"size": 2}'):
+        with pytest.raises(FormatError):
+            FinitePreorder.from_json(doc)
 
 
 @given(preorders(), st.data())
