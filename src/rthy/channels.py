@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .errors import FormatError, LengthMismatch
+from .errors import FormatError, IndexOutOfRange, LengthMismatch
 from .exactmath import F0, F1, format_rational, json_int, parse_rational
 from .majorize import Convertible, Encoding, majorizes
 
@@ -117,6 +117,10 @@ def apply_input(psi: ChannelEncoding, mu: Sequence) -> Encoding:
 
 
 def delta_input(psi: ChannelEncoding, a: int) -> Encoding:
+    """State encoding obtained by feeding the point input a."""
+    if not 0 <= a < psi.inputs:
+        raise IndexOutOfRange(f"input index {a} is out of range for a channel with "
+                              f"{psi.inputs} inputs")
     return apply_input(psi, [F1 if i == a else F0 for i in range(psi.inputs)])
 
 

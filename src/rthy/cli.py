@@ -61,7 +61,10 @@ def _distribution(path: str):
     doc = _read_doc(path)
     if not isinstance(doc, list) or not doc:
         raise FormatError(f"{path}: a distribution is a nonempty JSON list of rationals")
-    return [parse_rational(v) for v in doc]
+    xs = [parse_rational(v) for v in doc]
+    if any(v < 0 for v in xs) or sum(xs) != 1:
+        raise FormatError(f"{path}: a distribution has nonnegative entries that sum to 1")
+    return xs
 
 
 def _names(text: str):

@@ -11,10 +11,12 @@ covariance on hand-checkable carriers.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .channels import ChannelEncoding, CombWitness
+from .errors import FormatError
 from .exactmath import F0, F1
 from .majorize import Encoding
 from .order import FinitePreorder, all_downsets, chain, down_closure
@@ -133,6 +135,26 @@ def _function_name(images: tuple, names: tuple) -> str:
     return "f" + "".join("x" if i is None else str(i) for i in images)
 
 
+def _compose(f: tuple, g: tuple) -> tuple:
+    """f after g, for maps given as image tuples; None marks an undefined point."""
+    return tuple(None if gi is None else f[gi] for gi in g)
+
+
+def _map_module(maps: dict, points: dict, compose, apply, unit, free) -> FiniteQuantaleModule:
+    """Module of the named ``maps`` acting on the named ``points``.
+
+    The star cell (a, b) names ``compose(maps[a], maps[b])`` and the action
+    cell (a, x) names ``apply(maps[a], points[x])``; an ``apply`` that
+    returns None leaves its cell empty.
+    """
+    map_name = {f: a for a, f in maps.items()}
+    point_name = {v: x for x, v in points.items()}
+    star = {(a, b): [map_name[compose(f, g)]] for a, f in maps.items() for b, g in maps.items()}
+    act = {(a, x): [point_name[out]] for a, f in maps.items() for x, v in points.items()
+           if (out := apply(f, v)) is not None}
+    return FiniteQuantaleModule.build(list(maps), list(points), star, act, unit, free)
+
+
 def function_module(p: FinitePreorder, names=None,
                     all_functions: bool = False) -> FiniteQuantaleModule:
     """Module of self-maps of a finite preorder's carrier.
@@ -151,27 +173,12 @@ def function_module(p: FinitePreorder, names=None,
     else:
         pool = [tuple(c) for c in itertools.product(*downs)]
     pool = sorted(set(pool))
-    fname = {imgs: _function_name(imgs, names) for imgs in pool}
-    star = {}
-    for f in pool:
-        for g in pool:
-            comp = tuple(f[g[i]] for i in range(n))
-            star[(fname[f], fname[g])] = [fname[comp]]
-    act = {}
-    for f in pool:
-        for x in range(n):
-            act[(fname[f], names[x])] = [names[f[x]]]
-    ident = tuple(range(n))
-    free = [fname[imgs] for imgs in pool
-            if all(imgs[x] in downs[x] for x in range(n))]
-    return FiniteQuantaleModule.build(
-        transformations=[fname[imgs] for imgs in pool],
-        resources=list(names),
-        star=star,
-        act=act,
-        unit=[fname[ident]],
-        free=free,
-    )
+    maps = {_function_name(f, names): f for f in pool}
+    if len(maps) < len(pool):  # from 11 points on, index digits can run together
+        raise FormatError("duplicate atom names")
+    free = [a for a, f in maps.items() if all(f[x] in downs[x] for x in range(n))]
+    return _map_module(maps, {names[x]: x for x in range(n)}, _compose, operator.getitem,
+                       unit=[_function_name(tuple(range(n)), names)], free=free)
 
 
 def three_chain_module() -> FiniteQuantaleModule:
@@ -228,10 +235,6 @@ def downset_module(p: FinitePreorder) -> FiniteQuantaleModule:
     )
 
 
-def _compose_partial(f: tuple, g: tuple) -> tuple:
-    return tuple(None if g[i] is None else f[g[i]] for i in range(len(g)))
-
-
 def two_level_module() -> Tuple[FiniteQuantaleModule, str]:
     """Two disjoint 3-chains 2>1>0 and 2p>1p>0p, free = per-chain
     non-increasing maps, plus one non-free level-drop map u sending
@@ -248,37 +251,24 @@ def two_level_module() -> Tuple[FiniteQuantaleModule, str]:
     pool = set(free_pool) | {u}
     while True:
         snapshot = list(pool)
-        fresh = {_compose_partial(f, g) for f in snapshot for g in snapshot} - pool
+        fresh = {_compose(f, g) for f in snapshot for g in snapshot} - pool
         if not fresh:
             break
         pool |= fresh
     atoms = sorted(pool, key=lambda t: tuple(-1 if v is None else v for v in t))
-    fname = {imgs: _function_name(imgs, names) for imgs in atoms}
-    star = {}
-    act = {}
-    for f in atoms:
-        for g in atoms:
-            star[(fname[f], fname[g])] = [fname[_compose_partial(f, g)]]
-        for x in range(n):
-            act[(fname[f], names[x])] = [] if f[x] is None else [names[f[x]]]
-    return (
-        FiniteQuantaleModule.build(
-            transformations=[fname[t] for t in atoms],
-            resources=list(names),
-            star=star,
-            act=act,
-            unit=[fname[tuple(range(n))]],
-            free=[fname[t] for t in free_pool],
-        ),
-        fname[u],
+    module = _map_module(
+        {_function_name(f, names): f for f in atoms}, {names[x]: x for x in range(n)},
+        _compose, operator.getitem,
+        unit=[_function_name(tuple(range(n)), names)],
+        free=[_function_name(f, names) for f in free_pool],
     )
+    return module, _function_name(u, names)
 
 
 def rotation_module() -> Tuple[FiniteQuantaleModule, PermutationAction]:
     """A base point plus a 3-cycle orbit; transformations are the three
     rotations, the collapse-to-base map, and the three constant maps onto
     orbit points.  Returns the module and the cyclic action."""
-    x_names = ("base", "orb1", "orb2", "orb3")
 
     def rot(k):
         return (0, 1 + (0 + k) % 3, 1 + (1 + k) % 3, 1 + (2 + k) % 3)
@@ -292,23 +282,8 @@ def rotation_module() -> Tuple[FiniteQuantaleModule, PermutationAction]:
         "const2": (2, 2, 2, 2),
         "const3": (3, 3, 3, 3),
     }
-    star = {}
-    act = {}
-    inverse = {v: k for k, v in maps.items()}
-    for a, fa in maps.items():
-        for b, fb in maps.items():
-            comp = tuple(fa[fb[i]] for i in range(4))
-            star[(a, b)] = [inverse[comp]]
-        for x in range(4):
-            act[(a, x_names[x])] = [x_names[fa[x]]]
-    module = FiniteQuantaleModule.build(
-        transformations=list(maps),
-        resources=list(x_names),
-        star=star,
-        act=act,
-        unit=["rot0"],
-        free=["rot0"],
-    )
+    points = {"base": 0, "orb1": 1, "orb2": 2, "orb3": 3}
+    module = _map_module(maps, points, _compose, operator.getitem, unit=["rot0"], free=["rot0"])
     action = PermutationAction([rot(0), rot(1), rot(2)])
     return module, action
 
@@ -342,26 +317,15 @@ def stochastic_pair_module() -> FiniteQuantaleModule:
         "to1": ((F0, F0), (F1, F1)),
     }
     vecs = {"p0": (F1, F0), "p1": (F0, F1), "even": (H, H)}
-    vec_name = {v: k for k, v in vecs.items()}
-    mat_name = {m: k for k, m in mats.items()}
-    star = {}
-    act = {}
-    for a, ma in mats.items():
-        for b, mb in mats.items():
-            prod = tuple(
-                tuple(sum((ma[i][k] * mb[k][j] for k in range(2)), F0) for j in range(2))
-                for i in range(2))
-            star[(a, b)] = [mat_name[prod]]
-        for xn, xv in vecs.items():
-            out = tuple(sum((ma[i][k] * xv[k] for k in range(2)), F0) for i in range(2))
-            act[(a, xn)] = [vec_name[out]]
-    return FiniteQuantaleModule.build(
-        transformations=list(mats),
-        resources=list(vecs),
-        star=star,
-        act=act,
-        unit=["id"],
-        free=["id", "mix"],
+
+    def dot(row, col):
+        return sum((a * b for a, b in zip(row, col)), F0)
+
+    return _map_module(
+        mats, vecs,
+        lambda ma, mb: tuple(tuple(dot(row, col) for col in zip(*mb)) for row in ma),
+        lambda ma, v: tuple(dot(row, v) for row in ma),
+        unit=["id"], free=["id", "mix"],
     )
 
 
@@ -372,30 +336,17 @@ def boolean_pair_module() -> FiniteQuantaleModule:
     mats = {}
     for c0 in cols:
         for c1 in cols:
-            mat = ((c0[0], c1[0]), (c0[1], c1[1]))
-            mats[f"b{code[c0]}_{code[c1]}"] = mat
+            mats[f"b{code[c0]}_{code[c1]}"] = ((c0[0], c1[0]), (c0[1], c1[1]))
     vecs = {"s10": (1, 0), "s01": (0, 1), "s11": (1, 1)}
-    vec_name = {v: k for k, v in vecs.items()}
-    mat_name = {m: k for k, m in mats.items()}
-    star = {}
-    act = {}
-    for a, ma in mats.items():
-        for b, mb in mats.items():
-            prod = tuple(
-                tuple(int(any(ma[i][k] and mb[k][j] for k in range(2)))
-                      for j in range(2))
-                for i in range(2))
-            star[(a, b)] = [mat_name[prod]]
-        for xn, xv in vecs.items():
-            out = tuple(int(any(ma[i][k] and xv[k] for k in range(2))) for i in range(2))
-            act[(a, xn)] = [vec_name[out]]
-    return FiniteQuantaleModule.build(
-        transformations=list(mats),
-        resources=list(vecs),
-        star=star,
-        act=act,
-        unit=["b10_01"],
-        free=["b10_01", "b11_11"],
+
+    def dot(row, col):
+        return int(any(a and b for a, b in zip(row, col)))
+
+    return _map_module(
+        mats, vecs,
+        lambda ma, mb: tuple(tuple(dot(row, col) for col in zip(*mb)) for row in ma),
+        lambda ma, v: tuple(dot(row, v) for row in ma),
+        unit=["b10_01"], free=["b10_01", "b11_11"],
     )
 
 

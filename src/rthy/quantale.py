@@ -36,12 +36,22 @@ class Violation:
 
 def _index_names(names) -> Tuple[tuple, dict]:
     names = tuple(names)
-    if len(set(names)) != len(names):
-        raise FormatError("duplicate atom names")
     for n in names:
+        if not isinstance(n, str):
+            raise FormatError(f"atom name {n!r} is not a string")
         if "," in n:
             raise FormatError(f"atom name {n!r} may not contain a comma")
+    if len(set(names)) != len(names):
+        raise FormatError("duplicate atom names")
     return names, {n: i for i, n in enumerate(names)}
+
+
+def _atom_lists(doc, keys: tuple, message: str) -> list:
+    """The JSON lists ``doc[key]`` for each key; ``message`` if one is not a list."""
+    lists = [doc.get(k) for k in keys] if isinstance(doc, dict) else [None]
+    if not all(isinstance(names, list) for names in lists):
+        raise FormatError(message)
+    return lists
 
 
 def _mask_from(subset, index: dict) -> int:
@@ -184,11 +194,7 @@ class FiniteQuantaleModule:
 
     @staticmethod
     def from_json(doc) -> "FiniteQuantaleModule":
-        try:
-            tnames = list(doc["T"])
-            xnames = list(doc["X"])
-        except (KeyError, TypeError) as exc:
-            raise FormatError("module JSON needs 'T' and 'X' atom lists") from exc
+        tnames, xnames = _atom_lists(doc, ("T", "X"), "module JSON needs 'T' and 'X' atom lists")
         return FiniteQuantaleModule.build(
             tnames, xnames,
             _pairs_from_json(doc.get("star", {})), _pairs_from_json(doc.get("act", {})),
@@ -476,93 +482,66 @@ def check_morphism(src: FiniteQuantaleModule, dst: FiniteQuantaleModule,
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CommutativeQuantale:
-    resources: tuple
-    box_table: tuple  # box_table[i][j] = bitmask
-    unit_mask: int
-    free_mask: int
-    _index: dict = field(compare=False, repr=False, default=None)
+class CommutativeQuantale(FiniteQuantaleModule):
+    """A commutative quantale R as the module it is over itself.
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.resources)})
+    Its transformations and its resources are both R, and one symmetric
+    table (the quantale's product, ``box`` in JSON) serves as both
+    ``star_table`` and ``act_table``.  So ``validate(q)`` and
+    ``reachability(q)`` apply to q as they stand; only the JSON schema,
+    ``{"R", "box", "unit", "free"}``, is its own.
+    """
 
     @staticmethod
     def build(resources, box: dict, unit, free) -> "CommutativeQuantale":
         names, index = _index_names(resources)
-        return CommutativeQuantale(
-            resources=names,
-            box_table=_table(box, index, index, symmetric=True),
-            unit_mask=_mask_from(unit, index),
-            free_mask=_mask_from(free, index),
-        )
+        table = _table(box, index, index, symmetric=True)
+        return CommutativeQuantale(names, names, table, table,
+                                   _mask_from(unit, index), _mask_from(free, index))
 
     @staticmethod
     def from_json(doc) -> "CommutativeQuantale":
-        try:
-            names = list(doc["R"])
-        except (KeyError, TypeError) as exc:
-            raise FormatError("quantale JSON needs an 'R' atom list") from exc
+        names, = _atom_lists(doc, ("R",), "quantale JSON needs an 'R' atom list")
         return CommutativeQuantale.build(names, _pairs_from_json(doc.get("box", {})),
                                          doc.get("unit", []), doc.get("free", []))
 
     def to_json(self) -> dict:
+        r = self.resources
         return {
-            "R": list(self.resources),
-            "box": _table_to_json(self.box_table, self.resources, self.resources, upper=True),
-            "unit": sorted(_names_from(self.unit_mask, self.resources)),
-            "free": sorted(_names_from(self.free_mask, self.resources)),
+            "R": list(r),
+            "box": _table_to_json(self.star_table, r, r, upper=True),
+            "unit": sorted(self.unit),
+            "free": sorted(self.free),
         }
-
-    def rmask(self, subset) -> int:
-        return _as_mask(subset, self._index)
-
-    def r_set(self, mask: int) -> FrozenSet[str]:
-        return _names_from(mask, self.resources)
-
-    def box_set(self, left: int, right: int) -> int:
-        return _lift(self.box_table, left, right)
 
 
 def validate_quantale(q: CommutativeQuantale) -> list:
     """All quantale axiom violations; associativity is checked by ``_assoc_sweep``."""
-    r, box = q.resources, q.box_table
+    r, box = q.resources, q.star_table
     n = len(r)
     out = [Violation("CommutativityViolation", (r[i], r[j]))
            for i in range(n) for j in range(i + 1, n) if box[i][j] != box[j][i]]
     out += [Violation("AssociativityViolation", (r[i], r[j], r[k]))
             for i, j, k in _assoc_sweep(box, box)]
     for i in range(n):
-        if q.box_set(q.unit_mask, 1 << i) != 1 << i:
+        if q.star_set(q.unit_mask, 1 << i) != 1 << i:
             out.append(Violation("UnitStarViolation", (r[i],)))
     if q.unit_mask & ~q.free_mask:
         out.append(Violation("FreeNotReflexive"))
-    if q.box_set(q.free_mask, q.free_mask) & ~q.free_mask:
+    if q.star_set(q.free_mask, q.free_mask) & ~q.free_mask:
         out.append(Violation("FreeNotIdempotent"))
     return out
 
 
 def ucrt_order(q: CommutativeQuantale, s_subset, t_subset) -> bool:
     """Uncatalysed convertibility: free * S covers T."""
-    smask = q.rmask(s_subset)
-    tmask = q.rmask(t_subset)
-    return tmask & ~q.box_set(q.free_mask, smask) == 0
+    smask = q.xmask(s_subset)
+    tmask = q.xmask(t_subset)
+    return tmask & ~q.star_set(q.free_mask, smask) == 0
 
 
 def catalytic_order(q: CommutativeQuantale, catalyst: str, s_subset, t_subset) -> bool:
     """Convertibility after tensoring both sides with a catalyst atom."""
-    cmask = q.rmask([catalyst])
-    return ucrt_order(q, q.box_set(cmask, q.rmask(s_subset)),
-                      q.box_set(cmask, q.rmask(t_subset)))
-
-
-def induced_module(q: CommutativeQuantale) -> FiniteQuantaleModule:
-    """View a commutative quantale acting on itself as a module over itself."""
-    return FiniteQuantaleModule(
-        transformations=q.resources,
-        resources=q.resources,
-        star_table=q.box_table,
-        act_table=q.box_table,
-        unit_mask=q.unit_mask,
-        free_mask=q.free_mask,
-    )
+    cmask = q.xmask([catalyst])
+    return ucrt_order(q, q.star_set(cmask, q.xmask(s_subset)),
+                      q.star_set(cmask, q.xmask(t_subset)))

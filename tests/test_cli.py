@@ -374,10 +374,29 @@ def test_exit_codes(files, capsys, monkeypatch):
     for flag in ("false", 0):
         bad_docs.append((["module", "covariant", rot, "--action"], [],
                          {"maps": rot_maps, "permutations": flag}))
+    # atom names that are not strings, and atom lists that are not JSON lists
+    for doc in ({"T": [1, 2], "X": ["x"]}, {**unit_module, "T": "e"},
+                {**unit_module, "X": {"x": 1}}):
+        bad_docs.append((["module", "validate"], [], doc))
+    for doc in ({"R": [0, 1]}, {**quantale, "R": "012"}):
+        bad_docs.append((["ucrt", "order"], ["--source", "0", "--target", "0"], doc))
+    # lorenz inputs that are not distributions: a negative entry, a sum
+    # below 1, and a reference that sums to 2
+    for dist in (["2", "-1"], ["1/2", "1/4"]):
+        bad_docs.append((["lorenz"], [], dist))
+    bad_docs.append((["lorenz", files("half.json", ["1/2", "1/2"]), "--ref"], [], ["1", "1"]))
     for cmd, extra, doc in bad_docs:
         assert run([*cmd, files("malformed.json", doc), *extra]) == 2
         _, err = _out(capsys)
         assert "rthy:" in err and "Traceback" not in err
+
+
+def test_channel_delta_out_of_range_names_index(files, capsys):
+    psi = files("psi.json", channel_x().to_json())
+    for a in ("7", "-1"):
+        assert run(["channel", "apply", psi, "--delta", a]) == 2
+        _, err = _out(capsys)
+        assert f"input index {a} " in err and "4 inputs" in err
 
 
 def test_output_is_deterministic(files, capsys):

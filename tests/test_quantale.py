@@ -1,13 +1,16 @@
 """Finite quantale modules: law checking, reachability, augmentations,
 symmetry, morphisms, and the commutative (UCRT) case."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from rthy import (
     CommutativeQuantale,
+    FinitePreorder,
     FiniteQuantaleModule,
     FormatError,
     FunctionAction,
@@ -22,7 +25,6 @@ from rthy import (
     check_morphism,
     covariant_transformations,
     free_image,
-    induced_module,
     is_g_compatible,
     is_left_invariant,
     is_right_invariant,
@@ -60,12 +62,60 @@ def test_json_roundtrip():
     assert again == m
 
 
+# sha256 of json.dumps(to_json(), sort_keys=True): any change to a table
+# or to atom order shows here
+BUNDLED_DIGESTS = {
+    "three_chain_module": "67232d7a9f2d20863eefc64fa4d71cc9e6368417f6d1cf546e1fc78fa3432812",
+    "diamond_module": "5d06da95fea453aeb198a800d90a384b080085fee35d7fe300f05f40b2b6074a",
+    "two_level_module": "164d3aab0f50383d8ab399b98f67fbd0e6cb73764c9483d77224c5c316bca027",
+    "rotation_module": "322aa8a3f0891c2595b3465802805b0acfdbeb7408c92e322ca773d847641166",
+    "stochastic_pair_module": "3335cf3b4475d008b3fa3a4a02a423bb52dd1471d7e63be172d66a8a95987279",
+    "boolean_pair_module": "5692a15e218784f4eac4e491a53259358e38fe00a05f9dbe194cbaa737e8968d",
+    "max_quantale": "6f19988d63a7a1bde82000d8d099ee44fc5558192e3d20b74a7d8135965ea257",
+    "downset_module(chain(3))": "b44f33b85bf3e48fcb836250e6d1eda7e6df2627ee160261e97b33930bb2a54c",
+    "function_module(chain(1))": "2f6d11abf6a74522a850e47b46f52417f5c305ceae809b93ddbc5f1bfcc7a207",
+    "function_module(chain(1), all)": "2f6d11abf6a74522a850e47b46f52417f5c305ceae809b93ddbc5f1bfcc7a207",
+    "function_module(chain(2))": "be4e292b0a3ce07bbdd7ef98d2e1e3a93082237957d550c36e57c700bc74b3e0",
+    "function_module(chain(2), all)": "9b54e760e475d164ebac6f28aad91b179dbe34f830054e3bfc67ecc4009a8917",
+    "function_module(chain(3))": "613766d7b8677d1e5e4e32ba1d9934a0b2ca7d8405c26291cd9fae5571e14257",
+    "function_module(chain(3), all)": "67232d7a9f2d20863eefc64fa4d71cc9e6368417f6d1cf546e1fc78fa3432812",
+}
+
+
+def test_bundled_instances_pinned():
+    built = {
+        "three_chain_module": three_chain_module(),
+        "diamond_module": diamond_module(),
+        "two_level_module": two_level_module()[0],
+        "rotation_module": rotation_module()[0],
+        "stochastic_pair_module": stochastic_pair_module(),
+        "boolean_pair_module": boolean_pair_module(),
+        "max_quantale": max_quantale(),
+        "downset_module(chain(3))": downset_module(chain(3)),
+    }
+    for n in (1, 2, 3):
+        built[f"function_module(chain({n}))"] = function_module(chain(n))
+        built[f"function_module(chain({n}), all)"] = function_module(chain(n), all_functions=True)
+    digests = {name: hashlib.sha256(json.dumps(m.to_json(), sort_keys=True).encode()).hexdigest()
+               for name, m in built.items()}
+    assert digests == BUNDLED_DIGESTS
+    assert two_level_module()[1] == "fx34x01"
+    assert rotation_module()[1].maps == ((0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
+
+
 def test_comma_names_rejected():
     with pytest.raises(FormatError):
         FiniteQuantaleModule.build(
             transformations=["a,b"], resources=["x"],
             star={("a,b", "a,b"): ["a,b"]}, act={("a,b", "x"): ["x"]},
             unit=["a,b"], free=["a,b"])
+
+
+def test_function_module_rejects_colliding_map_names():
+    # on 12 points (0, 1, 10, ...) and (0, 11, 0, ...) are both named f0110...
+    pairs = [(i, i) for i in range(12)] + [(1, 11), (2, 10), (2, 0)]
+    with pytest.raises(FormatError, match="duplicate atom names"):
+        function_module(FinitePreorder(12, pairs))
 
 
 def _tamper(doc, **changes):
@@ -152,21 +202,21 @@ def _reference_validate_quantale(q):
     n = len(q.resources)
     for i in range(n):
         for j in range(i + 1, n):
-            if q.box_table[i][j] != q.box_table[j][i]:
+            if q.star_table[i][j] != q.star_table[j][i]:
                 out.append(Violation("CommutativityViolation", (q.resources[i], q.resources[j])))
     for i in range(n):
         for j in range(n):
-            ij = q.box_table[i][j]
+            ij = q.star_table[i][j]
             for k in range(n):
-                if q.box_set(ij, 1 << k) != q.box_set(1 << i, q.box_table[j][k]):
+                if q.star_set(ij, 1 << k) != q.star_set(1 << i, q.star_table[j][k]):
                     out.append(Violation("AssociativityViolation",
                                          (q.resources[i], q.resources[j], q.resources[k])))
     for i in range(n):
-        if q.box_set(q.unit_mask, 1 << i) != 1 << i:
+        if q.star_set(q.unit_mask, 1 << i) != 1 << i:
             out.append(Violation("UnitStarViolation", (q.resources[i],)))
     if q.unit_mask & ~q.free_mask:
         out.append(Violation("FreeNotReflexive"))
-    if q.box_set(q.free_mask, q.free_mask) & ~q.free_mask:
+    if q.star_set(q.free_mask, q.free_mask) & ~q.free_mask:
         out.append(Violation("FreeNotIdempotent"))
     return out
 
@@ -212,14 +262,14 @@ def _quantales(draw):
     base = draw(st.one_of(st.none(), st.just(max_quantale())))
     r = base.resources if base else tuple(str(i) for i in range(draw(st.integers(1, 5))))
     n = len(r)
-    box = _set_table(draw, n, n, base.box_table if base else None)
+    box = _set_table(draw, n, n, base.star_table if base else None)
     if draw(st.booleans()):  # keep it commutative: mirror the upper triangle
         box = tuple(tuple(box[min(i, j)][max(i, j)] for j in range(n)) for i in range(n))
     if base is None or draw(st.booleans()):
         unit, free = draw(_cell(n)), draw(_cell(n))
     else:
         unit, free = base.unit_mask, base.free_mask
-    return CommutativeQuantale(r, box, unit, free)
+    return CommutativeQuantale(r, r, box, box, unit, free)
 
 
 @given(_modules(), _quantales())
@@ -228,7 +278,7 @@ def test_validate_matches_reference_sweep(m, q):
     full atom-triple loops, on lawful, tampered and random tables."""
     assert validate(m) == _reference_validate(m)
     assert validate_quantale(q) == _reference_validate_quantale(q)
-    assert validate(induced_module(q)) == _reference_validate(induced_module(q))
+    assert validate(q) == _reference_validate(q)
 
 
 def test_reachability_refuses_invalid():
@@ -406,11 +456,13 @@ def test_ucrt_order_details():
 
 
 def test_induced_module_matches_ucrt():
+    """A commutative quantale is a module over itself: its reachability is
+    the UCRT order."""
     q = max_quantale()
-    m = induced_module(q)
-    assert validate(m) == []
-    p = reachability(m)
-    names = m.resources
+    assert isinstance(q, FiniteQuantaleModule)
+    assert validate(q) == []
+    p = reachability(q)
+    names = q.resources
     for a in range(len(names)):
         for b in range(len(names)):
             assert p.geq(a, b) == ucrt_order(q, [names[a]], [names[b]])
