@@ -1,10 +1,16 @@
 """Exact rational linear algebra and a certified LP solver.
 
 Inputs and outputs are `fractions.Fraction`s; no floats are ever
-produced.  Inside, the simplex keeps its tableau as Python ints over one
-common positive denominator and pivots fraction-free (Edmonds/Bareiss),
-so no cell update pays a gcd.  It returns machine-checkable certificates
-for all three outcomes:
+produced.  Inside, the simplex is the revised one in explicit-inverse
+form: it stores only den*B^-1 and den*B^-1*b (B the basis, den one common
+positive denominator) as Python ints, together with the cost row's
+entries in those columns, and pivots that block fraction-free
+(Edmonds/Bareiss), so no cell update pays a gcd.  Each reduced cost and
+entering column is priced from the sparse columns of A as it is needed,
+and Bland's rule picks exactly the pivots of the full-tableau simplex.
+Every solve reports its shape and the pivot count of each phase
+(``LpStats``).  It returns machine-checkable certificates for all three
+outcomes:
 
 * ``Optimal``     -- primal solution plus dual multipliers (checked via
   feasibility, dual feasibility and complementary slackness),
@@ -21,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import FormatError, ShapeMismatch
 
@@ -128,12 +134,12 @@ class Matrix:
 def _scaled(values):
     """Integers ``values * s`` with ``s`` the lcm of their denominators, and ``s``.
 
-    ``values`` are ints or Fractions; zeros are skipped.
+    ``values`` are ints or Fractions (a zero's denominator is 1).
     """
-    s = lcm(*(v.denominator for v in values if v))
+    s = lcm(*(v.denominator for v in values))
     if s == 1:
         return [v.numerator for v in values], 1
-    return [v.numerator * (s // v.denominator) if v else 0 for v in values], s
+    return [v.numerator * (s // v.denominator) for v in values], s
 
 
 def rank(mat: Matrix) -> int:
@@ -193,6 +199,18 @@ class LpProblem:
         return len(self.c)
 
 
+class LpStats(NamedTuple):
+    """Counters of one solve: the LP's shape and the pivots of each phase.
+
+    Phase 1 counts the pivots that drive leftover artificials out too.
+    """
+
+    rows: int
+    cols: int
+    phase1_pivots: int
+    phase2_pivots: int
+
+
 @dataclass
 class LpOutcome:
     status: str
@@ -201,58 +219,97 @@ class LpOutcome:
     farkas: Optional[list] = None
     ray: Optional[list] = None
     objective: Optional[Fraction] = None
+    stats: Optional[LpStats] = None
 
 
-# The tableau holds integers: the true tableau times one common positive
-# denominator ``den``.  Row ``m`` (the last) is the cost row.  Only positive
-# scalings separate it from the textbook Fraction tableau of the same LP, so
-# every sign test and ratio comparison, and hence every Bland pivot, agrees.
+# The simplex is the revised one in explicit-inverse form.  The full
+# tableau over [A' | I | b'] (A' the rows of A flipped and cleared, I the
+# artificial columns) holds integers: the true tableau times one common
+# positive denominator ``den``.  Only ``block`` is stored: row i < m is
+# that tableau's [artificial part | rhs], i.e. [den B^-1 | den B^-1 b'],
+# and the last row is the cost row's [artificial part | rhs].  Structural
+# entries are computed from the sparse columns of A' when needed: row i's
+# is block_i . A'_j, and the cost row's, the reduced cost, is
+# den (c_j - c_art . A'_j) + y . A'_j with y the cost row's artificial
+# part and c_art the artificials' costs.  Each value equals the full
+# tableau's, and only positive scalings separate that from the textbook
+# Fraction tableau of the same LP, so every sign test and ratio
+# comparison, and hence every Bland pivot, agrees.
 
 
-def _pivot(tableau, basis, den, r, col):
-    """Fraction-free (Edmonds/Bareiss) pivot on ``tableau[r][col]``.
+def _pivot(block, den, r, column):
+    """Fraction-free (Edmonds/Bareiss) pivot on ``column[r]``.
 
-    Every other row becomes ``(p*row - row[col]*prow) / den``, an exact
-    division, and the pivot ``p`` becomes the denominator.  Returns it,
-    made positive by negating the whole tableau when ``p < 0`` (possible
-    only when driving artificials out), so stored signs are true signs.
+    ``column`` is the entering column of the full tableau, the cost row's
+    entry last.  Every other row of ``block`` becomes
+    ``(p*row - column[i]*prow) / den``, an exact division, and the pivot
+    ``p`` becomes the denominator.  Returns it, made positive by negating
+    the whole block when ``p < 0`` (possible only when driving artificials
+    out), so stored signs are true signs.
     """
-    prow = tableau[r]
-    p = prow[col]
+    prow = block[r]
+    p = column[r]
     nonzero = [j for j, w in enumerate(prow) if w]
-    for i, row in enumerate(tableau):
-        f = row[col]
-        if i == r or (not f and p == den):
+    for i, (row, f) in enumerate(zip(block, column)):
+        if i == r:
             continue
-        new = [p * v // den if v else 0 for v in row] if p != den else row[:]
-        if f:
+        if p != den:
+            block[i] = ([(p * v - f * w) // den for v, w in zip(row, prow)] if f
+                        else [p * v // den for v in row])
+        elif f:
+            # (den*v - f*w) / den is exact, so den divides f*w: only the
+            # pivot row's nonzero places move
+            new = row[:]
             for j in nonzero:
-                new[j] = (p * row[j] - f * prow[j]) // den
-        tableau[i] = new
+                new[j] -= f * prow[j] // den
+            block[i] = new
     if p < 0:
-        tableau[:] = [[-v for v in row] for row in tableau]
+        block[:] = [[-v for v in row] for row in block]
         p = -p
-    basis[r] = col
     return p
 
 
-def _bland(tableau, basis, den, ncols):
-    """Bland-rule pivots over columns ``0..ncols-1`` until no cost is negative.
+def _column(block, col):
+    """Rows 0..m-1 of the tableau's structural column whose A' nonzeros are ``col``."""
+    out = [0] * (len(block) - 1)
+    for k, a in col:
+        out = [v + row[k] * a for v, row in zip(out, block)]
+    return out
 
-    Returns ``(den, None)`` at the optimum, or ``(den, enter)`` when column
-    ``enter`` improves without bound.
+
+def _bland(block, basis, den, cols, cost, artificials):
+    """Bland-rule pivots until no reduced cost is negative.
+
+    ``cost[j]`` is c_j - c_art . A'_j for structural column j.  With
+    ``artificials`` (phase 1) the artificial columns are priced after the
+    structural ones, else they are barred from entering.  Returns
+    ``(den, pivots, None)`` at the optimum, or ``(den, pivots, enter)``
+    when structural column ``enter`` improves without bound.
     """
-    costrow = tableau[-1]
+    m = len(basis)
+    pivots = 0
     while True:
-        enter = next((j for j in range(ncols) if costrow[j] < 0), None)
-        if enter is None:
-            return den, None
+        crow = block[-1]
+        # price column by column and stop at the first negative reduced cost
+        for enter, (cj, col) in enumerate(zip(cost, cols)):
+            red = den * cj
+            for k, a in col:
+                red += crow[k] * a
+            if red < 0:
+                column = _column(block, col)
+                column.append(red)
+                break
+        else:
+            k = next((k for k in range(m) if crow[k] < 0), None) if artificials else None
+            if k is None:
+                return den, pivots, None
+            enter, column = len(cost) + k, [row[k] for row in block]
         best = None
         for i, b in enumerate(basis):
-            a = tableau[i][enter]
+            a = column[i]
             if a <= 0:
                 continue
-            rhs = tableau[i][-1]
+            rhs = block[i][-1]
             if best is not None:
                 # rhs/a against best_rhs/best_a, cross-multiplied (both a > 0)
                 here, there = rhs * best_a, best_rhs * a
@@ -260,9 +317,10 @@ def _bland(tableau, basis, den, ncols):
                     continue
             best, best_a, best_rhs = i, a, rhs
         if best is None:
-            return den, enter
-        den = _pivot(tableau, basis, den, best, enter)
-        costrow = tableau[-1]
+            return den, pivots, enter
+        den = _pivot(block, den, best, column)
+        basis[best] = enter
+        pivots += 1
 
 
 def lp_solve(problem: LpProblem) -> LpOutcome:
@@ -271,74 +329,85 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
     Row i is flipped to a nonnegative right-hand side (sign ``signs[i]``)
     and cleared of denominators by its lcm ``scales[i]``; artificial column
     i stays ``e_i``, i.e. the artificial is rescaled by ``scales[i]``.
+    ``cols[j]`` lists the nonzeros ``(i, a)`` of column j of the result A'.
     """
     m, n = problem.nrows, problem.ncols
-    signs, scales, tableau = [], [], []
+    signs, scales, block = [], [], []
+    cols = [[] for _ in range(n)]
     for i in range(m):
-        row, s = _scaled(list(problem.a_rows[i]) + [problem.b[i]])
-        sign = -1 if row[-1] < 0 else 1
+        ints, s = _scaled([*problem.a_rows[i], problem.b[i]])
+        sign = -1 if ints[-1] < 0 else 1
+        for col, a in zip(cols, ints):
+            if a:
+                col.append((i, sign * a))
         art = [0] * m
         art[i] = 1
-        tableau.append([sign * v for v in row[:-1]] + art + [sign * row[-1]])
+        block.append(art + [sign * ints[-1]])
         signs.append(sign)
         scales.append(s)
     basis = [n + i for i in range(m)]
-    den = 1
 
     # phase 1: minimize sum_i L/s_i * art_i (L = lcm of the s_i); price it out
     big = lcm(*scales)
     weights = [big // s for s in scales]
-    costrow = [-sum(w * row[j] for w, row in zip(weights, tableau)) for j in range(n)]
-    costrow += [0] * m + [-sum(w * row[-1] for w, row in zip(weights, tableau))]
-    tableau.append(costrow)
-    den, _ = _bland(tableau, basis, den, n + m)
+    block.append([0] * m + [-sum(w * row[-1] for w, row in zip(weights, block))])
+    phase1_cost = [-sum(weights[k] * a for k, a in col) for col in cols]
+    den, phase1, _ = _bland(block, basis, 1, cols, phase1_cost, artificials=True)
 
-    costrow = tableau[-1]
+    costrow = block[-1]
     if costrow[-1] < 0:  # residual infeasibility; costrow[-1] holds -objective
         scale = den * big
-        farkas = [Fraction(sg * (scale - s * costrow[n + i]), scale)
+        farkas = [Fraction(sg * (scale - s * costrow[i]), scale)
                   for i, (sg, s) in enumerate(zip(signs, scales))]
-        return LpOutcome(status=INFEASIBLE, farkas=farkas)
+        return LpOutcome(status=INFEASIBLE, farkas=farkas, stats=LpStats(m, n, phase1, 0))
 
-    # drive leftover artificials out of the basis where possible
+    # drive leftover artificials out of the basis where possible; the
+    # phase-1 cost row is spent, and until phase 2 the zero objective, whose
+    # cost row is zero in every basis, stands in for it
+    block[-1] = [0] * (m + 1)
     for r in range(m):
         if basis[r] >= n:
-            col = next((j for j in range(n) if tableau[r][j]), None)
-            if col is not None:
-                den = _pivot(tableau, basis, den, r, col)
+            row = block[r]
+            e = next((j for j, col in enumerate(cols) if sum(row[k] * a for k, a in col)), None)
+            if e is not None:
+                den = _pivot(block, den, r, _column(block, cols[e]) + [0])
+                basis[r] = e
+                phase1 += 1
             # else: redundant 0 = 0 row; inert from here on
 
     # phase 2: the objective times the lcm of its denominators; artificial
     # columns are barred from entering
     cost, cscale = _scaled(problem.c)
     basic_cost = [cost[b] if b < n else 0 for b in basis]
-    costrow = [den * v for v in cost] + [0] * (m + 1)
-    for cb, row in zip(basic_cost, tableau):
+    costrow = [0] * (m + 1)
+    for cb, row in zip(basic_cost, block):
         if cb:
             costrow = [cv - cb * rv for cv, rv in zip(costrow, row)]
-    tableau[-1] = costrow
-    den, enter = _bland(tableau, basis, den, n)
+    block[-1] = costrow
+    den, phase2, enter = _bland(block, basis, den, cols, cost, artificials=False)
+    stats = LpStats(m, n, phase1, phase2)
 
     primal = [F0] * n
     for r, b in enumerate(basis):
         if b < n:
-            primal[b] = Fraction(tableau[r][-1], den)
+            primal[b] = Fraction(block[r][-1], den)
     if enter is not None:
         ray = [F0] * n
         ray[enter] = F1
-        for r, b in enumerate(basis):
+        for b, a in zip(basis, _column(block, cols[enter])):
             if b < n:
-                ray[b] = Fraction(-tableau[r][enter], den)
-        return LpOutcome(status=UNBOUNDED, primal=primal, ray=ray)
+                ray[b] = Fraction(-a, den)
+        return LpOutcome(status=UNBOUNDED, primal=primal, ray=ray, stats=stats)
 
     basic_cost = [cost[b] if b < n else 0 for b in basis]
     scale = den * cscale
     dual = [
-        Fraction(sg * s * sum(cb * row[n + i] for cb, row in zip(basic_cost, tableau)), scale)
+        Fraction(sg * s * sum(cb * row[i] for cb, row in zip(basic_cost, block)), scale)
         for i, (sg, s) in enumerate(zip(signs, scales))
     ]
     objective = sum((ci * vi for ci, vi in zip(problem.c, primal)), F0)
-    return LpOutcome(status=OPTIMAL, primal=primal, dual=dual, objective=objective)
+    return LpOutcome(status=OPTIMAL, primal=primal, dual=dual, objective=objective,
+                     stats=stats)
 
 
 def verify_certificate(problem: LpProblem, outcome: LpOutcome) -> bool:

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .channels import ChannelEncoding, CombWitness
-from .errors import FormatError
 from .exactmath import F0, F1
 from .majorize import Encoding
 from .order import FinitePreorder, all_downsets, chain, down_closure
@@ -131,8 +130,10 @@ def input_ignoring_channel(x: Encoding, inputs: int) -> ChannelEncoding:
 # --------------------------------------------------------------------------
 
 
-def _function_name(images: tuple, names: tuple) -> str:
-    return "f" + "".join("x" if i is None else str(i) for i in images)
+def _function_name(images: tuple) -> str:
+    """``f`` then each image index, ``x`` where undefined; indices of 10 or
+    more are bracketed (``f0(11)0``), so no two maps share a name."""
+    return "f" + "".join("x" if i is None else str(i) if i < 10 else f"({i})" for i in images)
 
 
 def _compose(f: tuple, g: tuple) -> tuple:
@@ -173,12 +174,10 @@ def function_module(p: FinitePreorder, names=None,
     else:
         pool = [tuple(c) for c in itertools.product(*downs)]
     pool = sorted(set(pool))
-    maps = {_function_name(f, names): f for f in pool}
-    if len(maps) < len(pool):  # from 11 points on, index digits can run together
-        raise FormatError("duplicate atom names")
+    maps = {_function_name(f): f for f in pool}
     free = [a for a, f in maps.items() if all(f[x] in downs[x] for x in range(n))]
     return _map_module(maps, {names[x]: x for x in range(n)}, _compose, operator.getitem,
-                       unit=[_function_name(tuple(range(n)), names)], free=free)
+                       unit=[_function_name(tuple(range(n)))], free=free)
 
 
 def three_chain_module() -> FiniteQuantaleModule:
@@ -257,12 +256,12 @@ def two_level_module() -> Tuple[FiniteQuantaleModule, str]:
         pool |= fresh
     atoms = sorted(pool, key=lambda t: tuple(-1 if v is None else v for v in t))
     module = _map_module(
-        {_function_name(f, names): f for f in atoms}, {names[x]: x for x in range(n)},
+        {_function_name(f): f for f in atoms}, {names[x]: x for x in range(n)},
         _compose, operator.getitem,
-        unit=[_function_name(tuple(range(n)), names)],
-        free=[_function_name(f, names) for f in free_pool],
+        unit=[_function_name(tuple(range(n)))],
+        free=[_function_name(f) for f in free_pool],
     )
-    return module, _function_name(u, names)
+    return module, _function_name(u)
 
 
 def rotation_module() -> Tuple[FiniteQuantaleModule, PermutationAction]:

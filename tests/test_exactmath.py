@@ -4,12 +4,14 @@ The LP oracle here is deliberately independent of the solver: basic
 solutions are enumerated by brute force with a tiny Gaussian solver, so
 optimal values are cross-checked against vertex enumeration and
 infeasibility against the absence of any basic feasible point.  The
-integer-tableau ``lp_solve`` is also compared, field for field, with the
-dense ``Fraction`` tableau simplex it replaced (``_reference_lp_solve``).
+revised integer ``lp_solve`` is also compared, field for field and pivot
+count for pivot count, with the dense ``Fraction`` tableau simplex
+(``_reference_lp_solve``), on random LPs and on LPs the tools build.
 """
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -29,8 +31,10 @@ from rthy import (
     rank,
     verify_certificate,
 )
-from rthy import exactmath
-from rthy.exactmath import F0, F1
+from rthy import exactmath, majorize, measures
+from rthy.exactmath import F0, F1, LpStats
+
+from conftest import encodings, stochastic_maps
 
 F = Fraction
 
@@ -223,7 +227,7 @@ def test_lp_self_certification(problem):
 
 
 # ---------------------------------------------------------------------------
-# simplex: the integer tableau against the Fraction tableau it replaced
+# simplex: the revised integer simplex against the Fraction tableau
 # ---------------------------------------------------------------------------
 
 
@@ -267,7 +271,7 @@ def _reference_lp_solve(problem):
 
     The textbook form of ``lp_solve``: the same set-up, pivot rule and
     certificate read-out, with every cell an exact rational.  ``lp_solve``
-    must agree with it field for field.
+    must agree with it field for field, pivot counts (``stats``) included.
     """
     m, n = problem.nrows, problem.ncols
     signs = []
@@ -294,15 +298,17 @@ def _reference_lp_solve(problem):
         costrow = [cv - rv for cv, rv in zip(costrow, row)]
 
     allowed = range(n + m)
+    phase1 = phase2 = 0
     while True:
         state, _ = _reference_bland_step(tableau, costrow, basis, allowed)
         if state == "optimal":
             break
+        phase1 += 1
 
     if -costrow[-1] > 0:  # residual infeasibility; costrow[-1] holds -objective
         y_flip = [F1 - costrow[n + i] for i in range(m)]
         farkas = [s * y for s, y in zip(signs, y_flip)]
-        return LpOutcome(status=INFEASIBLE, farkas=farkas)
+        return LpOutcome(status=INFEASIBLE, farkas=farkas, stats=LpStats(m, n, phase1, 0))
 
     # drive leftover artificials out of the basis where possible
     for r in range(m):
@@ -310,6 +316,7 @@ def _reference_lp_solve(problem):
             col = next((j for j in range(n) if tableau[r][j] != 0), None)
             if col is not None:
                 _reference_pivot(tableau, costrow, basis, r, col)
+                phase1 += 1
             # else: redundant 0 = 0 row; inert from here on
 
     # phase 2: original objective, artificial columns barred from entering
@@ -326,6 +333,9 @@ def _reference_lp_solve(problem):
         state, enter = _reference_bland_step(tableau, costrow, basis, allowed)
         if state == "optimal":
             break
+        if state == "pivoted":
+            phase2 += 1
+            continue
         if state == "unbounded":
             primal = [F0] * n
             for r in range(m):
@@ -336,7 +346,8 @@ def _reference_lp_solve(problem):
             for r in range(m):
                 if basis[r] < n:
                     ray[basis[r]] = -tableau[r][enter]
-            return LpOutcome(status=UNBOUNDED, primal=primal, ray=ray)
+            return LpOutcome(status=UNBOUNDED, primal=primal, ray=ray,
+                             stats=LpStats(m, n, phase1, phase2))
 
     primal = [F0] * n
     for r in range(m):
@@ -352,7 +363,8 @@ def _reference_lp_solve(problem):
     ]
     dual = [s * y for s, y in zip(signs, y_flip)]
     objective = sum((ci * vi for ci, vi in zip(problem.c, primal)), F0)
-    return LpOutcome(status=OPTIMAL, primal=primal, dual=dual, objective=objective)
+    return LpOutcome(status=OPTIMAL, primal=primal, dual=dual, objective=objective,
+                     stats=LpStats(m, n, phase1, phase2))
 
 
 def _fields(out):
@@ -387,6 +399,55 @@ def test_lp_solve_matches_fraction_reference(problem):
     out = lp_solve(problem)
     assert _fields(out) == _fields(_reference_lp_solve(problem))
     assert verify_certificate(problem, out)
+
+
+def _fmk_problem(x, m, k):
+    """The LP that ``weight_fmk(x, m, k)`` solves."""
+    seen = []
+
+    def capture(problem):
+        seen.append(problem)
+        return lp_solve(problem)
+
+    with mock.patch.object(measures, "lp_solve", capture):
+        measures.weight_fmk(x, m, k)
+    return seen[0]
+
+
+@st.composite
+def tool_problems(draw):
+    """LPs shaped as the tools build them, unlike ``mixed_problems``: up to
+    several times more columns than rows, sparse columns, and dependent rows
+    that leave artificials basic on a redundant 0 = 0 row after phase 1
+    (every feasible conversion LP has h of them).  Either the
+    conversion LP of ``majorizes`` for x and t(x) or for two random
+    encodings, or the ``weight_fmk`` LP of a small encoding."""
+    if draw(st.booleans()):
+        x = draw(encodings(max_outcomes=4, max_hypotheses=3))
+        if draw(st.booleans()):
+            y = draw(stochastic_maps(x.outcomes))(x)
+        else:
+            h = x.hypotheses
+            y = draw(encodings(max_outcomes=4, min_hypotheses=h, max_hypotheses=h))
+        return majorize._conversion_problem(x, y.matrix)
+    x = draw(encodings(max_outcomes=3, max_hypotheses=3))
+    m = draw(st.integers(1, x.hypotheses - 1))
+    k = draw(st.integers(m + 1, x.hypotheses))
+    return _fmk_problem(x, m, k)
+
+
+@given(tool_problems())
+def test_lp_solve_matches_reference_on_tool_lps(problem):
+    out = lp_solve(problem)
+    assert _fields(out) == _fields(_reference_lp_solve(problem))
+    assert verify_certificate(problem, out)
+
+
+@given(st.one_of(mixed_problems(), tool_problems()))
+def test_pivot_counts_match_reference(problem):
+    stats = lp_solve(problem).stats
+    assert (stats.rows, stats.cols) == (problem.nrows, problem.ncols)
+    assert stats == _reference_lp_solve(problem).stats
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +551,13 @@ def test_verify_matches_fraction_reference(case):
 def test_drive_out_on_negative_pivot(monkeypatch):
     """After phase 1 the artificial of row 1 is basic at zero and its row's
     only entry is -2, so driving it out pivots on a negative entry and the
-    tableau is negated to keep the common denominator positive."""
+    stored block is negated to keep the common denominator positive."""
     pivots = []
     real_pivot = exactmath._pivot
 
-    def spy(tableau, basis, den, r, col):
-        pivots.append(tableau[r][col])
-        return real_pivot(tableau, basis, den, r, col)
+    def spy(block, den, r, column):
+        pivots.append(column[r])
+        return real_pivot(block, den, r, column)
 
     monkeypatch.setattr(exactmath, "_pivot", spy)
     problem = _lp([[-1, 0, -1], [0, -2, 0]], [-2, 0], [2, -1, -2])
