@@ -8,6 +8,7 @@ invocation.  Exit status: 0 when a computation ran (whatever the decision),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -308,7 +309,13 @@ def _cmd_ucrt(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later ``run``.
+
+    Parsing keeps no state in the parser: each call gets a fresh namespace,
+    and help and usage text are formatted when they are printed.
+    """
     parser = argparse.ArgumentParser(
         prog="rthy",
         description="exact decisions and monotones for finite resource theories",

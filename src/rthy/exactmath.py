@@ -183,12 +183,22 @@ class LpProblem:
 
     ``c``, the rows of ``a_rows`` and ``b`` are dense lists of rationals;
     callers lay out their own columns, with a slack column per inequality
-    and a +/- column pair per free variable.
+    and a +/- column pair per free variable.  Every row of ``a_rows`` must
+    be ``len(c)`` long and ``b`` must be ``len(a_rows)`` long, so a problem
+    that reaches ``lp_solve`` or ``verify_certificate`` is rectangular.
     """
 
     c: list
     a_rows: list
     b: list
+
+    def __post_init__(self):
+        n = len(self.c)
+        if any(len(row) != n for row in self.a_rows):
+            raise ShapeMismatch(f"every row of A must have {n} entries, one per entry of c")
+        if len(self.b) != len(self.a_rows):
+            raise ShapeMismatch(
+                f"b has {len(self.b)} entries but A has {len(self.a_rows)} rows")
 
     @property
     def nrows(self) -> int:

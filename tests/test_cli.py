@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from rthy import majorizes
+from rthy import cli, majorizes
 from rthy.cli import run
 from rthy.instances import (
     binary_image_of_x,
@@ -17,6 +21,9 @@ from rthy.instances import (
     three_chain_module,
     two_point_encoding,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -415,3 +422,56 @@ def test_help_mentions_schemas(capsys):
     assert run(["--help"]) == 0
     out, _ = _out(capsys)
     assert "file formats" in out and "encoding" in out
+
+
+def _fresh_process(argv):
+    """``python -m rthy.cli argv`` in a new interpreter: (stdout, stderr, exit code)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-m", "rthy.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    return res.stdout, res.stderr, res.returncode
+
+
+def test_reused_parser_matches_fresh_processes(files, capsys, monkeypatch):
+    """One process builds one parser, and every call through it, including
+    help and usage errors after a successful call, prints what a fresh
+    ``rthy`` process prints."""
+    monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal width
+    x = files("x.json", incomparable_x().to_json())
+    y = files("y.json", incomparable_y().to_json())
+    z = files("z.json", two_point_encoding("1/8", "1/2").to_json())
+    sequence = [
+        ["check-order", x, y],
+        ["--help"],
+        ["check-order", x],
+        ["no-such-command"],
+        ["zonotope", z, "--format", "csv"],
+        ["zonotope", z],
+        ["module", "--help"],
+    ]
+    cli._build_parser.cache_clear()
+    seen = []
+    for argv in sequence:
+        code = run(argv)
+        out, err = _out(capsys)
+        assert (out, err, code) == _fresh_process(argv), argv
+        seen.append((out, err, code))
+    assert [code for _, _, code in seen] == [0, 0, 2, 2, 0, 0, 0]
+    assert "following arguments are required: y" in seen[2][1]
+    assert "invalid choice: 'no-such-command'" in seen[3][1]
+    assert seen[4][0] == "0,0\n7/8,1/2\n1,1\n1/8,1/2\n"
+    assert json.loads(seen[5][0])["vertices"][1] == ["7/8", "1/2"]
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_enumeration_guard_read_on_every_call(files, capsys, monkeypatch):
+    x = files("x.json", incomparable_x().to_json())
+    argv = ["weight", x, "--m", "1", "--k", "3"]
+    monkeypatch.delenv("RTHY_ENUM_GUARD", raising=False)
+    assert run(argv) == 0
+    assert "value" in _json_out(capsys)
+    monkeypatch.setenv("RTHY_ENUM_GUARD", "1")
+    assert run(argv) == 3
+    _, err = _out(capsys)
+    assert "search too large" in err

@@ -24,6 +24,7 @@ from rthy import (
     LpProblem,
     Matrix,
     OPTIMAL,
+    ShapeMismatch,
     UNBOUNDED,
     format_rational,
     lp_solve,
@@ -142,6 +143,22 @@ def test_verify_rejects_tampered_certificates():
     bad_dual = LpOutcome(status=OPTIMAL, primal=out.primal,
                          dual=tuple(v + 1 for v in out.dual), farkas=None, ray=None)
     assert not verify_certificate(problem, bad_dual)
+
+
+def test_lp_rejects_rows_of_wrong_length():
+    # lp_solve would pair b_0 with column 1 of a row shorter than c
+    with pytest.raises(ShapeMismatch):
+        LpProblem(c=[F(1), F(-1)], a_rows=[[F(1)]], b=[F(1)])
+    with pytest.raises(ShapeMismatch):
+        LpProblem(c=[F(1)], a_rows=[[F(1)], [F(1), F(0)]], b=[F(1), F(1)])
+
+
+def test_lp_rejects_rhs_of_wrong_length():
+    # lp_solve and verify_certificate would drop an entry of b with no row of A
+    with pytest.raises(ShapeMismatch):
+        LpProblem(c=[F(1)], a_rows=[[F(1)]], b=[F(1), F(2)])
+    with pytest.raises(ShapeMismatch):
+        LpProblem(c=[F(1)], a_rows=[[F(1)]], b=[])
 
 
 # ---------------------------------------------------------------------------
