@@ -147,8 +147,15 @@ def _cmd_check_order(args) -> dict:
 def _cmd_zonotope(args) -> dict:
     x = _encoding(args.x)
     if args.contains:
-        y = _encoding(args.contains)
-        return {"includes": mj.zonotope_includes(x, y)}
+        cert = mj.zonotope_certificate(x, _encoding(args.contains))
+        if cert is None:
+            return {"includes": True}
+        return {"includes": False, "certificate": {
+            "normal": [format_rational(v) for v in cert.normal],
+            "subset": list(cert.subset),
+            "support_y": format_rational(cert.support_y),
+            "support_x": format_rational(cert.support_x),
+        }}
     z = mj.zonotope(x)
     return {"vertices": _vertices_json(z.vertices)}
 

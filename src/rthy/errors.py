@@ -66,7 +66,16 @@ class NotLeftInvariant(RthyError):
 
 
 class GuardError(RthyError):
-    """Base for enumeration/search guards (CLI exit code 3)."""
+    """Base for enumeration/search guards (CLI exit code 3).
+
+    ``count`` is how many candidates the search would have visited and
+    ``guard`` the limit it exceeded; ``what`` names the candidates.
+    """
+
+    def __init__(self, what: str, count: int, guard: int):
+        super().__init__(f"{what} = {count}, above the guard {guard}")
+        self.count = count
+        self.guard = guard
 
 
 class EnumerationTooLarge(GuardError):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import FormatError, ShapeMismatch
 
@@ -142,16 +142,21 @@ def _scaled(values):
     return [v.numerator * (s // v.denominator) for v in values], s
 
 
-def rank(mat: Matrix) -> int:
-    """Rank via fraction-free (Bareiss) elimination on a denominator-cleared copy."""
-    if not mat.rows or mat.ncols == 0:
-        return 0
-    # row-wise clearing of denominators keeps every later pivot an integer
-    work = [_scaled(row)[0] for row in mat.rows]
-    nr, nc = len(work), len(work[0])
+def row_echelon(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
+    """An integer echelon basis of the row space of integer ``rows``, and its
+    pivot columns, by fraction-free (Bareiss) elimination.
+
+    Basis row t is zero left of ``pivots[t]`` and nonzero there;
+    ``len(pivots)`` is the rank.
+    """
+    work = [list(row) for row in rows]
+    nr, nc = len(work), len(work[0]) if work else 0
     prev = 1
-    r = 0
+    pivots = []
     for c in range(nc):
+        r = len(pivots)
+        if r == nr:
+            break
         pivot_row = next((i for i in range(r, nr) if work[i][c] != 0), None)
         if pivot_row is None:
             continue
@@ -162,10 +167,14 @@ def rank(mat: Matrix) -> int:
                 work[i][j] = (piv * work[i][j] - work[i][c] * work[r][j]) // prev
             work[i][c] = 0
         prev = piv
-        r += 1
-        if r == nr:
-            break
-    return r
+        pivots.append(c)
+    return work[:len(pivots)], pivots
+
+
+def rank(mat: Matrix) -> int:
+    """Rank via fraction-free (Bareiss) elimination on a denominator-cleared copy."""
+    # row-wise clearing of denominators keeps every later pivot an integer
+    return len(row_echelon([_scaled(row)[0] for row in mat.rows])[1])
 
 
 # --------------------------------------------------------------------------

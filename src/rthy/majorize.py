@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb, gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -36,6 +38,7 @@ from .exactmath import (
     json_int,
     lp_solve,
     parse_rational,
+    row_echelon,
 )
 from .quantale import FunctionAction
 
@@ -246,9 +249,9 @@ def majorizes(x: Encoding, y: Encoding):
 
 def det_postprocessings(n: int, k: int) -> List[StochasticMap]:
     """All k^n deterministic (0/1) column-stochastic maps n -> k, lexicographic."""
-    total = k ** n
-    if total > enumeration_guard():
-        raise EnumerationTooLarge(f"{k}^{n} = {total} deterministic maps exceed the guard")
+    total, guard = k ** n, enumeration_guard()
+    if total > guard:
+        raise EnumerationTooLarge(f"{k}^{n} deterministic maps", total, guard)
     out = []
     for assignment in itertools.product(range(k), repeat=n):
         rows = [[F1 if assignment[j] == i else F0 for j in range(n)] for i in range(k)]
@@ -325,41 +328,156 @@ def zonotope(x: Encoding) -> Zonotope2:
     return Zonotope2(vertices=tuple(lower + upper))
 
 
-def _point_in_zonotope_lp(x: Encoding, point: Sequence[Fraction]) -> bool:
-    """Membership of a point of [0,1]^h in {sum_j u_j row_j(x) : u in [0,1]^n}.
+def _det(m) -> int:
+    """Determinant of a small square integer matrix, by cofactor expansion."""
+    if not m:
+        return 1
+    rest = m[1:]
+    return sum((-1) ** c * v * _det([r[:c] + r[c + 1:] for r in rest])
+               for c, v in enumerate(m[0]) if v)
 
-    Columns are ``u_0..u_{n-1}`` and then the slack of ``u_j <= 1`` for each j.
+
+def _cofactor_normal(rows) -> List[int]:
+    """Integer w with w.v = det(rows + [v]) for every v, for k integer rows of
+    length k + 1: orthogonal to each row, and zero exactly when they are
+    linearly dependent."""
+    k = len(rows)
+    return [(-1) ** (k + c) * _det([r[:c] + r[c + 1:] for r in rows]) for c in range(k + 1)]
+
+
+def _supports(w, rows) -> Tuple[int, int]:
+    """(h_Z(w), h_Z(-w)) for the zonotope Z generated by ``rows``:
+    h_Z(w) = sum_j max(0, w.g_j)."""
+    up = down = 0
+    for g in rows:
+        d = sum(map(operator.mul, w, g))
+        if d > 0:
+            up += d
+        else:
+            down -= d
+    return up, down
+
+
+def _separating_normal(gx, gy, h: int):
+    """Decide Z(gy) inside Z(gx) for integer generators in Z^h.
+
+    Returns None when it is inside, else ``(w, h_y, h_x)``: an integer w in
+    Z^h with h_{Z(gy)}(w) = h_y > h_x = h_{Z(gx)}(w).
     """
-    n = x.outcomes
-    a_rows = [list(x.column(c)) + [0] * n for c in range(x.hypotheses)]
-    a_rows += [[1 if k in (j, n + j) else 0 for k in range(2 * n)] for j in range(n)]
-    b = [Fraction(v) for v in point] + [1] * n
-    return lp_solve(LpProblem(c=[0] * (2 * n), a_rows=a_rows, b=b)).status == OPTIMAL
+    basis, pivots = row_echelon(gx)
+    r = len(pivots)
+    if r < h:
+        # a row of y outside span(x): a normal to span(x) that it does not
+        # annihilate, from the cofactors on the pivots and one more coordinate
+        for v in gy:
+            res = list(v)
+            for b, p in zip(basis, pivots):
+                if res[p]:
+                    res = [b[p] * a - res[p] * c for a, c in zip(res, b)]
+            q = next((c for c, a in enumerate(res) if a), None)
+            if q is not None:
+                cols = sorted(pivots + [q])
+                w = [0] * h
+                for c, a in zip(cols, _cofactor_normal([[b[c] for c in cols] for b in basis])):
+                    w[c] = a
+                if sum(map(operator.mul, w, v)) < 0:
+                    w = [-a for a in w]
+                return w, _supports(w, gy)[0], 0
+    # inside span(x), whose pivot coordinates it maps onto R^r one to one:
+    # every facet normal of the full-dimensional image of Z(x) is orthogonal
+    # to r - 1 of its generators
+    count, guard = comb(len(gx), r - 1), enumeration_guard()
+    if count > guard:
+        raise EnumerationTooLarge(
+            f"C({len(gx)}, {r - 1}) candidate facet normals of the zonotope", count, guard)
+    px = [[g[p] for p in pivots] for g in gx]
+    py = [[g[p] for p in pivots] for g in gy]
+    for face in itertools.combinations(px, r - 1):
+        w = _cofactor_normal(face)
+        if not any(w):
+            continue
+        (x_up, x_down), (y_up, y_down) = _supports(w, px), _supports(w, py)
+        if y_up > x_up or y_down > x_down:
+            sign, hy, hx = (1, y_up, x_up) if y_up > x_up else (-1, y_down, x_down)
+            lifted = [0] * h
+            for p, a in zip(pivots, w):
+                lifted[p] = sign * a
+            return lifted, hy, hx
+    return None
+
+
+def _row_dots(w, e: Encoding) -> List[Fraction]:
+    return [sum(map(operator.mul, w, row), F0) for row in e.matrix.rows]
+
+
+@dataclass(frozen=True)
+class ZonotopeCertificate:
+    """Evidence that Z(y) is not inside Z(x).
+
+    Along ``normal`` w, the vertex sum of y's rows over ``subset`` (y's
+    outcomes i with w.y_i > 0) reaches ``support_y`` = h_{Z(y)}(w), beyond
+    ``support_x`` = h_{Z(x)}(w), the furthest any point of Z(x) reaches.
+    """
+
+    normal: tuple
+    subset: tuple
+    support_y: Fraction
+    support_x: Fraction
+
+    def replays(self, x: Encoding, y: Encoding) -> bool:
+        """Recompute both support values as sums over the rows of x and y."""
+        if not len(self.normal) == x.hypotheses == y.hypotheses:
+            return False
+        dy, dx = _row_dots(self.normal, y), _row_dots(self.normal, x)
+        return (self.subset == tuple(i for i, d in enumerate(dy) if d > 0)
+                and sum((dy[i] for i in self.subset), F0) == self.support_y
+                and sum((d for d in dx if d > 0), F0) == self.support_x
+                and self.support_y > self.support_x)
+
+
+def zonotope_certificate(x: Encoding, y: Encoding) -> Optional[ZonotopeCertificate]:
+    """None when Z(y) is inside Z(x), else a certificate, replayed on x and y
+    before it is returned, that it is not.
+
+    Z(x) = {sum_j u_j g_j : u in [0,1]^n} over x's merged rows g_j, the
+    reachable set of 2-outcome post-processings, has support function
+    h_Z(w) = sum_j max(0, w.g_j).  The test runs in integers on both
+    encodings' merged rows scaled by one common denominator: a row of y
+    outside span(x) refutes at once; otherwise, with r = rank(x), Z(y) is
+    inside Z(x) exactly when h_{Z(y)}(+-w) <= h_{Z(x)}(+-w) for the normal w
+    of each set of r - 1 of x's generators that spans a hyperplane of span(x)
+    (Ziegler, Lectures on Polytopes, ch. 7).  Those C(n_x, r - 1) normals are
+    checked against the enumeration guard.
+    """
+    if x.hypotheses != y.hypotheses:
+        raise HypothesisMismatch(
+            f"encodings have {x.hypotheses} vs {y.hypotheses} hypotheses")
+    gx, gy = _merged_rows(x), _merged_rows(y)
+    den = lcm(*(v.denominator for g in gx + gy for v in g))
+    found = _separating_normal(
+        [[v.numerator * (den // v.denominator) for v in g] for g in gx],
+        [[v.numerator * (den // v.denominator) for v in g] for g in gy],
+        x.hypotheses)
+    if found is None:
+        return None
+    w, hy, hx = found
+    g = gcd(*w)
+    normal = tuple(a // g for a in w)
+    subset = tuple(i for i, d in enumerate(_row_dots(normal, y)) if d > 0)
+    cert = ZonotopeCertificate(normal=normal, subset=subset,
+                               support_y=Fraction(hy, den * g), support_x=Fraction(hx, den * g))
+    if not cert.replays(x, y):
+        raise RuntimeError("zonotope certificate does not replay on x and y: solver fault")
+    return cert
 
 
 def zonotope_includes(x: Encoding, y: Encoding) -> bool:
     """Does the 2-outcome reachable set of x cover that of y?
 
-    Two hypotheses: exact polygon inclusion (vertex-in-polygon tests).
-    More hypotheses: every subset-sum vertex of y's zonotope is checked
-    for membership in x's by LP.
+    One exact integer test for any number of hypotheses; see
+    ``zonotope_certificate``, which also gives the evidence for a "no".
     """
-    if x.hypotheses != y.hypotheses:
-        raise HypothesisMismatch(
-            f"encodings have {x.hypotheses} vs {y.hypotheses} hypotheses")
-    if x.hypotheses == 2:
-        zx = zonotope(x)
-        return all(v in zx for v in zonotope(y).vertices)
-    rows = _merged_rows(y)
-    if 2 ** len(rows) > enumeration_guard():
-        raise EnumerationTooLarge(
-            f"2^{len(rows)} zonotope vertices of the candidate exceed the guard")
-    for picks in itertools.product((0, 1), repeat=len(rows)):
-        point = [sum((r[c] for r, p in zip(rows, picks) if p), F0)
-                 for c in range(y.hypotheses)]
-        if not _point_in_zonotope_lp(x, point):
-            return False
-    return True
+    return zonotope_certificate(x, y) is None
 
 
 def markotope_contains(x: Encoding, z: Encoding, k: int) -> bool:

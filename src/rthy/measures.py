@@ -136,10 +136,9 @@ def convex_combination_weight(x: Encoding, primary: Sequence[Encoding],
 def _assignments(n: int, h: int):
     """All n^h assignments of an outcome to each hypothesis, lexicographic;
     raises before the first one when n^h exceeds the guard."""
-    total = n ** h
-    if total > enumeration_guard():
-        raise EnumerationTooLarge(
-            f"{n}^{h} = {total} deterministic encodings exceed the guard")
+    total, guard = n ** h, enumeration_guard()
+    if total > guard:
+        raise EnumerationTooLarge(f"{n}^{h} deterministic encodings", total, guard)
     return itertools.product(range(n), repeat=h)
 
 

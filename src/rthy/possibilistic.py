@@ -131,9 +131,8 @@ def bool_majorizes(x: BoolEncoding, y: BoolEncoding):
     space = 1
     for a in allowed:
         space *= (1 << bin(a).count("1")) - 1
-        if space > SEARCH_GUARD:
-            raise SearchTooLarge(
-                f"boolean witness space exceeds {SEARCH_GUARD} candidates")
+    if space > SEARCH_GUARD:
+        raise SearchTooLarge("boolean witness candidates", space, SEARCH_GUARD)
 
     # target (i, c) cells to cover, flattened as i*h + c
     target = 0

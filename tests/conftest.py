@@ -1,4 +1,5 @@
 import os
+import random
 from fractions import Fraction
 
 from hypothesis import HealthCheck, settings, strategies as st
@@ -42,3 +43,20 @@ def stochastic_maps(draw, n_from, max_to=4):
     cols = [draw(distributions(n_to)) for _ in range(n_from)]
     rows = [[cols[j][i] for j in range(n_from)] for i in range(n_to)]
     return StochasticMap.from_rows(rows)
+
+
+def column_normalized(rows) -> Encoding:
+    """The encoding whose columns are those of the nonnegative integer
+    ``rows``, each scaled to sum to 1."""
+    cols = [[Fraction(r[c], sum(q[c] for q in rows)) for r in rows] for c in range(len(rows[0]))]
+    return Encoding.from_columns(cols)
+
+
+def spread_pair(h, n_x, n_y, seed):
+    """A random x with n_x outcomes and a post-processing y of it with n_y
+    outcomes, so Z(y) lies inside Z(x); entries are drawn from 1..9, so rows
+    are almost never proportional."""
+    rng = random.Random(seed)
+    x = column_normalized([[rng.randint(1, 9) for _ in range(h)] for _ in range(n_x)])
+    t = column_normalized([[rng.randint(1, 9) for _ in range(n_x)] for _ in range(n_y)])
+    return x, StochasticMap(t.matrix)(x)

@@ -22,6 +22,8 @@ from rthy.instances import (
     two_point_encoding,
 )
 
+from conftest import spread_pair
+
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -104,9 +106,25 @@ def test_zonotope_inclusion(files, capsys):
     x = files("x.json", incomparable_x().to_json())
     y = files("y.json", incomparable_y().to_json())
     assert run(["zonotope", x, "--contains", y]) == 0
-    assert _json_out(capsys)["includes"] is True
+    assert _out(capsys) == ('{\n  "includes": true\n}\n', "")
     assert run(["zonotope", y, "--contains", x]) == 0
-    assert _json_out(capsys)["includes"] is False
+    assert _json_out(capsys) == {"includes": False, "certificate": {
+        "normal": ["-1", "1", "1"], "subset": [0, 2, 3],
+        "support_y": "3/2", "support_x": "1"}}
+
+
+def test_zonotope_guard_counts_facet_normals(files, capsys, monkeypatch):
+    # C(8, 2) = 28 candidate normals; y's 2^12 subset sums no longer count
+    x, y = spread_pair(3, 8, 12, seed=1)
+    argv = ["zonotope", files("x.json", x.to_json()), "--contains", files("y.json", y.to_json())]
+    monkeypatch.setenv("RTHY_ENUM_GUARD", "27")
+    assert run(argv) == 3
+    out, err = _out(capsys)
+    assert out == ""
+    assert "= 28, above the guard 27" in err
+    monkeypatch.setenv("RTHY_ENUM_GUARD", "28")
+    assert run(argv) == 0
+    assert _json_out(capsys) == {"includes": True}
 
 
 def test_csv_rejected_off_vertices(files, capsys):

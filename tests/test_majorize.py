@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from rthy import (
     INFEASIBLE,
     LengthMismatch,
     LpOutcome,
+    LpProblem,
     OPTIMAL,
     PermutationAction,
     RthyError,
@@ -21,6 +23,7 @@ from rthy import (
     comb_simulates,
     det_postprocessings,
     lorenz,
+    lp_solve,
     majorizes,
     markotope_contains,
     orbit_encoding,
@@ -28,6 +31,7 @@ from rthy import (
     verify_certificate,
     weight,
     zonotope,
+    zonotope_certificate,
     zonotope_includes,
 )
 from rthy.instances import (
@@ -37,8 +41,9 @@ from rthy.instances import (
     incomparable_y,
     two_point_encoding,
 )
+from rthy.majorize import _merged_rows
 
-from conftest import distributions, encodings, stochastic_maps
+from conftest import column_normalized, distributions, encodings, spread_pair, stochastic_maps
 
 H = Fraction(1, 2)
 
@@ -169,6 +174,125 @@ def test_zonotope_inclusion_matches_lp_decision(x):
     assert zonotope_includes(x, y) == majorizes(x, y).convertible
 
 
+def _point_in_zonotope_lp(x, point):
+    """Membership of a point in {sum_j u_j row_j(x) : u in [0,1]^n} by LP.
+
+    Columns are ``u_0..u_{n-1}`` and then the slack of ``u_j <= 1`` for each j.
+    """
+    n = x.outcomes
+    a_rows = [list(x.column(c)) + [0] * n for c in range(x.hypotheses)]
+    a_rows += [[1 if k in (j, n + j) else 0 for k in range(2 * n)] for j in range(n)]
+    b = [Fraction(v) for v in point] + [1] * n
+    return lp_solve(LpProblem(c=[0] * (2 * n), a_rows=a_rows, b=b)).status == OPTIMAL
+
+
+def _reference_zonotope_includes(x, y):
+    """The inclusion test the support-function one replaced: with two
+    hypotheses, every vertex of y's polygon inside x's; with more, every
+    subset sum of y's merged rows inside Z(x), one LP each."""
+    if x.hypotheses == 2:
+        zx = zonotope(x)
+        return all(v in zx for v in zonotope(y).vertices)
+    rows = _merged_rows(y)
+    for picks in itertools.product((0, 1), repeat=len(rows)):
+        point = [sum((r[c] for r, p in zip(rows, picks) if p), Fraction(0))
+                 for c in range(y.hypotheses)]
+        if not _point_in_zonotope_lp(x, point):
+            return False
+    return True
+
+
+def _refutation_replays(x, y, cert):
+    """Check a refutation with nothing from the code under test: the support
+    sums over the rows, and the LP that the vertex it names lies outside Z(x)."""
+    def dot(row):
+        return sum((Fraction(w) * v for w, v in zip(cert.normal, row)), Fraction(0))
+
+    dy = [dot(row) for row in y.matrix.rows]
+    subset = tuple(i for i, d in enumerate(dy) if d > 0)
+    vertex = [sum((y.matrix[i, c] for i in subset), Fraction(0)) for c in range(y.hypotheses)]
+    return (len(cert.normal) == x.hypotheses
+            and cert.subset == subset
+            and cert.support_y == sum((dy[i] for i in subset), Fraction(0))
+            and cert.support_x == sum((max(dot(row), 0) for row in x.matrix.rows), Fraction(0))
+            and cert.support_y > cert.support_x
+            and not _point_in_zonotope_lp(x, vertex))
+
+
+@st.composite
+def zonotope_pairs(draw):
+    """(x, y) with h in {2, 3, 4}: x may repeat a hypothesis column, have
+    fewer outcomes than hypotheses, or carry zero and proportional rows; y
+    is a post-processing of x (so included) or drawn alone (often outside
+    span(x) when x is rank-deficient)."""
+    h = draw(st.integers(2, 4))
+
+    def raw_rows(max_rows):
+        rows = [draw(st.lists(st.integers(0, 4), min_size=h, max_size=h))
+                for _ in range(draw(st.integers(1, max_rows)))]
+        if draw(st.booleans()):
+            rows.append([0] * h)
+        if draw(st.booleans()):
+            rows.append([draw(st.integers(1, 3)) * v for v in rows[0]])
+        if draw(st.booleans()):
+            for r in rows:
+                r[-1] = r[0]
+        if any(sum(r[c] for r in rows) == 0 for c in range(h)):
+            rows.append([1] * h)
+        return rows
+
+    x = column_normalized(raw_rows(5))
+    if draw(st.booleans()):
+        y = draw(stochastic_maps(x.outcomes))(x)
+    else:
+        y = column_normalized(raw_rows(3))
+    return x, y
+
+
+@given(zonotope_pairs())
+def test_zonotope_includes_matches_reference(pair):
+    x, y = pair
+    cert = zonotope_certificate(x, y)
+    assert (cert is None) == _reference_zonotope_includes(x, y)
+    assert zonotope_includes(x, y) == (cert is None)
+    if cert is not None:
+        assert _refutation_replays(x, y, cert)
+
+
+def test_zonotope_inclusion_reach():
+    # the replaced path solves 2^12 LPs here (about 2 s on a 2-core host);
+    # the facet test checks C(8, 2) = 28 normals
+    x, y = spread_pair(3, 8, 12, seed=1)
+    assert (len(_merged_rows(x)), len(_merged_rows(y))) == (8, 12)
+    start = time.perf_counter()
+    assert zonotope_includes(x, y)
+    assert time.perf_counter() - start < 0.25
+    assert _reference_zonotope_includes(x, y)
+
+
+def test_zonotope_certificate_pinned():
+    assert zonotope_certificate(incomparable_x(), incomparable_y()) is None
+    cert = zonotope_certificate(incomparable_y(), incomparable_x())
+    assert cert.normal == (-1, 1, 1) and cert.subset == (0, 2, 3)
+    assert (cert.support_y, cert.support_x) == (Fraction(3, 2), 1)
+    # y outside span(x): the normal annihilates x's rows
+    cert = zonotope_certificate(two_point_encoding(1, 1), Encoding.from_rows([[H, 0], [H, 1]]))
+    assert cert.normal == (1, -1) and cert.subset == (0,)
+    assert (cert.support_y, cert.support_x) == (H, 0)
+
+
+def test_zonotope_guard_reports_count(monkeypatch):
+    x, y = spread_pair(3, 8, 12, seed=1)
+    monkeypatch.setenv("RTHY_ENUM_GUARD", "27")
+    with pytest.raises(EnumerationTooLarge) as err:
+        zonotope_includes(x, y)
+    assert (err.value.count, err.value.guard) == (28, 27)
+    assert str(err.value) == (
+        "C(8, 2) candidate facet normals of the zonotope = 28, above the guard 27")
+    monkeypatch.setenv("RTHY_ENUM_GUARD", "28")
+    assert zonotope_includes(x, y)
+
+
 def test_markotope_pinned():
     z = binary_image_of_x()
     assert markotope_contains(incomparable_x(), z, 2)
@@ -241,6 +365,14 @@ def test_enumeration_guard(monkeypatch):
         det_postprocessings(3, 2)
     monkeypatch.setenv("RTHY_ENUM_GUARD", "8")
     assert len(det_postprocessings(3, 2)) == 8
+
+
+def test_det_postprocessings_guard_reports_count(monkeypatch):
+    monkeypatch.setenv("RTHY_ENUM_GUARD", "7")
+    with pytest.raises(EnumerationTooLarge) as err:
+        det_postprocessings(3, 2)
+    assert (err.value.count, err.value.guard) == (8, 7)
+    assert str(err.value) == "2^3 deterministic maps = 8, above the guard 7"
 
 
 CYCLE3 = PermutationAction([(0, 1, 2), (1, 2, 0), (2, 0, 1)])

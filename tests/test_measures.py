@@ -211,6 +211,14 @@ def test_deterministic_encodings_enumeration(monkeypatch):
         deterministic_encodings(3, 2)
 
 
+def test_assignments_guard_reports_count(monkeypatch):
+    monkeypatch.setenv("RTHY_ENUM_GUARD", "63")
+    with pytest.raises(EnumerationTooLarge) as err:
+        weight_fmk(incomparable_x(), 1, 3)
+    assert (err.value.count, err.value.guard) == (64, 63)
+    assert str(err.value) == "4^3 deterministic encodings = 64, above the guard 63"
+
+
 def test_convex_combination_weight_basics():
     up = two_point_encoding(1, 0)
     down = two_point_encoding(0, 1)

@@ -113,6 +113,14 @@ def test_search_guard_trips():
         bool_majorizes(x, y)
 
 
+def test_search_guard_reports_count():
+    # one x row may go to any nonempty subset of y's 25 rows
+    with pytest.raises(SearchTooLarge) as err:
+        bool_majorizes(BoolEncoding([[1]]), BoolEncoding([[1]] * 25))
+    assert (err.value.count, err.value.guard) == ((1 << 25) - 1, 1 << 24)
+    assert str(err.value) == "boolean witness candidates = 33554431, above the guard 16777216"
+
+
 def test_quick_reject_precedes_guard():
     # every x row supports both hypotheses but y's columns share no row, so
     # the empty allowed-mask reject fires before the search-space guard
