@@ -13,11 +13,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .errors import FormatError, IndexOutOfRange, LengthMismatch
+from .errors import EnumerationTooLarge, FormatError, IndexOutOfRange, LengthMismatch
 from .exactmath import F0, F1, format_rational, json_int, parse_rational
-from .majorize import Convertible, Encoding, majorizes
+from .majorize import (Convertible, Encoding, StochasticMap, enumeration_guard,
+                       is_distribution, majorizes)
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class ChannelEncoding:
             for col in per_h:
                 if len(col) != b:
                     raise FormatError("channel output count differs across columns")
-                if any(v < 0 for v in col) or sum(col, F0) != 1:
+                if not is_distribution(col):
                     raise FormatError("channel column is not a distribution")
         object.__setattr__(self, "tensor", tensor)
 
@@ -103,7 +105,7 @@ def apply_input(psi: ChannelEncoding, mu: Sequence) -> Encoding:
     mu = [Fraction(v) for v in mu]
     if len(mu) != psi.inputs:
         raise LengthMismatch(f"channel takes {psi.inputs} inputs, got {len(mu)}")
-    if any(v < 0 for v in mu) or sum(mu, F0) != 1:
+    if not is_distribution(mu):
         raise FormatError("input must be a probability distribution")
     cols = []
     for h in range(psi.hypotheses):
@@ -121,7 +123,7 @@ def delta_input(psi: ChannelEncoding, a: int) -> Encoding:
     if not 0 <= a < psi.inputs:
         raise IndexOutOfRange(f"input index {a} is out of range for a channel with "
                               f"{psi.inputs} inputs")
-    return apply_input(psi, [F1 if i == a else F0 for i in range(psi.inputs)])
+    return Encoding.from_columns([per_h[a] for per_h in psi.tensor])
 
 
 @dataclass(frozen=True)
@@ -139,22 +141,15 @@ def check_comb_witness(x: Encoding, psi: ChannelEncoding, witness: CombWitness) 
     sigma = witness.sigma
     if len(sigma) != x.outcomes or any(len(per_b) != psi.inputs for per_b in sigma):
         return False
-    for b in range(x.outcomes):
-        for a in range(psi.inputs):
-            col = sigma[b][a]
-            if len(col) != psi.outputs:
-                return False
-            if any(Fraction(v) < 0 for v in col) or sum(map(Fraction, col), F0) != 1:
-                return False
-    for h in range(psi.hypotheses):
-        for a in range(psi.inputs):
-            for bp in range(psi.outputs):
-                total = sum(
-                    (x.matrix[b, h] * Fraction(sigma[b][a][bp]) for b in range(x.outcomes)),
-                    F0,
-                )
-                if total != psi.tensor[h][a][bp]:
-                    return False
+    if any(len(col) != psi.outputs for per_b in sigma for col in per_b):
+        return False  # a column of length 0 would make an empty section
+    for a in range(psi.inputs):
+        try:
+            section = StochasticMap.from_columns([sigma[b][a] for b in range(x.outcomes)])
+        except FormatError:
+            return False
+        if section(x) != delta_input(psi, a):
+            return False
     return True
 
 
@@ -190,7 +185,15 @@ def channel_equivalent(psi: ChannelEncoding, x: Encoding) -> bool:
 
 
 def _simplex_grid(parts: int, denominator: int):
-    """All distributions over ``parts`` points with the given denominator."""
+    """All distributions over ``parts`` points with the given denominator.
+
+    The C(denominator + parts - 1, parts - 1) points are counted against the
+    enumeration guard before the first one is listed.
+    """
+    count, guard = comb(denominator + parts - 1, parts - 1), enumeration_guard()
+    if count > guard:
+        raise EnumerationTooLarge(
+            f"C({denominator + parts - 1}, {parts - 1}) grid inputs", count, guard)
     if parts == 1:
         yield (Fraction(1),)
         return

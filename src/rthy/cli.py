@@ -63,7 +63,7 @@ def _distribution(path: str):
     if not isinstance(doc, list) or not doc:
         raise FormatError(f"{path}: a distribution is a nonempty JSON list of rationals")
     xs = [parse_rational(v) for v in doc]
-    if any(v < 0 for v in xs) or sum(xs) != 1:
+    if not mj.is_distribution(xs):
         raise FormatError(f"{path}: a distribution has nonnegative entries that sum to 1")
     return xs
 
@@ -106,7 +106,7 @@ def _conversion_doc(res, witness_json) -> dict:
 
 
 def _bool_map_json(t: ps.BoolStochasticMap) -> dict:
-    return {"to": len(t.matrix), "from": len(t.matrix[0]),
+    return {"to": t.n_to, "from": t.n_from,
             "rows": [list(row) for row in t.matrix]}
 
 

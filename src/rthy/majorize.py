@@ -1,7 +1,7 @@
 """Distinguishability of finite stochastic encodings.
 
-An encoding is a column-stochastic matrix whose columns are the
-distributions of an observed system under each hypothesis.  Conversion
+An encoding is the stochastic map from hypotheses to outcomes: column c is
+the distribution of an observed system under hypothesis c.  Conversion
 by hypothesis-independent post-processing (matrix majorization) is
 decided exactly by LP with witnesses/certificates; zonotopes, Markotopes
 and Lorenz curves expose the order's geometry.
@@ -55,89 +55,40 @@ def enumeration_guard() -> int:
         raise FormatError(f"RTHY_ENUM_GUARD must be an integer, got {raw!r}")
 
 
+def is_distribution(col) -> bool:
+    """Are the entries of ``col`` nonnegative, with sum 1?"""
+    return all(v >= 0 for v in col) and sum(col, F0) == 1
+
+
 def _check_stochastic(mat: Matrix, what: str):
-    for i in range(mat.nrows):
-        for j in range(mat.ncols):
-            if mat[i, j] < 0:
-                raise FormatError(f"{what} has a negative entry at ({i},{j})")
-    for j in range(mat.ncols):
-        if sum(mat.col(j), F0) != 1:
-            raise FormatError(f"{what} column {j} does not sum to 1")
-
-
-def _sized_columns(doc, count_key: str, length_key: str, what: str):
-    """``doc[count_key]``, ``doc[length_key]`` and ``doc["columns"]``, checked
-    to be two JSON integers (not booleans) and a list of lists."""
-    try:
-        count, length, cols = doc[count_key], doc[length_key], doc["columns"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(
-            f"{what} JSON needs '{count_key}', '{length_key}' and 'columns'") from exc
-    for key, value in ((count_key, count), (length_key, length)):
-        json_int(value, f"{what} '{key}'")
-    if not isinstance(cols, list) or not all(isinstance(c, list) for c in cols):
-        raise FormatError(f"{what} 'columns' must be a list of lists")
-    return count, length, cols
-
-
-@dataclass(frozen=True)
-class Encoding:
-    """n-outcome distributions indexed by h hypotheses (matrix is n x h)."""
-
-    matrix: Matrix
-
-    def __post_init__(self):
-        if self.matrix.ncols == 0:
-            raise FormatError("an encoding needs at least one hypothesis")
-        _check_stochastic(self.matrix, "encoding")
-
-    @property
-    def hypotheses(self) -> int:
-        return self.matrix.ncols
-
-    @property
-    def outcomes(self) -> int:
-        return self.matrix.nrows
-
-    @staticmethod
-    def from_columns(columns: Sequence[Sequence]) -> "Encoding":
-        cols = [[Fraction(v) for v in col] for col in columns]
-        if len({len(c) for c in cols}) > 1:
-            raise FormatError("encoding columns have unequal lengths")
-        return Encoding(Matrix(zip(*cols)))
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "Encoding":
-        return Encoding(Matrix(rows))
-
-    def column(self, c: int) -> tuple:
-        return self.matrix.col(c)
-
-    @staticmethod
-    def from_json(doc) -> "Encoding":
-        h, n, cols = _sized_columns(doc, "hypotheses", "outcomes", "encoding")
-        if len(cols) != h or any(len(c) != n for c in cols):
-            raise FormatError("encoding 'columns' shape disagrees with declared sizes")
-        return Encoding.from_columns([[parse_rational(v) for v in col] for col in cols])
-
-    def to_json(self) -> dict:
-        return {
-            "hypotheses": self.hypotheses,
-            "outcomes": self.outcomes,
-            "columns": [[format_rational(v) for v in self.column(c)]
-                        for c in range(self.hypotheses)],
-        }
+    cols = list(zip(*mat.rows))
+    if all(map(is_distribution, cols)):
+        return
+    # name the first negative entry in row order, else the first bad column
+    neg = [(i, j) for j, col in enumerate(cols) for i, v in enumerate(col) if v < 0]
+    if neg:
+        i, j = min(neg)
+        raise FormatError(f"{what} has a negative entry at ({i},{j})")
+    j = next(j for j, col in enumerate(cols) if sum(col, F0) != 1)
+    raise FormatError(f"{what} column {j} does not sum to 1")
 
 
 @dataclass(frozen=True)
 class StochasticMap:
     """Column-stochastic matrix (``to`` x ``from``); column j is the output
-    distribution on input j."""
+    distribution on input j.
+
+    JSON is column-major: ``{"from": n, "to": m, "columns": [[m rationals]
+    per input]}``.  A subclass renames the two sizes (``json_keys``) and
+    the label of its errors (``label``).
+    """
 
     matrix: Matrix
+    json_keys = ("from", "to")
+    label = "stochastic map"
 
     def __post_init__(self):
-        _check_stochastic(self.matrix, "stochastic map")
+        _check_stochastic(self.matrix, self.label)
 
     @property
     def n_from(self) -> int:
@@ -147,7 +98,7 @@ class StochasticMap:
     def n_to(self) -> int:
         return self.matrix.nrows
 
-    def __call__(self, x: Encoding) -> Encoding:
+    def __call__(self, x: "Encoding") -> "Encoding":
         if self.n_from != x.outcomes:
             raise DimensionMismatch(
                 f"map expects {self.n_from} outcomes, encoding has {x.outcomes}")
@@ -157,25 +108,60 @@ class StochasticMap:
     def identity(n: int) -> "StochasticMap":
         return StochasticMap(Matrix.identity(n))
 
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "StochasticMap":
-        return StochasticMap(Matrix([[Fraction(v) for v in row] for row in rows]))
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence]):
+        return cls(Matrix(rows))
 
-    @staticmethod
-    def from_json(doc) -> "StochasticMap":
-        n_from, n_to, cols = _sized_columns(doc, "from", "to", "stochastic map")
-        if len(cols) != n_from or any(len(c) != n_to for c in cols):
-            raise FormatError("stochastic map 'columns' shape disagrees with declared sizes")
-        return StochasticMap(Matrix(
-            [[parse_rational(cols[j][i]) for j in range(n_from)] for i in range(n_to)]))
+    @classmethod
+    def from_columns(cls, columns: Sequence[Sequence]):
+        cols = [[Fraction(v) for v in col] for col in columns]
+        if len({len(c) for c in cols}) > 1:
+            raise FormatError(f"{cls.label} columns have unequal lengths")
+        return cls(Matrix(zip(*cols)))
+
+    @classmethod
+    def from_json(cls, doc):
+        n_key, m_key = cls.json_keys
+        label = cls.label
+        try:
+            n, m, cols = doc[n_key], doc[m_key], doc["columns"]
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"{label} JSON needs '{n_key}', '{m_key}' and 'columns'") from exc
+        for key, value in ((n_key, n), (m_key, m)):
+            json_int(value, f"{label} '{key}'")
+        if not isinstance(cols, list) or not all(isinstance(c, list) for c in cols):
+            raise FormatError(f"{label} 'columns' must be a list of lists")
+        if len(cols) != n or any(len(c) != m for c in cols):
+            raise FormatError(f"{label} 'columns' shape disagrees with declared sizes")
+        cols = [[parse_rational(v) for v in col] for col in cols]
+        # row by row, so that a map with no inputs keeps its m rows
+        return cls(Matrix([[col[i] for col in cols] for i in range(m)]))
 
     def to_json(self) -> dict:
+        n_key, m_key = self.json_keys
         return {
-            "from": self.n_from,
-            "to": self.n_to,
-            "columns": [[format_rational(self.matrix[i, j]) for i in range(self.n_to)]
-                        for j in range(self.n_from)],
+            n_key: self.n_from,
+            m_key: self.n_to,
+            "columns": [[format_rational(v) for v in col] for col in zip(*self.matrix.rows)],
         }
+
+
+class Encoding(StochasticMap):
+    """The stochastic map from h hypotheses to n outcomes (matrix is n x h):
+    column c is the outcome distribution under hypothesis c."""
+
+    json_keys = ("hypotheses", "outcomes")
+    label = "encoding"
+    hypotheses = StochasticMap.n_from
+    outcomes = StochasticMap.n_to
+
+    def __post_init__(self):
+        if self.matrix.ncols == 0:
+            raise FormatError("an encoding needs at least one hypothesis")
+        super().__post_init__()
+
+    def column(self, c: int) -> tuple:
+        return self.matrix.col(c)
 
 
 @dataclass(frozen=True)

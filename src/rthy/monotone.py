@@ -8,16 +8,40 @@ fed into arithmetic, only compared, so exactness is preserved).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 from .errors import FormatError, NotLeftInvariant, NotRightInvariant
 from .exactmath import format_rational, parse_rational
 from .order import FinitePreorder
 from .quantale import FiniteQuantaleModule, is_left_invariant, is_right_invariant
 
-PLUS_INF = float("inf")
-MINUS_INF = float("-inf")
+
+@functools.total_ordering
+class _Infinity:
+    """+inf or -inf of the extended rationals: an order sentinel that equals
+    only itself and compares with every rational in both directions
+    (``Fraction`` hands a comparison with an unknown type back to it)."""
+
+    def __init__(self, sign: int):
+        self.sign = sign
+
+    def __repr__(self):
+        return "PLUS_INF" if self.sign > 0 else "MINUS_INF"
+
+    def __reduce__(self):  # copies and unpickled values are the module's own two
+        return repr(self)
+
+    def __lt__(self, other):
+        if not isinstance(other, (_Infinity, Rational)):
+            return NotImplemented
+        return self.sign < 0 and other is not self
+
+
+PLUS_INF = _Infinity(1)
+MINUS_INF = _Infinity(-1)
 
 
 def value_to_json(v) -> str:

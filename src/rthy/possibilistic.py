@@ -16,42 +16,21 @@ from .majorize import Convertible, Encoding, NotConvertible
 SEARCH_GUARD = 1 << 24
 
 
-def _check_bool(matrix, what: str):
-    for row in matrix:
-        for v in row:
-            if v not in (0, 1):
-                raise FormatError(f"{what} entries must be 0 or 1")
-    ncols = len(matrix[0]) if matrix else 0
-    for j in range(ncols):
-        if not any(row[j] for row in matrix):
-            raise FormatError(f"{what} column {j} is all zero")
-
-
-@dataclass(frozen=True)
-class BoolEncoding:
-    matrix: tuple  # outcomes x hypotheses over {0,1}
-
-    def __init__(self, matrix):
-        matrix = tuple(tuple(int(v) for v in row) for row in matrix)
-        _check_bool(matrix, "boolean encoding")
-        object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def hypotheses(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
-    @property
-    def outcomes(self) -> int:
-        return len(self.matrix)
-
-
 @dataclass(frozen=True)
 class BoolStochasticMap:
-    matrix: tuple  # to x from over {0,1}, every column nonzero
+    """Boolean shadow of a stochastic map: a 0/1 matrix (to x from) with
+    every column nonzero."""
+
+    matrix: tuple
+    label = "boolean map"
 
     def __init__(self, matrix):
         matrix = tuple(tuple(int(v) for v in row) for row in matrix)
-        _check_bool(matrix, "boolean map")
+        if any(v not in (0, 1) for row in matrix for v in row):
+            raise FormatError(f"{self.label} entries must be 0 or 1")
+        for j, col in enumerate(zip(*matrix)):
+            if not any(col):
+                raise FormatError(f"{self.label} column {j} is all zero")
         object.__setattr__(self, "matrix", matrix)
 
     @property
@@ -62,35 +41,42 @@ class BoolStochasticMap:
     def n_to(self) -> int:
         return len(self.matrix)
 
-    def __call__(self, x: BoolEncoding) -> BoolEncoding:
-        if self.n_from != x.outcomes:
-            raise FormatError("boolean map/encoding size mismatch")
-        out = [[0] * x.hypotheses for _ in range(self.n_to)]
-        for i in range(self.n_to):
-            for h in range(x.hypotheses):
-                out[i][h] = int(any(self.matrix[i][j] and x.matrix[j][h]
-                                    for j in range(x.outcomes)))
-        return BoolEncoding(out)
+    def _then(self, other, mismatch: str):
+        """The Boolean product self.matrix x other.matrix, of other's class."""
+        if self.n_from != other.n_to:
+            raise FormatError(mismatch)
+        cols = list(zip(*other.matrix))
+        return type(other)([[int(any(a and b for a, b in zip(row, col))) for col in cols]
+                            for row in self.matrix])
+
+    def __call__(self, x: "BoolEncoding") -> "BoolEncoding":
+        return self._then(x, "boolean map/encoding size mismatch")
 
     def compose(self, other: "BoolStochasticMap") -> "BoolStochasticMap":
-        if self.n_from != other.n_to:
-            raise FormatError("boolean map composition size mismatch")
-        out = [[int(any(self.matrix[i][k] and other.matrix[k][j]
-                        for k in range(self.n_from)))
-                for j in range(other.n_from)] for i in range(self.n_to)]
-        return BoolStochasticMap(out)
+        return self._then(other, "boolean map composition size mismatch")
+
+
+class BoolEncoding(BoolStochasticMap):
+    """Boolean shadow of an encoding: outcomes x hypotheses over {0,1}."""
+
+    label = "boolean encoding"
+    hypotheses = BoolStochasticMap.n_from
+    outcomes = BoolStochasticMap.n_to
+
+
+def _support(m) -> tuple:
+    """Entrywise positive -> 1, else 0, of a rational matrix."""
+    return tuple(tuple(1 if v > 0 else 0 for v in row) for row in m.rows)
 
 
 def ceil(x: Encoding) -> BoolEncoding:
-    """Support pattern of an encoding (entrywise positive -> 1)."""
-    return BoolEncoding(tuple(tuple(1 if v > 0 else 0 for v in x.matrix.row(i))
-                              for i in range(x.outcomes)))
+    """Support pattern of an encoding."""
+    return BoolEncoding(_support(x.matrix))
 
 
 def ceil_map(t) -> BoolStochasticMap:
     """Support pattern of a rational stochastic map."""
-    return BoolStochasticMap(tuple(tuple(1 if v > 0 else 0 for v in t.matrix.row(i))
-                                   for i in range(t.n_to)))
+    return BoolStochasticMap(_support(t.matrix))
 
 
 def to_hypergraph(x: BoolEncoding) -> List[frozenset]:

@@ -9,6 +9,7 @@ from rthy import (
     CombWitness,
     Convertible,
     Encoding,
+    EnumerationTooLarge,
     FormatError,
     HypothesisMismatch,
     LengthMismatch,
@@ -21,6 +22,7 @@ from rthy import (
     delta_input,
     majorizes,
     verify_certificate,
+    weight,
     weight_fmk,
 )
 from rthy.instances import (
@@ -128,6 +130,10 @@ def test_comb_witness_rejects_tampering():
     assert not check_comb_witness(x, psi, CombWitness(
         tuple(tuple(tuple(col) for col in per_b) for per_b in sigma)))
     assert not check_comb_witness(x, channel_y(), w)  # wrong shape entirely
+    # columns of the wrong length, even empty ones, are a "no", not an error
+    for length in (0, 3):
+        short = tuple(tuple(tuple(col[:length]) for col in per_b) for per_b in w.sigma)
+        assert not check_comb_witness(x, psi, CombWitness(short))
 
 
 def test_comb_simulates_pinned():
@@ -206,6 +212,26 @@ def test_channel_yield_grid_refines_deltas():
     for g in (0, -1):
         with pytest.raises(FormatError):
             channel_yield(psi, f, mode=("grid", g))
+
+
+def test_channel_yield_grid_is_guarded(monkeypatch):
+    # channel_x has 4 inputs: C(G + 3, 3) grid points, counted before any is evaluated
+    psi, calls = channel_x(), []
+
+    def f(e):
+        calls.append(e)
+        return weight(e)
+
+    unguarded = channel_yield(psi, f, mode=("grid", 2))
+    monkeypatch.setenv("RTHY_ENUM_GUARD", "10")
+    assert channel_yield(psi, f, mode=("grid", 2)) == unguarded  # C(5, 3) = 10
+    calls.clear()
+    for g, count in ((5, 56), (1000, 167668501)):
+        with pytest.raises(EnumerationTooLarge) as err:
+            channel_yield(psi, f, mode=("grid", g))
+        assert (err.value.count, err.value.guard) == (count, 10)
+    assert str(err.value) == "C(1003, 3) grid inputs = 167668501, above the guard 10"
+    assert calls == []
 
 
 def test_channel_yield_evaluates_each_input_once():

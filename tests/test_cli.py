@@ -225,6 +225,19 @@ def test_channel_yield(files, capsys):
     assert run(["channel", "yield", psix, "--monotone", "weight", "--mode", "mesh"]) == 2
 
 
+def test_channel_yield_grid_guard(files, capsys, monkeypatch):
+    psix = files("psix.json", channel_x().to_json())
+    argv = ["channel", "yield", psix, "--monotone", "weight", "--mode"]
+    monkeypatch.setenv("RTHY_ENUM_GUARD", "10")
+    assert run(argv + ["grid:2"]) == 0
+    assert _json_out(capsys)["value"] == "1/2"
+    for grid in ("grid:5", "grid:1000"):
+        assert run(argv + [grid]) == 3
+        out, err = _out(capsys)
+        assert out == ""
+        assert "grid inputs" in err and "above the guard 10" in err
+
+
 def test_module_subcommands(files, capsys):
     m = diamond_module()
     mod = files("m.json", m.to_json())

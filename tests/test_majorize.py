@@ -80,6 +80,45 @@ def test_stochastic_map_json_roundtrip():
     assert t.to_json() == {"from": 2, "to": 2, "columns": [["1/2", "1/2"], ["1", "0"]]}
 
 
+def test_encoding_is_the_stochastic_map_from_hypotheses_to_outcomes():
+    assert issubclass(Encoding, StochasticMap)
+    x = incomparable_x()
+    assert (x.n_from, x.n_to) == (x.hypotheses, x.outcomes) == (3, 4)
+    assert x.column(1) == x.matrix.col(1)
+    # a map and an encoding with the same matrix are different objects
+    t = StochasticMap(x.matrix)
+    assert t != x and t.to_json()["columns"] == x.to_json()["columns"]
+
+
+def test_map_with_no_inputs_keeps_its_outputs():
+    # read column-major, an empty column list would lose the "to" size
+    doc = {"from": 0, "to": 2, "columns": []}
+    t = StochasticMap.from_json(doc)
+    assert (t.n_from, t.n_to) == (0, 2)
+    assert t.to_json() == doc
+
+
+def test_stochastic_errors_name_their_class():
+    cases = [
+        (lambda: Encoding.from_columns([[H, H / 2]]), "encoding column 0 does not sum to 1"),
+        (lambda: StochasticMap.from_rows([[-1, 0], [2, 1]]),
+         "stochastic map has a negative entry at (0,0)"),
+        # the first negative entry in row order, and negatives before sums
+        (lambda: Encoding.from_rows([[1, -1], [-1, 2], [1, 0]]),
+         "encoding has a negative entry at (0,1)"),
+        (lambda: Encoding.from_columns([[H, H / 2], [2, -1]]),
+         "encoding has a negative entry at (1,1)"),
+        (lambda: Encoding.from_json({"hypotheses": 1, "outcomes": 2, "columns": [["1"]]}),
+         "encoding 'columns' shape disagrees with declared sizes"),
+        (lambda: StochasticMap.from_json({"from": 1, "to": True, "columns": [["1"]]}),
+         "stochastic map 'to' must be a JSON integer, got True"),
+    ]
+    for build, message in cases:
+        with pytest.raises(FormatError) as err:
+            build()
+        assert str(err.value) == message
+
+
 @given(encodings(), st.data())
 def test_postprocessed_encoding_is_reachable(x, data):
     t = data.draw(stochastic_maps(x.outcomes))

@@ -39,6 +39,26 @@ def test_extended_value_json():
     assert value_from_json("-5/2") == Fraction(-5, 2)
 
 
+def test_infinities_are_ordered_sentinels_not_floats():
+    import copy
+    import pickle
+
+    big = Fraction(10 ** 30)
+    assert not isinstance(PLUS_INF, float) and not isinstance(MINUS_INF, float)
+    assert MINUS_INF < -big < big < PLUS_INF and PLUS_INF > big > -big > MINUS_INF
+    assert big <= PLUS_INF and PLUS_INF >= PLUS_INF and not PLUS_INF < PLUS_INF
+    assert PLUS_INF != big and big != MINUS_INF and PLUS_INF != MINUS_INF
+    assert max([big, PLUS_INF, 0]) is PLUS_INF and min([MINUS_INF, big]) is MINUS_INF
+    assert max([MINUS_INF, big]) == big and min([PLUS_INF, 3]) == 3
+    assert {PLUS_INF: 1, MINUS_INF: 2}[PLUS_INF] == 1
+    assert copy.deepcopy(PLUS_INF) is PLUS_INF
+    assert pickle.loads(pickle.dumps(MINUS_INF)) is MINUS_INF
+    with pytest.raises(TypeError):
+        PLUS_INF < "a"
+    with pytest.raises(TypeError):
+        PLUS_INF + 1
+
+
 def test_valuation_roundtrip():
     f = PartialValuation({"a": Fraction(1, 3), "b": PLUS_INF})
     assert PartialValuation.from_json(f.to_json()) == f

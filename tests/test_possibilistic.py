@@ -36,6 +36,20 @@ def test_bool_map_validation():
     assert t.n_from == 2 and t.n_to == 2
 
 
+def test_bool_encoding_is_a_bool_map():
+    assert issubclass(BoolEncoding, BoolStochasticMap)
+    x = BoolEncoding([[1, 0], [1, 1]])
+    assert (x.hypotheses, x.outcomes) == (x.n_from, x.n_to) == (2, 2)
+    cases = [
+        (lambda: BoolEncoding([[1, 2], [0, 1]]), "boolean encoding entries must be 0 or 1"),
+        (lambda: BoolStochasticMap([[0, 1], [0, 1]]), "boolean map column 0 is all zero"),
+    ]
+    for build, message in cases:
+        with pytest.raises(FormatError) as err:
+            build()
+        assert str(err.value) == message
+
+
 def test_bool_map_application_and_composition():
     x = BoolEncoding([[1, 0], [0, 1]])
     swap = BoolStochasticMap([[0, 1], [1, 0]])
@@ -43,6 +57,11 @@ def test_bool_map_application_and_composition():
     merge = BoolStochasticMap([[1, 1]])
     assert merge(x).matrix == ((1, 1),)
     assert merge.compose(swap)(x) == merge(swap(x))
+    # a map applied to an encoding gives an encoding, composed with a map a map
+    assert type(merge(x)) is BoolEncoding and type(merge.compose(swap)) is BoolStochasticMap
+    for bad in (lambda: merge(BoolEncoding([[1]])), lambda: swap.compose(merge)):
+        with pytest.raises(FormatError):
+            bad()
 
 
 @given(encodings(), st.data())

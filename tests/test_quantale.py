@@ -438,6 +438,31 @@ def test_max_quantale_is_lawful():
     assert validate_quantale(max_quantale()) == []
 
 
+def test_validate_quantale_reports_an_asymmetric_box():
+    # built directly: JSON and ``build`` mirror every cell, the constructor does not
+    q = max_quantale()
+    box = [list(row) for row in q.star_table]
+    box[1][2] = q.xmask(["1"])  # 1 box 2 = {1}, but 2 box 1 = {2}
+    box = tuple(map(tuple, box))
+    bad = CommutativeQuantale(q.resources, q.resources, box, box, q.unit_mask, q.free_mask)
+    violations = validate_quantale(bad)
+    assert violations[0] == Violation("CommutativityViolation", ("1", "2"))
+    assert [v for v in violations if v.kind == "CommutativityViolation"] == violations[:1]
+
+
+def test_validate_quantale_associativity_matches_validate():
+    names = ("0", "1", "2")
+    box = {(a, b): [max(a, b)] for a in names for b in names}
+    box[("2", "2")] = ["0"]  # commutative, but (1 box 2) box 2 = {0} and 1 box (2 box 2) = {1}
+    q = CommutativeQuantale.build(names, box, unit=["0"], free=["0"])
+
+    def triples(violations):
+        return [v.witness for v in violations if v.kind == "AssociativityViolation"]
+
+    assert triples(validate_quantale(q)) == triples(validate(q)) == [
+        ("1", "2", "2"), ("2", "2", "1")]
+
+
 def test_quantale_json_roundtrip():
     q = max_quantale()
     assert CommutativeQuantale.from_json(q.to_json()) == q
