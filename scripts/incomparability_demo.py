@@ -9,8 +9,8 @@ Walks the whole stack on one worked example, printing exact rationals:
     rank-stratum weights), and which direction each gauge blocks;
   * the geometry: zonotope inclusion holds one way even though conversion
     fails, while a binary image separates the 2-outcome Markotopes;
-  * the possibilistic shadows: entrywise ceilings, the exhaustive Boolean
-    search in both directions, and the hypothesis hypergraphs;
+  * the possibilistic shadows: entrywise ceilings, the Boolean order in
+    both directions, and the hypothesis hypergraphs;
   * the channel layer: both bundled channels are equivalent to their state
     encodings, and channel yields of the rank-stratum gauges are exact.
 
@@ -115,9 +115,9 @@ def main():
         print(f"{label}: " + "; ".join(
             "".join("1" if b.matrix[i][h] else "0" for h in range(b.hypotheses))
             for i in range(b.outcomes)))
-    print(f"ceil x -> ceil y by exhaustive search: "
+    print(f"ceil x -> ceil y in the Boolean order: "
           f"{bool_majorizes(bx, by).convertible}")
-    print(f"ceil y -> ceil x by exhaustive search: "
+    print(f"ceil y -> ceil x in the Boolean order: "
           f"{bool_majorizes(by, bx).convertible}")
     for b, label in ((bx, "ceil x"), (by, "ceil y")):
         edges = sorted(sorted(e) for e in to_hypergraph(b))

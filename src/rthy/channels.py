@@ -141,8 +141,6 @@ def check_comb_witness(x: Encoding, psi: ChannelEncoding, witness: CombWitness) 
     sigma = witness.sigma
     if len(sigma) != x.outcomes or any(len(per_b) != psi.inputs for per_b in sigma):
         return False
-    if any(len(col) != psi.outputs for per_b in sigma for col in per_b):
-        return False  # a column of length 0 would make an empty section
     for a in range(psi.inputs):
         try:
             section = StochasticMap.from_columns([sigma[b][a] for b in range(x.outcomes)])

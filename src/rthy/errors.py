@@ -1,6 +1,6 @@
 """Exception taxonomy shared across the toolkit.
 
-Guard errors (enumeration/search blowups) are separated from usage errors
+Guard errors (enumeration blowups) are separated from usage errors
 so the CLI can map them to distinct exit codes.
 """
 
@@ -66,9 +66,9 @@ class NotLeftInvariant(RthyError):
 
 
 class GuardError(RthyError):
-    """Base for enumeration/search guards (CLI exit code 3).
+    """Base for enumeration guards (CLI exit code 3).
 
-    ``count`` is how many candidates the search would have visited and
+    ``count`` is how many candidates the enumeration would have visited and
     ``guard`` the limit it exceeded; ``what`` names the candidates.
     """
 
@@ -79,8 +79,4 @@ class GuardError(RthyError):
 
 
 class EnumerationTooLarge(GuardError):
-    pass
-
-
-class SearchTooLarge(GuardError):
     pass

@@ -117,7 +117,15 @@ class StochasticMap:
         cols = [[Fraction(v) for v in col] for col in columns]
         if len({len(c) for c in cols}) > 1:
             raise FormatError(f"{cls.label} columns have unequal lengths")
-        return cls(Matrix(zip(*cols)))
+        return cls._from_sized_columns(cols, len(cols[0]) if cols else 0)
+
+    @classmethod
+    def _from_sized_columns(cls, cols, m: int):
+        """The map whose columns (each of length m) are ``cols``.  A map with
+        no inputs keeps its m rows; an empty column is no distribution."""
+        if cols and not m:
+            raise FormatError(f"{cls.label} column 0 does not sum to 1")
+        return cls(Matrix(zip(*cols) if cols else [()] * m))
 
     @classmethod
     def from_json(cls, doc):
@@ -133,9 +141,7 @@ class StochasticMap:
             raise FormatError(f"{label} 'columns' must be a list of lists")
         if len(cols) != n or any(len(c) != m for c in cols):
             raise FormatError(f"{label} 'columns' shape disagrees with declared sizes")
-        cols = [[parse_rational(v) for v in col] for col in cols]
-        # row by row, so that a map with no inputs keeps its m rows
-        return cls(Matrix([[col[i] for col in cols] for i in range(m)]))
+        return cls._from_sized_columns([[parse_rational(v) for v in col] for col in cols], m)
 
     def to_json(self) -> dict:
         n_key, m_key = self.json_keys

@@ -1,19 +1,17 @@
 """Boolean-semiring shadow of encoding distinguishability.
 
 ``ceil`` forgets probabilities and keeps supports; conversion questions
-become Boolean matrix equations T (x) x = y, decided by exhaustive
-column-wise backtracking (so a negative answer is a proof).
+become Boolean matrix equations T (x) x = y, decided in closed form by the
+largest T that respects supports (so a negative answer is a proof).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
-from .errors import FormatError, HypothesisMismatch, SearchTooLarge
+from .errors import FormatError, HypothesisMismatch
 from .majorize import Convertible, Encoding, NotConvertible
-
-SEARCH_GUARD = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -25,9 +23,12 @@ class BoolStochasticMap:
     label = "boolean map"
 
     def __init__(self, matrix):
-        matrix = tuple(tuple(int(v) for v in row) for row in matrix)
+        matrix = [tuple(row) for row in matrix]
         if any(v not in (0, 1) for row in matrix for v in row):
             raise FormatError(f"{self.label} entries must be 0 or 1")
+        if len({len(row) for row in matrix}) > 1:
+            raise FormatError(f"{self.label} rows have unequal lengths")
+        matrix = tuple(tuple(map(int, row)) for row in matrix)
         for j, col in enumerate(zip(*matrix)):
             if not any(col):
                 raise FormatError(f"{self.label} column {j} is all zero")
@@ -85,80 +86,43 @@ def to_hypergraph(x: BoolEncoding) -> List[frozenset]:
             for h in range(x.hypotheses)]
 
 
-def bool_majorizes(x: BoolEncoding, y: BoolEncoding):
-    """Exhaustive search for a Boolean stochastic T with T (x) x = y.
+def _row_masks(m: BoolStochasticMap) -> List[int]:
+    """Each row of a 0/1 matrix as a bit mask over its columns."""
+    return [sum(v << c for c, v in enumerate(row)) for row in m.matrix]
 
-    Column j of T may only hit rows whose target pattern covers x's row-j
-    support; within that, all nonempty choices are tried (lexicographically
-    smallest witness first), with a reachability prune on the uncovered
-    part.  A NotConvertible verdict is therefore a completed search.
+
+def bool_majorizes(x: BoolEncoding, y: BoolEncoding):
+    """Decide whether a Boolean stochastic T with T (x) x = y exists.
+
+    T may set (i, j) only where y's row i covers x's row j; every such T
+    gives T (x) x <= y and the product is monotone in T, so a witness exists
+    exactly when each column of T has an allowed row and the largest allowed
+    T maps x onto y.  A NotConvertible verdict is therefore a proof.  The
+    witness is the lexicographically least one: column j takes the rows that
+    still lack a hypothesis no later column can supply, else its lowest
+    allowed row.
     """
     if x.hypotheses != y.hypotheses:
         raise HypothesisMismatch(
             f"encodings have {x.hypotheses} vs {y.hypotheses} hypotheses")
-    h = x.hypotheses
-    nx, ny = x.outcomes, y.outcomes
-    # supports of x's rows, and y's columns as row masks
-    xrow_support = [frozenset(c for c in range(h) if x.matrix[j][c]) for j in range(nx)]
-    ycol_mask = [0] * h
-    for c in range(h):
-        for i in range(ny):
-            if y.matrix[i][c]:
-                ycol_mask[c] |= 1 << i
-    full_rows = (1 << ny) - 1
-    allowed = []
-    for j in range(nx):
-        mask = full_rows
-        for c in xrow_support[j]:
-            mask &= ycol_mask[c]
-        allowed.append(mask)
-    if any(a == 0 for a in allowed):
+    xr, yr = _row_masks(x), _row_masks(y)
+    allowed = [[i for i, b in enumerate(yr) if not a & ~b] for a in xr]
+    # later[j][i]: the hypotheses that columns j.. of the largest T give row i
+    later = [[0] * len(yr)]
+    for a, rows in zip(reversed(xr), reversed(allowed)):
+        later.append(list(later[-1]))
+        for i in rows:
+            later[-1][i] |= a
+    later.reverse()
+    if not all(allowed) or later[0] != yr:
         return NotConvertible()
-    space = 1
-    for a in allowed:
-        space *= (1 << bin(a).count("1")) - 1
-    if space > SEARCH_GUARD:
-        raise SearchTooLarge("boolean witness candidates", space, SEARCH_GUARD)
-
-    # target (i, c) cells to cover, flattened as i*h + c
-    target = 0
-    for c in range(h):
-        for i in range(ny):
-            if y.matrix[i][c]:
-                target |= 1 << (i * h + c)
-
-    def column_cover(j: int, pick: int) -> int:
-        cov = 0
-        for i in range(ny):
-            if pick & (1 << i):
-                for c in xrow_support[j]:
-                    cov |= 1 << (i * h + c)
-        return cov
-
-    potential = [column_cover(j, allowed[j]) for j in range(nx)]
-    potential_suffix = [0] * (nx + 1)
-    for j in range(nx - 1, -1, -1):
-        potential_suffix[j] = potential_suffix[j + 1] | potential[j]
-
-    choice = [0] * nx
-
-    def search(j: int, covered: int):
-        if j == nx:
-            return covered == target
-        if (covered | potential_suffix[j]) & target != target:
-            return False
-        for pick in range(1, 1 << ny):  # ascending => lexicographically least witness
-            if pick & ~allowed[j]:
-                continue
-            choice[j] = pick
-            if search(j + 1, covered | column_cover(j, pick)):
-                return True
-        return False
-
-    if not search(0, 0):
-        return NotConvertible()
-    witness = BoolStochasticMap(
-        [[1 if choice[j] & (1 << i) else 0 for j in range(nx)] for i in range(ny)])
+    lacking, picks = list(yr), []
+    for j, a in enumerate(xr):
+        pick = [i for i in allowed[j] if lacking[i] & ~later[j + 1][i]] or allowed[j][:1]
+        for i in pick:
+            lacking[i] &= ~a
+        picks.append(pick)
+    witness = BoolStochasticMap([[int(i in pick) for pick in picks] for i in range(len(yr))])
     if witness(x) != y:
-        raise RuntimeError("boolean witness does not map x to y: search fault")
+        raise RuntimeError("boolean witness does not map x to y: decision fault")
     return Convertible(witness=witness)

@@ -188,6 +188,26 @@ def test_possibilistic_modes(files, capsys):
     assert _json_out(capsys)["convertible"] is True
 
 
+def test_possibilistic_decides_wide_supports(files, capsys):
+    # every outcome of the uniform 5-outcome encoding may go to any nonempty
+    # set of its 5 outcomes: 31^5 candidate witnesses, decided without a search
+    u = files("u.json", {"hypotheses": 2, "outcomes": 5, "columns": [["1/5"] * 5] * 2})
+    assert run(["possibilistic", u, u]) == 0
+    doc = _json_out(capsys)
+    assert doc["convertible"] is True
+    assert doc["witness"]["rows"] == [[1, 1, 1, 1, 0]] + [[0, 0, 0, 0, 1]] * 4
+
+
+def test_encoding_with_no_outcomes_exits_2(files, capsys):
+    empty = files("e.json", {"hypotheses": 2, "outcomes": 0, "columns": [[], []]})
+    x = files("x.json", incomparable_x().to_json())
+    for argv in (["check-order", empty, x], ["weight", empty]):
+        assert run(argv) == 2
+        _, err = _out(capsys)
+        assert err.startswith("rthy: encoding column 0 does not sum to 1\n")
+    assert run(["possibilistic", empty]) == 2
+
+
 def test_channel_subcommands(files, capsys):
     psi = files("psi.json", channel_x().to_json())
     x = files("x.json", incomparable_x().to_json())

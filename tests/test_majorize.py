@@ -98,6 +98,21 @@ def test_map_with_no_inputs_keeps_its_outputs():
     assert t.to_json() == doc
 
 
+def test_inputs_with_no_outputs_are_rejected():
+    # an empty column has no mass, so it is no distribution
+    cases = [
+        (lambda: StochasticMap.from_json({"from": 2, "to": 0, "columns": [[], []]}),
+         "stochastic map column 0 does not sum to 1"),
+        (lambda: StochasticMap.from_columns([[], []]), "stochastic map column 0 does not sum to 1"),
+        (lambda: Encoding.from_json({"hypotheses": 2, "outcomes": 0, "columns": [[], []]}),
+         "encoding column 0 does not sum to 1"),
+    ]
+    for build, message in cases:
+        with pytest.raises(FormatError) as err:
+            build()
+        assert str(err.value) == message
+
+
 def test_stochastic_errors_name_their_class():
     cases = [
         (lambda: Encoding.from_columns([[H, H / 2]]), "encoding column 0 does not sum to 1"),

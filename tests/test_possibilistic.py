@@ -9,7 +9,6 @@ from rthy import (
     BoolStochasticMap,
     FormatError,
     HypothesisMismatch,
-    SearchTooLarge,
     bool_majorizes,
     ceil,
     ceil_map,
@@ -27,6 +26,19 @@ def test_bool_encoding_validation():
         BoolEncoding([[1, 0], [1, 0]])  # all-zero hypothesis column
     ok = BoolEncoding([[1, Fraction(0)], [True, 1]])
     assert ok.matrix == ((1, 0), (1, 1))
+
+
+def test_bool_encoding_checks_entries_before_coercing():
+    # int(1.7) would be 1, so the entry must be tested as given
+    with pytest.raises(FormatError) as err:
+        BoolEncoding([[1.7, 1]])
+    assert str(err.value) == "boolean encoding entries must be 0 or 1"
+
+
+def test_bool_encoding_rejects_ragged_rows():
+    with pytest.raises(FormatError) as err:
+        BoolEncoding([[1, 1], [1]])
+    assert str(err.value) == "boolean encoding rows have unequal lengths"
 
 
 def test_bool_map_validation():
@@ -125,19 +137,12 @@ def test_witness_is_replayed_before_it_is_reported(monkeypatch):
         bool_majorizes(x, x)
 
 
-def test_search_guard_trips():
-    x = BoolEncoding([[1]])
-    y = BoolEncoding([[1]] * 25)
-    with pytest.raises(SearchTooLarge):
-        bool_majorizes(x, y)
-
-
-def test_search_guard_reports_count():
-    # one x row may go to any nonempty subset of y's 25 rows
-    with pytest.raises(SearchTooLarge) as err:
-        bool_majorizes(BoolEncoding([[1]]), BoolEncoding([[1]] * 25))
-    assert (err.value.count, err.value.guard) == ((1 << 25) - 1, 1 << 24)
-    assert str(err.value) == "boolean witness candidates = 33554431, above the guard 16777216"
+def test_wide_target_gets_the_all_ones_witness():
+    # one x row may go to any of 2^25 - 1 nonempty subsets of y's 25 rows;
+    # only the full one reaches every row
+    res = bool_majorizes(BoolEncoding([[1]]), BoolEncoding([[1]] * 25))
+    assert res.convertible
+    assert res.witness.matrix == ((1,),) * 25
 
 
 def test_quick_reject_precedes_guard():
@@ -146,3 +151,72 @@ def test_quick_reject_precedes_guard():
     wide = BoolEncoding([[1, 1]] * 25)
     y = BoolEncoding([[1, 0], [0, 1]])
     assert not bool_majorizes(wide, y).convertible
+
+
+def _reference_bool_majorizes(x: BoolEncoding, y: BoolEncoding):
+    """The column-wise backtracking search that the closed form replaced:
+    column j of T tries every nonempty subset of its allowed rows in
+    ascending order (so the first witness is the lexicographically least),
+    pruned when the allowed later columns cannot cover what is left."""
+    h, nx, ny = x.hypotheses, x.outcomes, y.outcomes
+    xrow_support = [[c for c in range(h) if x.matrix[j][c]] for j in range(nx)]
+    allowed = []
+    for j in range(nx):
+        mask = 0
+        for i in range(ny):
+            if all(y.matrix[i][c] for c in xrow_support[j]):
+                mask |= 1 << i
+        allowed.append(mask)
+    if not all(allowed):
+        return None
+    # target (i, c) cells to cover, flattened as i*h + c
+    target = sum(1 << (i * h + c) for i in range(ny) for c in range(h) if y.matrix[i][c])
+
+    def column_cover(j, pick):
+        return sum(1 << (i * h + c) for i in range(ny) if pick >> i & 1 for c in xrow_support[j])
+
+    potential_suffix = [0] * (nx + 1)
+    for j in range(nx - 1, -1, -1):
+        potential_suffix[j] = potential_suffix[j + 1] | column_cover(j, allowed[j])
+    choice = [0] * nx
+
+    def search(j, covered):
+        if j == nx:
+            return covered == target
+        if (covered | potential_suffix[j]) & target != target:
+            return False
+        for pick in range(1, 1 << ny):
+            if pick & ~allowed[j]:
+                continue
+            choice[j] = pick
+            if search(j + 1, covered | column_cover(j, pick)):
+                return True
+        return False
+
+    if not search(0, 0):
+        return None
+    return tuple(tuple(choice[j] >> i & 1 for j in range(nx)) for i in range(ny))
+
+
+@st.composite
+def bool_pairs(draw):
+    """Two Boolean encodings with 1-5 outcomes each and the same 1-4 hypotheses."""
+    h = draw(st.integers(1, 4))
+
+    def enc():
+        # each hypothesis column is a nonzero mask over the n outcomes
+        n = draw(st.integers(1, 5))
+        cols = [draw(st.integers(1, (1 << n) - 1)) for _ in range(h)]
+        return BoolEncoding([[col >> i & 1 for col in cols] for i in range(n)])
+
+    return enc(), enc()
+
+
+@given(bool_pairs())
+def test_bool_majorizes_matches_reference(pair):
+    x, y = pair
+    res = bool_majorizes(x, y)
+    expected = _reference_bool_majorizes(x, y)
+    assert res.convertible == (expected is not None)
+    if res.convertible:
+        assert res.witness.matrix == expected
