@@ -197,10 +197,8 @@ def _coerce_bool_encoding(path: str) -> ps.BoolEncoding:
     doc = _read_doc(path)
     try:
         return ps.ceil(mj.Encoding.from_json(doc))
-    except RthyError:
-        raise FormatError(
-            f"{path}: expected an encoding JSON document (rational entries are "
-            "rounded up to their supports)") from None
+    except RthyError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _cmd_possibilistic(args) -> dict:

@@ -2,12 +2,15 @@
 
 Inputs and outputs are `fractions.Fraction`s; no floats are ever
 produced.  Inside, the simplex is the revised one in explicit-inverse
-form: it stores only den*B^-1 and den*B^-1*b (B the basis, den one common
+form: it stores only den*B^-1 and den*D*B^-1*b (B the basis, den one common
 positive denominator) as Python ints, together with the cost row's
 entries in those columns, and pivots that block fraction-free
-(Edmonds/Bareiss), so no cell update pays a gcd.  Each reduced cost and
-entering column is priced from the sparse columns of A as it is needed,
-and Bland's rule picks exactly the pivots of the full-tableau simplex.
+(Edmonds/Bareiss), so no cell update pays a gcd.  Each row is cleared by
+the denominators of its row of A alone, and every right-hand side shares
+one common denominator D, so the denominators of b never scale a row of A
+and never reach a pivot.  Each reduced cost and entering column is priced
+from the sparse columns of A as it is needed, and Bland's rule picks
+exactly the pivots of the full-tableau simplex.
 Every solve reports its shape and the pivot count of each phase
 (``LpStats``).  It returns machine-checkable certificates for all three
 outcomes:
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import FormatError, ShapeMismatch
@@ -242,11 +245,13 @@ class LpOutcome:
 
 
 # The simplex is the revised one in explicit-inverse form.  The full
-# tableau over [A' | I | b'] (A' the rows of A flipped and cleared, I the
-# artificial columns) holds integers: the true tableau times one common
-# positive denominator ``den``.  Only ``block`` is stored: row i < m is
-# that tableau's [artificial part | rhs], i.e. [den B^-1 | den B^-1 b'],
-# and the last row is the cost row's [artificial part | rhs].  Structural
+# tableau over [A' | I | D b'] (A' and b' the rows of [A | b] flipped and
+# each cleared by the denominators of its row of A, I the artificial
+# columns, D the common denominator of b') holds integers: the true tableau
+# times one common positive denominator ``den``, its last column times D
+# as well.  Only ``block`` is stored: row i < m is that tableau's
+# [artificial part | rhs], i.e. [den B^-1 | den D B^-1 b'], and the last
+# row is the cost row's [artificial part | rhs].  Structural
 # entries are computed from the sparse columns of A' when needed: row i's
 # is block_i . A'_j, and the cost row's, the reduced cost, is
 # den (c_j - c_art . A'_j) + y . A'_j with y the cost row's artificial
@@ -346,24 +351,35 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
     """Two-phase simplex with Bland's anti-cycling rule, fully exact.
 
     Row i is flipped to a nonnegative right-hand side (sign ``signs[i]``)
-    and cleared of denominators by its lcm ``scales[i]``; artificial column
-    i stays ``e_i``, i.e. the artificial is rescaled by ``scales[i]``.
-    ``cols[j]`` lists the nonzeros ``(i, a)`` of column j of the result A'.
+    and multiplied by ``scales[i]``, the lcm of the denominators of row i of
+    A alone; artificial column i stays ``e_i``, i.e. the artificial is
+    rescaled by ``scales[i]``.  The right-hand sides b' of the result keep
+    their denominators until all of them are cleared by their common lcm
+    ``rden`` (D), so the block's last column is D b' and each primal value
+    is read as that entry over den*D.  All scalings are positive, and D is
+    the same for every row, so every sign test, ratio comparison and Bland
+    pivot is that of the unscaled tableau.  ``cols[j]`` lists the nonzeros
+    ``(i, a)`` of column j of the result A'.
     """
     m, n = problem.nrows, problem.ncols
-    signs, scales, block = [], [], []
+    signs, scales, rhs = [], [], []
     cols = [[] for _ in range(n)]
     for i in range(m):
-        ints, s = _scaled([*problem.a_rows[i], problem.b[i]])
-        sign = -1 if ints[-1] < 0 else 1
+        ints, s = _scaled(problem.a_rows[i])
+        # s * b_i in lowest terms, as num / bden
+        b_i = problem.b[i]
+        g = gcd(s, b_i.denominator)
+        num, bden = b_i.numerator * (s // g), b_i.denominator // g
+        sign = -1 if num < 0 else 1
         for col, a in zip(cols, ints):
             if a:
                 col.append((i, sign * a))
-        art = [0] * m
-        art[i] = 1
-        block.append(art + [sign * ints[-1]])
+        rhs.append((sign * num, bden))
         signs.append(sign)
         scales.append(s)
+    rden = lcm(*(bden for _, bden in rhs))
+    block = [[0] * i + [1] + [0] * (m - 1 - i) + [num * (rden // bden)]
+             for i, (num, bden) in enumerate(rhs)]
     basis = [n + i for i in range(m)]
 
     # phase 1: minimize sum_i L/s_i * art_i (L = lcm of the s_i); price it out
@@ -409,7 +425,7 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
     primal = [F0] * n
     for r, b in enumerate(basis):
         if b < n:
-            primal[b] = Fraction(block[r][-1], den)
+            primal[b] = Fraction(block[r][-1], den * rden)
     if enter is not None:
         ray = [F0] * n
         ray[enter] = F1

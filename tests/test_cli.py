@@ -208,6 +208,16 @@ def test_encoding_with_no_outcomes_exits_2(files, capsys):
     assert run(["possibilistic", empty]) == 2
 
 
+def test_possibilistic_names_the_refusal(files):
+    # the column sums to 5/4; the reason reaches stderr, prefixed by the path
+    bad = files("bad.json", {"hypotheses": 2, "outcomes": 2,
+                             "columns": [["1/2", "3/4"], ["1/2", "1/2"]]})
+    out, err, code = _fresh_process(["possibilistic", bad, bad])
+    assert code == 2 and out == ""
+    assert err.startswith(f"rthy: {bad}: encoding column 0 does not sum to 1\n")
+    assert "Traceback" not in err
+
+
 def test_channel_subcommands(files, capsys):
     psi = files("psi.json", channel_x().to_json())
     x = files("x.json", incomparable_x().to_json())

@@ -35,7 +35,7 @@ from rthy import (
 from rthy import exactmath, majorize, measures
 from rthy.exactmath import F0, F1, LpStats
 
-from conftest import encodings, stochastic_maps
+from conftest import encodings, spread_pair, stochastic_maps
 
 F = Fraction
 
@@ -412,6 +412,11 @@ def mixed_problems(draw):
 @example(_lp([[1, 2], [2, 4], ["-1/2", -1]], [3, 6, "-3/2"], [1, 1]))               # redundant rows
 @example(_lp([[1, 1], [1, 1]], [1, 2], [0, 0]))                                     # infeasible
 @example(_lp([[1, -1]], [1], [-1, 0]))                                              # unbounded
+@example(_lp([[1, 2, 1], [3, -1, 0]], ["1/2", "1/3"], [1, 1, 0]))                  # integer A, D = 6
+@example(_lp([["-1/2", 1, 0], [-1, 2, 0], [0, "1/3", 1]], ["-3/5", "-6/5", "2/7"],
+             [1, -1, 0]))                              # b's denominators not in A, redundant row
+@example(_lp([["1/2", "1/3"], ["3/2", 1], [0, "-1/4"]], ["1/5", "4/7", "-1/11"],
+             [1, 1]))                                  # infeasible, b's denominators not in A
 def test_lp_solve_matches_fraction_reference(problem):
     out = lp_solve(problem)
     assert _fields(out) == _fields(_reference_lp_solve(problem))
@@ -585,6 +590,33 @@ def test_drive_out_on_negative_pivot(monkeypatch):
     assert out.dual == [F(2), F(1, 2)]
     assert out.objective == F(-4)
     assert _fields(out) == _fields(_reference_lp_solve(problem))
+    assert verify_certificate(problem, out)
+
+
+def test_conversion_lp_entries_stay_small(monkeypatch):
+    """Rows are cleared by the denominators of A alone, so the large
+    denominators of y = t.x stay out of the pivots: on this 60 x 144
+    check-order LP every stored block entry stays within 256 bits (clearing
+    each row by the lcm over [A_i | b_i] reaches 1648)."""
+    peak = []
+    real_pivot = exactmath._pivot
+
+    def spy(block, den, r, column):
+        den = real_pivot(block, den, r, column)
+        peak.append(max(abs(v).bit_length() for row in block for v in row))
+        return den
+
+    monkeypatch.setattr(exactmath, "_pivot", spy)
+    x, y = spread_pair(4, 12, 12, seed=0)
+    problem = majorize._conversion_problem(x, y.matrix)
+    out = lp_solve(problem)
+    assert out.status == OPTIMAL
+    assert out.stats == LpStats(60, 144, 492, 0)
+    assert len(peak) == 492 and max(peak) <= 256
+    t = [out.primal[i * 12:(i + 1) * 12] for i in range(12)]
+    assert all(sum(col) == 1 for col in zip(*t))
+    assert [[sum((t[i][j] * x.matrix[j, c] for j in range(12)), F0) for c in range(4)]
+            for i in range(12)] == [list(row) for row in y.matrix.rows]
     assert verify_certificate(problem, out)
 
 
