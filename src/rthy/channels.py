@@ -3,23 +3,21 @@
 A channel encoding assigns to every (hypothesis, input) pair a
 distribution over outputs.  State encodings compare to channel encodings
 through input-copy combs: feed the state's outcome together with a
-chosen input into a post-processing.  Yields of state monotones extend
-to channels by optimizing over evaluated inputs, with an honest
-exact/lower-bound flag.
+chosen input into a post-processing.  A state monotone extends to a
+channel by its best value over the channel's delta inputs, which is the
+supremum over all input distributions for a monotone that is
+quasi-convex in the encoding.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Sequence
 
-from .errors import EnumerationTooLarge, FormatError, IndexOutOfRange, LengthMismatch
+from .errors import FormatError, IndexOutOfRange, LengthMismatch
 from .exactmath import F0, F1, format_rational, json_int, parse_rational
-from .majorize import (Convertible, Encoding, StochasticMap, enumeration_guard,
-                       is_distribution, majorizes)
+from .majorize import Convertible, Encoding, StochasticMap, is_distribution, majorizes
 
 
 @dataclass(frozen=True)
@@ -70,6 +68,12 @@ class ChannelEncoding:
                 "channel JSON needs 'hypotheses', 'input', 'output', 'columns'") from exc
         if not isinstance(cols, dict):
             raise FormatError("channel 'columns' must be an object with 'h,a' keys")
+        if h < 1 or a < 1:
+            raise FormatError("channel needs at least one hypothesis and input")
+        # counted before the tensor is allocated, so its size is bounded by the document's
+        if len(cols) != h * a:
+            raise FormatError(f"channel has {len(cols)} columns, expected "
+                              f"hypotheses * input = {h * a}")
         tensor = [[None] * a for _ in range(h)]
         for key, col in cols.items():
             try:
@@ -78,13 +82,12 @@ class ChannelEncoding:
                 raise FormatError(f"channel column key {key!r} is not 'h,a'") from None
             if not (0 <= hh < h and 0 <= aa < a):
                 raise FormatError(f"channel column key {key!r} out of range")
+            if tensor[hh][aa] is not None:
+                raise FormatError(f"channel column {hh},{aa} is given twice")
             if not isinstance(col, list) or len(col) != bb:
                 raise FormatError(f"channel column {key!r} is not a list of {bb} rationals")
             tensor[hh][aa] = [parse_rational(v) for v in col]
-        for hh in range(h):
-            for aa in range(a):
-                if tensor[hh][aa] is None:
-                    raise FormatError(f"channel column {hh},{aa} missing")
+        # h * a distinct in-range keys: every column is present
         return ChannelEncoding(tensor)
 
     def to_json(self) -> dict:
@@ -182,64 +185,32 @@ def channel_equivalent(psi: ChannelEncoding, x: Encoding) -> bool:
     return False
 
 
-def _simplex_grid(parts: int, denominator: int):
-    """All distributions over ``parts`` points with the given denominator.
-
-    The C(denominator + parts - 1, parts - 1) points are counted against the
-    enumeration guard before the first one is listed.
-    """
-    count, guard = comb(denominator + parts - 1, parts - 1), enumeration_guard()
-    if count > guard:
-        raise EnumerationTooLarge(
-            f"C({denominator + parts - 1}, {parts - 1}) grid inputs", count, guard)
-    if parts == 1:
-        yield (Fraction(1),)
-        return
-    for cuts in itertools.combinations(range(denominator + parts - 1), parts - 1):
-        counts = []
-        prev = -1
-        for c in cuts:
-            counts.append(c - prev - 1)
-            prev = c
-        counts.append(denominator + parts - 2 - prev)
-        yield tuple(Fraction(c, denominator) for c in counts)
-
-
 @dataclass(frozen=True)
 class ChannelYield:
     value: object
     exact: bool
-    maximizer: tuple  # the input distribution achieving the value
+    maximizer: tuple  # the delta input achieving the value, as a distribution
 
 
-def channel_yield(psi: ChannelEncoding, f: Callable[[Encoding], object],
-                  mode="deltas") -> ChannelYield:
-    """Best value of a state monotone over evaluated inputs of the channel.
+def channel_yield(psi: ChannelEncoding, f: Callable[[Encoding], object]) -> ChannelYield:
+    """Best value of a state monotone over the delta inputs of the channel.
 
-    ``mode`` is "deltas" (vertex inputs) or ("grid", g) to add the full
-    rational simplex grid with denominator g.  The result is exact when
-    the channel is equivalent to a maximizing state encoding; otherwise
-    it is only a lower bound on the supremum over all inputs.
+    ``f`` is evaluated once on ``delta_input(psi, a)`` for each input a.
+    ``apply_input`` is affine in the input distribution mu, so when ``f``
+    is quasi-convex in the encoding (f of a mixture is at most the larger
+    of the two values, as for weight, robustness, f_{m,k}, free robustness
+    and nonconvexity) the value is the supremum of f(apply_input(psi, mu))
+    over all input distributions mu.  ``maximizer`` is the first maximizing
+    delta input, as a distribution.  ``exact`` certifies that the channel
+    is equivalent to the state encoding x of some maximizing delta input:
+    an input-copy comb builds psi from x, and feeding that input to psi
+    gives back x.
     """
-    deltas = [tuple(F1 if i == a else F0 for i in range(psi.inputs))
-              for a in range(psi.inputs)]
-    if mode == "deltas":
-        inputs = deltas
-    else:
-        kind, g = mode
-        if kind != "grid":
-            raise FormatError(f"unknown channel_yield mode {mode!r}")
-        g = int(g)
-        if g < 1:
-            raise FormatError(f"grid denominator must be at least 1, got {g}")
-        seen = set(deltas)
-        inputs = list(deltas)
-        for mu in _simplex_grid(psi.inputs, g):
-            if mu not in seen:
-                seen.add(mu)
-                inputs.append(mu)
-    values = [f(apply_input(psi, mu)) for mu in inputs]
+    states = [delta_input(psi, a) for a in range(psi.inputs)]
+    values = [f(x) for x in states]
     best = max(values)
-    maximizers = [mu for mu, value in zip(inputs, values) if value == best]
-    exact = any(channel_equivalent(psi, apply_input(psi, mu)) for mu in maximizers)
-    return ChannelYield(value=best, exact=exact, maximizer=maximizers[0])
+    maximizers = [a for a, value in enumerate(values) if value == best]
+    exact = any(comb_simulates(states[a], psi).convertible for a in maximizers)
+    return ChannelYield(value=best, exact=exact,
+                        maximizer=tuple(F1 if i == maximizers[0] else F0
+                                        for i in range(psi.inputs)))

@@ -231,16 +231,7 @@ def _cmd_channel(args) -> dict:
         return {"equivalent": ch.channel_equivalent(psi, x)}
     # yield
     psi = ch.ChannelEncoding.from_json(_read_doc(args.psi))
-    f = _monotone_from_args(args)
-    mode = args.mode
-    if mode.startswith("grid:"):
-        try:
-            mode = ("grid", int(mode.split(":", 1)[1]))
-        except ValueError:
-            raise FormatError("--mode grid:G needs an integer denominator G") from None
-    elif mode != "deltas":
-        raise FormatError("--mode must be 'deltas' or 'grid:G'")
-    res = ch.channel_yield(psi, f, mode=mode)
+    res = ch.channel_yield(psi, _monotone_from_args(args))
     return {
         "value": mn.value_to_json(res.value),
         "exact": res.exact,
@@ -384,13 +375,12 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("psi")
     c.add_argument("x")
     c.set_defaults(fn=_cmd_channel)
-    c = csub.add_parser("yield", help="max of a state monotone over evaluated channel inputs")
+    c = csub.add_parser("yield", help="max of a state monotone over the channel's delta inputs")
     c.add_argument("psi")
     c.add_argument("--monotone", required=True,
                    choices=("fmk", "weight", "robustness", "free-robustness", "nonconvexity"))
     c.add_argument("--m", type=int, default=None)
     c.add_argument("--k", type=int, default=None)
-    c.add_argument("--mode", default="deltas", metavar="deltas|grid:G")
     c.set_defaults(fn=_cmd_channel)
 
     p = sub.add_parser("module", help="finite quantale-module operations")

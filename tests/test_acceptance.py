@@ -169,9 +169,9 @@ def test_criterion_7_channel_values():
     assert check_comb_witness(y, py, comb_witness_y())
     assert channel_equivalent(px, x)
     assert channel_equivalent(py, y)
-    res = channel_yield(px, lambda e: weight_fmk(e, 2, 3), mode="deltas")
+    res = channel_yield(px, lambda e: weight_fmk(e, 2, 3))
     assert res.value == Q and res.exact
-    res = channel_yield(py, lambda e: weight_fmk(e, 1, 3), mode="deltas")
+    res = channel_yield(py, lambda e: weight_fmk(e, 1, 3))
     assert res.value == 1 and res.exact
     _done(7)
 

@@ -9,7 +9,6 @@ from rthy import (
     CombWitness,
     Convertible,
     Encoding,
-    EnumerationTooLarge,
     FormatError,
     HypothesisMismatch,
     LengthMismatch,
@@ -20,7 +19,10 @@ from rthy import (
     check_comb_witness,
     comb_simulates,
     delta_input,
+    free_robustness,
     majorizes,
+    nonconvexity,
+    robustness,
     verify_certificate,
     weight,
     weight_fmk,
@@ -201,39 +203,6 @@ def test_channel_yield_pinned_exact():
     assert res.maximizer == (1, 0, 0)
 
 
-def test_channel_yield_grid_refines_deltas():
-    psi = channel_x()
-    f = lambda e: weight_fmk(e, 1, 3)
-    coarse = channel_yield(psi, f, mode="deltas")
-    fine = channel_yield(psi, f, mode=("grid", 2))
-    assert fine.value >= coarse.value
-    with pytest.raises(FormatError):
-        channel_yield(psi, f, mode=("lattice", 2))
-    for g in (0, -1):
-        with pytest.raises(FormatError):
-            channel_yield(psi, f, mode=("grid", g))
-
-
-def test_channel_yield_grid_is_guarded(monkeypatch):
-    # channel_x has 4 inputs: C(G + 3, 3) grid points, counted before any is evaluated
-    psi, calls = channel_x(), []
-
-    def f(e):
-        calls.append(e)
-        return weight(e)
-
-    unguarded = channel_yield(psi, f, mode=("grid", 2))
-    monkeypatch.setenv("RTHY_ENUM_GUARD", "10")
-    assert channel_yield(psi, f, mode=("grid", 2)) == unguarded  # C(5, 3) = 10
-    calls.clear()
-    for g, count in ((5, 56), (1000, 167668501)):
-        with pytest.raises(EnumerationTooLarge) as err:
-            channel_yield(psi, f, mode=("grid", g))
-        assert (err.value.count, err.value.guard) == (count, 10)
-    assert str(err.value) == "C(1003, 3) grid inputs = 167668501, above the guard 10"
-    assert calls == []
-
-
 def test_channel_yield_evaluates_each_input_once():
     calls = []
 
@@ -241,16 +210,52 @@ def test_channel_yield_evaluates_each_input_once():
         calls.append(e)
         return weight_fmk(e, 1, 3)
 
-    # three delta inputs; the denominator-2 grid adds the three midpoints
-    for mode, n_inputs in (("deltas", 3), (("grid", 2), 6)):
-        calls.clear()
-        channel_yield(channel_y(), f, mode=mode)
-        assert len(calls) == n_inputs
+    channel_yield(channel_y(), f)
+    assert calls == [delta_input(channel_y(), a) for a in range(3)]
 
 
 @given(encodings(max_outcomes=3, max_hypotheses=2, min_hypotheses=2))
 def test_channel_yield_input_ignoring_lift(x):
-    from rthy import weight
     res = channel_yield(input_ignoring_channel(x, 2), weight)
     assert res.value == weight(x)
     assert res.exact
+
+
+MONOTONES = {"weight": weight, "robustness": robustness, "free-robustness": free_robustness,
+             "nonconvexity": nonconvexity}
+
+
+@st.composite
+def tied_channels(draw, min_hypotheses=1):
+    """A channel with 1-3 hypotheses, inputs and outputs; half the time one
+    input copies another for every hypothesis, so the maximizers tie."""
+    h = draw(st.integers(min_hypotheses, 3))
+    na, nout = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    tensor = [[draw(distributions(nout)) for _ in range(na)] for _ in range(h)]
+    if na > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(na)))[:2]
+        for per_h in tensor:
+            per_h[dst] = per_h[src]
+    return ChannelEncoding(tensor)
+
+
+@pytest.mark.parametrize("name", [*MONOTONES, "fmk"])
+@given(data=st.data())
+def test_channel_yield_is_the_supremum_and_exact_is_equivalence(name, data):
+    # every CLI monotone is quasi-convex in the encoding, so a delta input
+    # reaches the supremum over all input distributions
+    psi = data.draw(tied_channels(min_hypotheses=2 if name == "fmk" else 1))
+    if name == "fmk":
+        k = data.draw(st.integers(2, psi.hypotheses))
+        m = data.draw(st.integers(1, k - 1))
+        f = lambda e: weight_fmk(e, m, k)
+    else:
+        f = MONOTONES[name]
+    res = channel_yield(psi, f)
+    values = [f(delta_input(psi, a)) for a in range(psi.inputs)]
+    maximizers = [a for a, value in enumerate(values) if value == max(values)]
+    assert res.value == max(values)
+    assert res.maximizer == tuple(int(i == maximizers[0]) for i in range(psi.inputs))
+    for _ in range(3):
+        assert res.value >= f(apply_input(psi, data.draw(distributions(psi.inputs))))
+    assert res.exact == any(channel_equivalent(psi, delta_input(psi, a)) for a in maximizers)

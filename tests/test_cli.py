@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from rthy import cli, majorizes
+from rthy import ChannelEncoding, FormatError, cli, majorizes
 from rthy.cli import run
 from rthy.instances import (
     binary_image_of_x,
@@ -251,21 +255,10 @@ def test_channel_yield(files, capsys):
     doc = _json_out(capsys)
     assert doc["value"] == "1" and doc["exact"] is True
     assert run(["channel", "yield", psix, "--monotone", "fmk"]) == 2
-    assert run(["channel", "yield", psix, "--monotone", "weight", "--mode", "grid:2"]) == 0
-    assert run(["channel", "yield", psix, "--monotone", "weight", "--mode", "mesh"]) == 2
-
-
-def test_channel_yield_grid_guard(files, capsys, monkeypatch):
-    psix = files("psix.json", channel_x().to_json())
-    argv = ["channel", "yield", psix, "--monotone", "weight", "--mode"]
-    monkeypatch.setenv("RTHY_ENUM_GUARD", "10")
-    assert run(argv + ["grid:2"]) == 0
-    assert _json_out(capsys)["value"] == "1/2"
-    for grid in ("grid:5", "grid:1000"):
-        assert run(argv + [grid]) == 3
-        out, err = _out(capsys)
-        assert out == ""
-        assert "grid inputs" in err and "above the guard 10" in err
+    # delta inputs only: the removed --mode flag is an argparse usage error
+    assert run(["channel", "yield", psix, "--monotone", "weight", "--mode", "grid:2"]) == 2
+    out, err = _out(capsys)
+    assert out == "" and "unrecognized arguments: --mode grid:2" in err
 
 
 def test_module_subcommands(files, capsys):
@@ -396,7 +389,7 @@ def test_exit_codes(files, capsys, monkeypatch):
         (["ucrt", "order"], ["--source", "0", "--target", "0"],
          {**max_quantale().to_json(), "box": {"0,7": ["0"]}}),
     ]
-    for key in ("0", "0,1,2", "a,0"):
+    for key in ("0", "0,1,2", "a,0", "00,1"):  # "00,1" names column 0,1 a second time
         cols = dict(psi["columns"])
         cols[key] = cols.pop("0,0")
         bad_docs.append((["channel", "apply"], ["--delta", "0"], {**psi, "columns": cols}))
@@ -427,10 +420,6 @@ def test_exit_codes(files, capsys, monkeypatch):
                 {**ident, "hypotheses": True}):
         bad_docs.append((["weight"], [], doc))
         bad_docs.append((["check-order", files("ident.json", ident)], [], doc))
-    # a grid denominator below 1
-    for g in ("0", "-1"):
-        bad_docs.append((["channel", "yield"], ["--monotone", "weight", "--mode", f"grid:{g}"],
-                         psi))
     # action files whose maps are not a list of name lists or {name: name} objects
     rot = files("rot.json", rotation_module()[0].to_json())
     for action in ({"maps": 5}, {"maps": [5]}, {"maps": [{"base": ["x"]}]},
@@ -465,6 +454,87 @@ def test_channel_delta_out_of_range_names_index(files, capsys):
         assert run(["channel", "apply", psi, "--delta", a]) == 2
         _, err = _out(capsys)
         assert f"input index {a} " in err and "4 inputs" in err
+
+
+def test_oversized_channel_is_refused_before_allocation(files, capsys):
+    # 3000 x 3000 declared columns and none given: refused by the column
+    # count, before a table of the declared size is built
+    doc = {"hypotheses": 3000, "input": 3000, "output": 1, "columns": {}}
+    path = files("huge.json", doc)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as refused:
+            ChannelEncoding.from_json(doc)
+        code = run(["channel", "apply", path, "--delta", "0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert code == 2 and "0 columns, expected" in str(refused.value)
+    _, err = _out(capsys)
+    assert "= 9000000" in err and "Traceback" not in err
+
+
+SIZE_JUNK = (0, -1, -4, 1, 2, 5, 3.0, 0.5, True, False, None, "3", [3], 10 ** 6, 10 ** 12, 2 ** 64)
+VALUE_JUNK = (None, True, 0, 1, -1, 0.5, "1/0", "x", "-1", "", [], {}, ["1"], {"0": "1"})
+KEY_JUNK = ("", "0", "0,0,0", "a,0", "00,0", " 1,2", "1,1", "3,3", "2,4", "-1,0",
+            f"{10 ** 12},0", "0,1.0")
+
+
+def _mutate(doc, data):
+    """One random change to a channel document: a key dropped or renamed, a
+    size or value of the wrong type or range, a column of the wrong arity."""
+    kind = data.draw(st.sampled_from(("drop", "rename", "size", "drop-col", "rename-col",
+                                      "col", "arity", "entry", "whole")))
+    if kind == "whole" or not isinstance(doc, dict):
+        return data.draw(st.sampled_from((None, 3, "channel", [doc], [])))
+    if kind in ("drop", "rename", "size") or not isinstance(doc.get("columns"), dict) \
+            or not doc["columns"]:
+        key = data.draw(st.sampled_from(sorted(doc) or ["hypotheses"]))
+        if kind == "drop":
+            doc.pop(key, None)
+        elif kind == "rename":
+            doc[data.draw(st.sampled_from(("inputs", "Hypotheses", "outputs", "cols")))] = \
+                doc.pop(key, None)
+        else:
+            doc[key] = data.draw(st.sampled_from(SIZE_JUNK))
+        return doc
+    cols = doc["columns"]
+    key = data.draw(st.sampled_from(sorted(cols)))
+    if kind == "drop-col":
+        del cols[key]
+    elif kind == "rename-col":
+        cols[data.draw(st.sampled_from(KEY_JUNK))] = cols.pop(key)
+    elif kind == "col":
+        cols[key] = data.draw(st.sampled_from(VALUE_JUNK))
+    elif not isinstance(cols[key], list) or not cols[key]:
+        cols[key] = ["1"]
+    elif kind == "arity":
+        cols[key] = cols[key][:-1] if data.draw(st.booleans()) else cols[key] + ["0"]
+    else:
+        cols[key][data.draw(st.integers(0, len(cols[key]) - 1))] = \
+            data.draw(st.sampled_from(VALUE_JUNK))
+    return doc
+
+
+@given(data=st.data())
+def test_channel_subcommands_fuzzed_documents_exit_cleanly(tmp_path_factory, data):
+    # exit 0, 2 or 3 and never a traceback, whatever the channel document holds
+    doc = channel_x().to_json()
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(doc, data)
+    folder = tmp_path_factory.mktemp("fuzz")
+    psi, x = folder / "psi.json", folder / "x.json"
+    psi.write_text(json.dumps(doc))
+    x.write_text(json.dumps(incomparable_x().to_json()))
+    for argv in (["apply", psi, "--delta", "0"], ["apply", psi, "--input", "1,0,0,0"],
+                 ["simulate", x, psi], ["equivalent", psi, x],
+                 ["yield", psi, "--monotone", "weight"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["channel", *map(str, argv)])
+        assert code in (0, 2, 3), (argv, doc)
+        assert "Traceback" not in err.getvalue()
 
 
 def test_output_is_deterministic(files, capsys):
