@@ -110,12 +110,8 @@ def _bool_map_json(t: ps.BoolStochasticMap) -> dict:
             "rows": [list(row) for row in t.matrix]}
 
 
-def _sigma_json(w: ch.CombWitness) -> dict:
-    out = {}
-    for b, per_a in enumerate(w.sigma):
-        for a, col in enumerate(per_a):
-            out[f"{b},{a}"] = [format_rational(v) for v in col]
-    return {"sigma": out}
+def _sigma_json(sigma: ch.ChannelEncoding) -> dict:
+    return {"sigma": sigma.to_json()["columns"]}
 
 
 def _monotone_from_args(args):
@@ -255,10 +251,7 @@ def _cmd_module(args) -> dict:
         return {"valid": not violations, "violations": _violations_json(violations)}
     if args.module_cmd == "order":
         p = qt.reachability(m)
-        pairs = sorted(
-            [m.resources[a], m.resources[b]]
-            for a in range(p.size) for b in range(p.size)
-            if a != b and p.geq(a, b))
+        pairs = sorted([m.resources[a], m.resources[b]] for a, b in p.pairs() if a != b)
         return {"atoms": list(m.resources), "pairs": pairs}
     if args.module_cmd == "yield":
         f = mn.PartialValuation.from_json(_read_doc(args.gold))
@@ -280,9 +273,7 @@ def _cmd_module(args) -> dict:
         return {"covariant": sorted(qt.covariant_transformations(m, action))}
     # augment
     aug = qt.augment(m, _names(args.set))
-    order_pairs = sorted(
-        [a, b] for a in range(aug.order.size) for b in range(aug.order.size)
-        if a != b and aug.order.geq(a, b))
+    order_pairs = sorted([a, b] for a, b in aug.order.pairs() if a != b)
     return {
         "classes": [sorted(c) for c in aug.classes],
         "images": [sorted(i) for i in aug.images],

@@ -15,7 +15,7 @@ import operator
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .channels import ChannelEncoding, CombWitness
+from .channels import ChannelEncoding
 from .exactmath import F0, F1
 from .majorize import Encoding
 from .order import FinitePreorder, all_downsets, chain, down_closure
@@ -66,63 +66,54 @@ def two_point_encoding(lam, nu) -> Encoding:
 def channel_x() -> ChannelEncoding:
     """4-output channel: coin between output 0 and output a+h (mod 4), with
     hypotheses h in {1,2,3} and a a 4-valued input."""
-    tensor = []
+    cols = []
     for h in (1, 2, 3):
-        per_h = []
         for a in range(4):
             col = [F0] * 4
             col[0] += H
             col[(a + h) % 4] += H
-            per_h.append(col)
-        tensor.append(per_h)
-    return ChannelEncoding(tensor)
+            cols.append(col)
+    return ChannelEncoding.from_columns(cols, 4)
 
 
 def channel_y() -> ChannelEncoding:
     """3-output channel: coin between outputs a+h and a+h+2 (mod 3), with
     hypotheses h in {1,2,3} and a 3-valued input."""
-    tensor = []
+    cols = []
     for h in (1, 2, 3):
-        per_h = []
         for a in range(3):
             col = [F0] * 3
             col[(a + h) % 3] += H
             col[(a + h + 2) % 3] += H
-            per_h.append(col)
-        tensor.append(per_h)
-    return ChannelEncoding(tensor)
+            cols.append(col)
+    return ChannelEncoding.from_columns(cols, 3)
 
 
-def comb_witness_x() -> CombWitness:
-    """Deterministic post-processing rebuilding channel_x from its a=0 state
-    encoding: keep output 0, otherwise add the input."""
-    sigma = []
+def comb_witness_x() -> ChannelEncoding:
+    """Deterministic post-processing sigma rebuilding channel_x from its a=0
+    state encoding: keep output 0, otherwise add the input."""
+    cols = []
     for b in range(4):
-        per_a = []
         for a in range(4):
             target = 0 if b == 0 else (b + a) % 4
-            per_a.append(tuple(F1 if o == target else F0 for o in range(4)))
-        sigma.append(tuple(per_a))
-    return CombWitness(sigma=tuple(sigma))
+            cols.append([F1 if o == target else F0 for o in range(4)])
+    return ChannelEncoding.from_columns(cols, 4)
 
 
-def comb_witness_y() -> CombWitness:
-    """Deterministic post-processing rebuilding channel_y: add the input."""
-    sigma = []
+def comb_witness_y() -> ChannelEncoding:
+    """Deterministic post-processing sigma rebuilding channel_y: add the input."""
+    cols = []
     for b in range(3):
-        per_a = []
         for a in range(3):
             target = (b + a) % 3
-            per_a.append(tuple(F1 if o == target else F0 for o in range(3)))
-        sigma.append(tuple(per_a))
-    return CombWitness(sigma=tuple(sigma))
+            cols.append([F1 if o == target else F0 for o in range(3)])
+    return ChannelEncoding.from_columns(cols, 3)
 
 
 def input_ignoring_channel(x: Encoding, inputs: int) -> ChannelEncoding:
     """Channel that discards its input and emits the encoding x."""
-    tensor = [[list(x.column(h)) for _ in range(inputs)]
-              for h in range(x.hypotheses)]
-    return ChannelEncoding(tensor)
+    return ChannelEncoding.from_columns(
+        [x.column(h) for h in range(x.hypotheses) for _ in range(inputs)], inputs)
 
 
 # --------------------------------------------------------------------------

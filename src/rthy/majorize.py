@@ -113,19 +113,21 @@ class StochasticMap:
         return cls(Matrix(rows))
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence]):
+    def from_columns(cls, columns: Sequence[Sequence], *fields):
+        """The map with these columns; ``fields`` are a subclass's own fields,
+        after ``matrix``."""
         cols = [[Fraction(v) for v in col] for col in columns]
         if len({len(c) for c in cols}) > 1:
             raise FormatError(f"{cls.label} columns have unequal lengths")
-        return cls._from_sized_columns(cols, len(cols[0]) if cols else 0)
+        return cls._from_sized_columns(cols, len(cols[0]) if cols else 0, *fields)
 
     @classmethod
-    def _from_sized_columns(cls, cols, m: int):
+    def _from_sized_columns(cls, cols, m: int, *fields):
         """The map whose columns (each of length m) are ``cols``.  A map with
         no inputs keeps its m rows; an empty column is no distribution."""
         if cols and not m:
             raise FormatError(f"{cls.label} column 0 does not sum to 1")
-        return cls(Matrix(zip(*cols) if cols else [()] * m))
+        return cls(Matrix(zip(*cols) if cols else [()] * m), *fields)
 
     @classmethod
     def from_json(cls, doc):

@@ -99,23 +99,20 @@ def yield_(m: FiniteQuantaleModule, d_subset, f: PartialValuation, x: str):
     D must absorb free post-processing on the right (D * free inside D),
     otherwise the construction is not a monotone and we refuse to run.
     """
-    if not is_right_invariant(m, d_subset):
-        raise NotRightInvariant("yield requires D * free to stay inside D")
-    image = m.x_set(m.act_set(m.tmask(d_subset), m.xmask([x])))
-    vals = [f(y) for y in image & f.domain]
-    return max(vals) if vals else MINUS_INF
+    return yield_witness(m, d_subset, f, x)[0]
 
 
 def yield_witness(m: FiniteQuantaleModule, d_subset, f: PartialValuation, x: str):
     """(value, maximizer) with the lowest-index maximizer, or (−inf, None)."""
-    best = yield_(m, d_subset, f, x)
-    if best == MINUS_INF:
-        return best, None
-    image = m.x_set(m.act_set(m.tmask(d_subset), m.xmask([x])))
-    for name in m.resources:  # lowest atom index wins
-        if name in image and name in f.domain and f(name) == best:
-            return best, name
-    return best, None
+    if not is_right_invariant(m, d_subset):
+        raise NotRightInvariant("yield requires D * free to stay inside D")
+    # resolved in document order, so an unknown atom is named the same way in every run
+    reach = m.act_set(m.tmask(d_subset), m.xmask([x])) & m.xmask(list(f.values))
+    best, arg = MINUS_INF, None
+    for i, name in enumerate(m.resources):  # lowest atom index wins
+        if reach >> i & 1 and f(name) > best:
+            best, arg = f(name), name
+    return best, arg
 
 
 def cost(m: FiniteQuantaleModule, s_subset, f: PartialValuation, x: str):
@@ -123,24 +120,21 @@ def cost(m: FiniteQuantaleModule, s_subset, f: PartialValuation, x: str):
 
     S must absorb free pre-processing on the left (free * S inside S).
     """
+    return cost_witness(m, s_subset, f, x)[0]
+
+
+def cost_witness(m: FiniteQuantaleModule, s_subset, f: PartialValuation, x: str):
+    """(value, producer) with the lowest-index cheapest producer, or (+inf, None)."""
     if not is_left_invariant(m, s_subset):
         raise NotLeftInvariant("cost requires free * S to stay inside S")
     smask = m.tmask(s_subset)
     xbit = m.xmask([x])
-    vals = [f(y) for y in f.domain if m.act_set(smask, m.xmask([y])) & xbit]
-    return min(vals) if vals else PLUS_INF
-
-
-def cost_witness(m: FiniteQuantaleModule, s_subset, f: PartialValuation, x: str):
-    best = cost(m, s_subset, f, x)
-    if best == PLUS_INF:
-        return best, None
-    smask = m.tmask(s_subset)
-    xbit = m.xmask([x])
-    for name in m.resources:
-        if name in f.domain and f(name) == best and m.act_set(smask, m.xmask([name])) & xbit:
-            return best, name
-    return best, None
+    domain = m.xmask(list(f.values))
+    best, arg = PLUS_INF, None
+    for i, name in enumerate(m.resources):  # lowest atom index wins
+        if domain >> i & 1 and f(name) < best and m.act_set(smask, 1 << i) & xbit:
+            best, arg = f(name), name
+    return best, arg
 
 
 @dataclass(frozen=True)

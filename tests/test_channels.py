@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from rthy import (
     INFEASIBLE,
     ChannelEncoding,
-    CombWitness,
     Convertible,
     Encoding,
     FormatError,
@@ -43,6 +42,12 @@ H = Fraction(1, 2)
 Q = Fraction(1, 4)
 
 
+def _channel(tensor):
+    """The channel whose column for hypothesis h and input a is tensor[h][a]."""
+    return ChannelEncoding.from_columns([col for per_h in tensor for col in per_h],
+                                        len(tensor[0]))
+
+
 def _reference_comb_simulates(x, psi):
     """comb_simulates as one majorization of the copied encoding x (x) id_A.
 
@@ -54,14 +59,12 @@ def _reference_comb_simulates(x, psi):
     copied = Encoding.from_columns(
         [[x.matrix[b, h] if a2 == a else 0 for b in range(nb) for a2 in range(na)]
          for h in hs for a in range(na)])
-    res = majorizes(copied, Encoding.from_columns(
-        [psi.tensor[h][a] for h in hs for a in range(na)]))
+    res = majorizes(copied, Encoding(psi.matrix))
     if not res.convertible:
         return res
     t = res.witness.matrix
-    return Convertible(witness=CombWitness(sigma=tuple(
-        tuple(tuple(t[bp, b * na + a] for bp in range(psi.outputs)) for a in range(na))
-        for b in range(nb))))
+    return Convertible(witness=ChannelEncoding.from_columns(
+        [t.col(b * na + a) for b in range(nb) for a in range(na)], na))
 
 
 @st.composite
@@ -77,18 +80,27 @@ def comb_pairs(draw):
                     for o in range(nout)] for a in range(na)] for c in range(h)]
     else:
         tensor = [[draw(distributions(nout)) for _ in range(na)] for _ in range(h)]
-    return x, ChannelEncoding(tensor)
+    return x, _channel(tensor)
 
 
 def test_channel_validation():
     with pytest.raises(FormatError):
-        ChannelEncoding([])
+        ChannelEncoding.from_columns([], 1)
     with pytest.raises(FormatError):
-        ChannelEncoding([[[H, H]], [[H, H], [1, 0]]])  # ragged inputs
+        ChannelEncoding.from_columns([[H, H]] * 3, 0)
     with pytest.raises(FormatError):
-        ChannelEncoding([[[H, Q]]])  # column does not sum to one
+        ChannelEncoding.from_columns([[H, H]] * 3, 2)  # 3 columns over 2 inputs
+    with pytest.raises(FormatError):
+        ChannelEncoding.from_columns([[H, H], [1]], 1)  # ragged outputs
+    with pytest.raises(FormatError):
+        ChannelEncoding.from_columns([[H, Q]], 1)  # column does not sum to one
     psi = channel_x()
     assert (psi.hypotheses, psi.inputs, psi.outputs) == (3, 4, 4)
+    # errors name the flat column index h*inputs + a, as for any stochastic map
+    doc = psi.to_json()
+    doc["columns"]["1,1"] = ["1/2", "1/2", "1/2", "0"]
+    with pytest.raises(FormatError, match="^channel column 5 does not sum to 1$"):
+        ChannelEncoding.from_json(doc)
 
 
 def test_channel_json_roundtrip():
@@ -127,15 +139,16 @@ def test_pinned_comb_witnesses():
 
 def test_comb_witness_rejects_tampering():
     x, psi, w = incomparable_x(), channel_x(), comb_witness_x()
-    sigma = [list(map(list, per_b)) for per_b in w.sigma]
-    sigma[1][1] = sigma[1][2]
-    assert not check_comb_witness(x, psi, CombWitness(
-        tuple(tuple(tuple(col) for col in per_b) for per_b in sigma)))
+    cols = [list(col) for col in zip(*w.matrix.rows)]
+    tampered = list(cols)
+    tampered[1 * 4 + 1] = cols[1 * 4 + 2]  # outcome 1 on input 1 acts as on input 2
+    assert not check_comb_witness(x, psi, ChannelEncoding.from_columns(tampered, 4))
     assert not check_comb_witness(x, channel_y(), w)  # wrong shape entirely
-    # columns of the wrong length, even empty ones, are a "no", not an error
+    assert not check_comb_witness(x, psi, ChannelEncoding.from_columns(cols, 2))
+    # a sigma with short or empty columns cannot be built at all
     for length in (0, 3):
-        short = tuple(tuple(tuple(col[:length]) for col in per_b) for per_b in w.sigma)
-        assert not check_comb_witness(x, psi, CombWitness(short))
+        with pytest.raises(FormatError):
+            ChannelEncoding.from_columns([col[:length] for col in cols], 4)
 
 
 def test_comb_simulates_pinned():
@@ -144,7 +157,7 @@ def test_comb_simulates_pinned():
         assert res.convertible
         assert check_comb_witness(x, psi, res.witness)
     with pytest.raises(HypothesisMismatch):
-        comb_simulates(incomparable_x(), ChannelEncoding([[[1]]]))
+        comb_simulates(incomparable_x(), _channel([[[1]]]))
 
 
 def test_cross_simulation_fails():
@@ -236,7 +249,7 @@ def tied_channels(draw, min_hypotheses=1):
         src, dst = draw(st.permutations(range(na)))[:2]
         for per_h in tensor:
             per_h[dst] = per_h[src]
-    return ChannelEncoding(tensor)
+    return _channel(tensor)
 
 
 @pytest.mark.parametrize("name", [*MONOTONES, "fmk"])
@@ -255,7 +268,11 @@ def test_channel_yield_is_the_supremum_and_exact_is_equivalence(name, data):
     values = [f(delta_input(psi, a)) for a in range(psi.inputs)]
     maximizers = [a for a, value in enumerate(values) if value == max(values)]
     assert res.value == max(values)
-    assert res.maximizer == tuple(int(i == maximizers[0]) for i in range(psi.inputs))
+    # the first maximizer whose encoding certifies exact, else the first maximizer
+    certifying = [a for a in maximizers
+                  if comb_simulates(delta_input(psi, a), psi).convertible]
+    shown = certifying[0] if res.exact else maximizers[0]
+    assert res.maximizer == tuple(int(i == shown) for i in range(psi.inputs))
     for _ in range(3):
         assert res.value >= f(apply_input(psi, data.draw(distributions(psi.inputs))))
     assert res.exact == any(channel_equivalent(psi, delta_input(psi, a)) for a in maximizers)

@@ -261,6 +261,26 @@ def test_channel_yield(files, capsys):
     assert out == "" and "unrecognized arguments: --mode grid:2" in err
 
 
+# inputs 0 and 1 tie on free robustness, and only input 1's encoding
+# simulates the channel
+TIED_CHANNEL = {"hypotheses": 3, "input": 2, "output": 2,
+                "columns": {"0,0": ["3/5", "2/5"], "0,1": ["1/4", "3/4"],
+                            "1,0": ["1", "0"], "1,1": ["1", "0"],
+                            "2,0": ["1", "0"], "2,1": ["1", "0"]}}
+
+
+def test_channel_yield_reports_the_certifying_maximizer(files, capsys):
+    psi = files("tied.json", TIED_CHANNEL)
+    assert run(["channel", "yield", psi, "--monotone", "free-robustness"]) == 0
+    doc = _json_out(capsys)
+    assert doc == {"value": "+inf", "exact": True, "maximizer": ["0", "1"]}
+    for a, convertible in (("0", False), ("1", True)):
+        assert run(["channel", "apply", psi, "--delta", a]) == 0
+        x = files(f"delta{a}.json", _json_out(capsys)["encoding"])
+        assert run(["channel", "simulate", x, psi]) == 0
+        assert _json_out(capsys)["convertible"] is convertible
+
+
 def test_module_subcommands(files, capsys):
     m = diamond_module()
     mod = files("m.json", m.to_json())
@@ -375,6 +395,14 @@ def test_exit_codes(files, capsys, monkeypatch):
         assert run(["module", "yield", mod, "--gold", path, "--at", "1p"]) == 2
         _, err = _out(capsys)
         assert "Traceback" not in err
+    # a valuation atom that is not a resource of the module
+    chain_mod = files("chain.json", three_chain_module().to_json())
+    for name, gold in (("nope", {"nope": "1"}), ("zap", {"0": "1", "zap": "1", "nope": "2"})):
+        path = files(f"{name}.json", gold)
+        for cmd in ("cost", "yield"):
+            assert run(["module", cmd, chain_mod, "--gold", path, "--at", "0"]) == 2
+            out, err = _out(capsys)
+            assert out == "" and f"rthy: unknown atom '{name}'" in err  # the first, in file order
 
     # malformed tables: not an object, a key of wrong arity, or an unknown atom
     unit_module = {"T": ["e"], "X": ["x"], "star": {"e,e": ["e"]},

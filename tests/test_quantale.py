@@ -23,6 +23,7 @@ from rthy import (
     catalytic_order,
     chain,
     check_morphism,
+    cli,
     covariant_transformations,
     free_image,
     is_g_compatible,
@@ -36,9 +37,15 @@ from rthy import (
 )
 from rthy.instances import (
     boolean_pair_module,
+    channel_x,
+    channel_y,
+    comb_witness_x,
+    comb_witness_y,
     diamond_module,
     downset_module,
     function_module,
+    incomparable_x,
+    input_ignoring_channel,
     max_quantale,
     rotation_module,
     stochastic_pair_module,
@@ -62,8 +69,8 @@ def test_json_roundtrip():
     assert again == m
 
 
-# sha256 of json.dumps(to_json(), sort_keys=True): any change to a table
-# or to atom order shows here
+# sha256 of json.dumps(to_json(), sort_keys=True): any change to a table,
+# to atom order or to a channel's column layout shows here
 BUNDLED_DIGESTS = {
     "three_chain_module": "67232d7a9f2d20863eefc64fa4d71cc9e6368417f6d1cf546e1fc78fa3432812",
     "diamond_module": "5d06da95fea453aeb198a800d90a384b080085fee35d7fe300f05f40b2b6074a",
@@ -79,6 +86,12 @@ BUNDLED_DIGESTS = {
     "function_module(chain(2), all)": "9b54e760e475d164ebac6f28aad91b179dbe34f830054e3bfc67ecc4009a8917",
     "function_module(chain(3))": "613766d7b8677d1e5e4e32ba1d9934a0b2ca7d8405c26291cd9fae5571e14257",
     "function_module(chain(3), all)": "67232d7a9f2d20863eefc64fa4d71cc9e6368417f6d1cf546e1fc78fa3432812",
+    "channel_x": "d30cc97ce75823eac6a9e20d3b3e4fa22a06eefe7a9257390dedda7bca52e4ea",
+    "channel_y": "c57ead4e1b106128732e4af5b56adf96ad42fac7237cf60e05b88a90011b4a44",
+    "input_ignoring_channel(incomparable_x(), 2)":
+        "d0a788833d593f12bbc34a7c06ae18be6747a7fa040148acd6330847784c73bf",
+    "sigma of comb_witness_x": "2b9dc259ef0bd24304748115f839f29c135feb796b371f24bd4dd83b05333816",
+    "sigma of comb_witness_y": "073f200da8c37e917a71138f69cc69e0e571e621cf60376c1720c25ce07a1dea",
 }
 
 
@@ -92,12 +105,19 @@ def test_bundled_instances_pinned():
         "boolean_pair_module": boolean_pair_module(),
         "max_quantale": max_quantale(),
         "downset_module(chain(3))": downset_module(chain(3)),
+        "channel_x": channel_x(),
+        "channel_y": channel_y(),
+        "input_ignoring_channel(incomparable_x(), 2)": input_ignoring_channel(incomparable_x(), 2),
     }
     for n in (1, 2, 3):
         built[f"function_module(chain({n}))"] = function_module(chain(n))
         built[f"function_module(chain({n}), all)"] = function_module(chain(n), all_functions=True)
-    digests = {name: hashlib.sha256(json.dumps(m.to_json(), sort_keys=True).encode()).hexdigest()
-               for name, m in built.items()}
+    docs = {name: m.to_json() for name, m in built.items()}
+    # the witness JSON of `rthy channel simulate`
+    docs["sigma of comb_witness_x"] = cli._sigma_json(comb_witness_x())
+    docs["sigma of comb_witness_y"] = cli._sigma_json(comb_witness_y())
+    digests = {name: hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+               for name, doc in docs.items()}
     assert digests == BUNDLED_DIGESTS
     assert two_level_module()[1] == "fx34x01"
     assert rotation_module()[1].maps == ((0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
