@@ -90,23 +90,16 @@ class ChannelEncoding(StochasticMap):
 
 
 def apply_input(psi: ChannelEncoding, mu: Sequence) -> Encoding:
-    """State encoding obtained by feeding the input distribution mu."""
+    """State encoding obtained by feeding the input distribution mu: psi
+    after the map that sends hypothesis h to column (h, a) with weight mu[a]."""
     mu = [Fraction(v) for v in mu]
     if len(mu) != psi.inputs:
         raise LengthMismatch(f"channel takes {psi.inputs} inputs, got {len(mu)}")
     if not is_distribution(mu):
         raise FormatError("input must be a probability distribution")
-    rows = psi.matrix.rows
-    cols = []
-    for h in range(psi.hypotheses):
-        col = [F0] * psi.outputs
-        for a, w in enumerate(mu):
-            if w:
-                j = h * psi.inputs + a
-                for o in range(psi.outputs):
-                    col[o] += w * rows[o][j]
-        cols.append(col)
-    return Encoding.from_columns(cols)
+    feed = Matrix([mu[j % psi.inputs] if j // psi.inputs == h else F0
+                   for h in range(psi.hypotheses)] for j in range(psi.n_from))
+    return Encoding(psi.matrix @ feed)
 
 
 def delta_input(psi: ChannelEncoding, a: int) -> Encoding:

@@ -19,8 +19,8 @@ from . import measures as ms
 from . import monotone as mn
 from . import possibilistic as ps
 from . import quantale as qt
-from .errors import FormatError, GuardError, RthyError
-from .exactmath import INFEASIBLE, LpOutcome, format_rational, parse_rational, verify_certificate
+from .errors import FormatError, GuardError, InvalidModule, RthyError
+from .exactmath import format_rational, parse_rational
 
 SCHEMAS = """\
 file formats (all rationals are strings like "3/4"; "+inf" (or "inf") and
@@ -50,7 +50,7 @@ def _read_doc(path: str):
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or past a parser limit
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -86,23 +86,14 @@ def _emit(doc: dict, fmt: str = "json") -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _farkas_certificate(res) -> dict:
-    cert = {"farkas": [format_rational(v) for v in res.farkas]}
-    replay = LpOutcome(status=INFEASIBLE, primal=None, dual=None,
-                       farkas=tuple(res.farkas), ray=None)
-    cert["verified"] = verify_certificate(res.problem, replay)
-    return cert
-
-
 def _conversion_doc(res, witness_json) -> dict:
     if res.convertible:
         return {"convertible": True, "witness": witness_json(res.witness)}
-    doc = {"convertible": False}
-    if res.farkas is not None and res.problem is not None:
-        doc["certificate"] = _farkas_certificate(res)
-    else:
-        doc["certificate"] = {"exhaustive": True}
-    return doc
+    if res.farkas is None:
+        return {"convertible": False, "certificate": {"exhaustive": True}}
+    # majorizes raises rather than return a vector that fails the check
+    return {"convertible": False, "certificate": {
+        "farkas": [format_rational(v) for v in res.farkas], "verified": True}}
 
 
 def _bool_map_json(t: ps.BoolStochasticMap) -> dict:
@@ -283,6 +274,9 @@ def _cmd_module(args) -> dict:
 
 def _cmd_ucrt(args) -> dict:
     q = qt.CommutativeQuantale.from_json(_read_doc(args.quantale))
+    violations = qt.validate_quantale(q)
+    if violations:
+        raise InvalidModule(violations)
     s = _names(args.source)
     t = _names(args.target)
     if args.ucrt_cmd == "order":

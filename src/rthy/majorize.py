@@ -30,7 +30,6 @@ from .errors import (
 from .exactmath import (
     F0,
     F1,
-    INFEASIBLE,
     LpProblem,
     Matrix,
     OPTIMAL,
@@ -39,6 +38,7 @@ from .exactmath import (
     lp_solve,
     parse_rational,
     row_echelon,
+    verify_certificate,
 )
 from .quantale import FunctionAction
 
@@ -220,7 +220,7 @@ def majorizes(x: Encoding, y: Encoding):
 
     Returns ``Convertible`` carrying an exact witness, replayed on x before it
     is returned, or ``NotConvertible`` carrying a Farkas certificate together
-    with the LP it refutes.
+    with the LP it refutes, checked against that LP before it is returned.
     """
     if x.hypotheses != y.hypotheses:
         raise HypothesisMismatch(
@@ -237,7 +237,8 @@ def majorizes(x: Encoding, y: Encoding):
         if witness is None or witness(x) != y:
             raise RuntimeError("majorization witness does not map x to y: solver fault")
         return Convertible(witness=witness)
-    assert outcome.status == INFEASIBLE
+    if not verify_certificate(problem, outcome):
+        raise RuntimeError("majorization Farkas vector does not refute x -> y: solver fault")
     return NotConvertible(farkas=tuple(outcome.farkas), problem=problem)
 
 

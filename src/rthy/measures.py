@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Sequence
 
 from .errors import BadStratumBounds, EnumerationTooLarge, ShapeMismatch
-from .exactmath import F0, F1, LpProblem, OPTIMAL, lp_solve
+from .exactmath import F0, F1, LpProblem, OPTIMAL, lp_solve, verify_certificate
 from .majorize import Encoding, enumeration_guard
 from .monotone import PLUS_INF
 
@@ -102,17 +102,21 @@ def _mixture_weight(x: Encoding, entry_rows: list, n_primary: int):
 
     ``entry_rows`` has one row per entry (i, c) of x, in row-major order,
     holding that entry of each vertex; the weights form the LP's columns,
-    and a last row asks them to sum to 1.
+    and a last row asks them to sum to 1.  The +inf is returned only once
+    the solver's Farkas vector has been checked against that LP.
     """
     n, h = x.outcomes, x.hypotheses
     width = len(entry_rows[0])
     a_rows = [*entry_rows, [1] * width]
     b = [x.matrix[i, c] for i in range(n) for c in range(h)] + [1]
     cost = [1] * n_primary + [0] * (width - n_primary)
-    outcome = lp_solve(LpProblem(c=cost, a_rows=a_rows, b=b))
-    if outcome.status != OPTIMAL:
-        return PLUS_INF
-    return outcome.objective
+    problem = LpProblem(c=cost, a_rows=a_rows, b=b)
+    outcome = lp_solve(problem)
+    if outcome.status == OPTIMAL:
+        return outcome.objective
+    if not verify_certificate(problem, outcome):
+        raise RuntimeError("mixture Farkas vector does not put x outside the hull: solver fault")
+    return PLUS_INF
 
 
 def convex_combination_weight(x: Encoding, primary: Sequence[Encoding],

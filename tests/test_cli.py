@@ -465,6 +465,12 @@ def test_exit_codes(files, capsys, monkeypatch):
         bad_docs.append((["module", "validate"], [], doc))
     for doc in ({"R": [0, 1]}, {**quantale, "R": "012"}):
         bad_docs.append((["ucrt", "order"], ["--source", "0", "--target", "0"], doc))
+    # a table that breaks the quantale laws: "a" is no unit for "b", and the
+    # free set {a} is not idempotent
+    broken = {"R": ["a", "b"], "box": {"a,a": ["b"]}, "unit": ["a"], "free": ["a"]}
+    bad_docs.append((["ucrt", "order"], ["--source", "a", "--target", "b"], broken))
+    bad_docs.append((["ucrt", "catalytic"], ["--source", "a", "--target", "b",
+                                             "--catalyst", "a"], broken))
     # lorenz inputs that are not distributions: a negative entry, a sum
     # below 1, and a reference that sums to 2
     for dist in (["2", "-1"], ["1/2", "1/4"]):
@@ -474,6 +480,28 @@ def test_exit_codes(files, capsys, monkeypatch):
         assert run([*cmd, files("malformed.json", doc), *extra]) == 2
         _, err = _out(capsys)
         assert "rthy:" in err and "Traceback" not in err
+
+
+def test_undecodable_files_exit_2(files, tmp_path):
+    # JSON nested past the parser's recursion limit, bytes that are not
+    # UTF-8 (a UTF-16 byte-order mark), and an integer past Python's
+    # digit limit for int(): each reader of each document kind refuses them
+    hostile = {"deep.json": b"[" * 200000 + b"]" * 200000,
+               "utf16.json": b"\xff\xfe{\x00}\x00",
+               "digits.json": b'{"hypotheses": ' + b"9" * 5000 + b"}"}
+    x = files("x.json", incomparable_x().to_json())
+    mod = files("m.json", rotation_module()[0].to_json())
+    for name, blob in hostile.items():
+        bad = tmp_path / name
+        bad.write_bytes(blob)
+        for argv in (["check-order", bad, x], ["lorenz", bad],
+                     ["channel", "apply", bad, "--delta", "0"], ["module", "validate", bad],
+                     ["ucrt", "order", bad, "--source", "0", "--target", "0"],
+                     ["module", "yield", mod, "--gold", bad, "--at", "orb1"],
+                     ["module", "covariant", mod, "--action", bad]):
+            code, err = _run_quietly(argv)
+            assert code == 2, (name, argv)
+            assert "rthy:" in err and "Traceback" not in err
 
 
 def test_channel_delta_out_of_range_names_index(files, capsys):
@@ -510,14 +538,21 @@ KEY_JUNK = ("", "0", "0,0,0", "a,0", "00,0", " 1,2", "1,1", "3,3", "2,4", "-1,0"
 
 
 def _mutate(doc, data):
-    """One random change to a channel document: a key dropped or renamed, a
-    size or value of the wrong type or range, a column of the wrong arity."""
+    """One random change to a JSON document: the whole document replaced; a
+    key dropped, renamed or given a size of the wrong type or range; or an
+    entry of a nested table (a channel's or an encoding's columns, an atom
+    list, a table of atom sets, a list of maps) dropped, repeated or renamed,
+    replaced by junk, or given the wrong arity.  A list document is its own
+    table."""
     kind = data.draw(st.sampled_from(("drop", "rename", "size", "drop-col", "rename-col",
                                       "col", "arity", "entry", "whole")))
-    if kind == "whole" or not isinstance(doc, dict):
+    if kind == "whole" or not isinstance(doc, (dict, list)):
         return data.draw(st.sampled_from((None, 3, "channel", [doc], [])))
-    if kind in ("drop", "rename", "size") or not isinstance(doc.get("columns"), dict) \
-            or not doc["columns"]:
+    if isinstance(doc, list):
+        tables = [doc] if doc else []
+    else:
+        tables = [doc[k] for k in sorted(doc) if isinstance(doc[k], (dict, list)) and doc[k]]
+    if isinstance(doc, dict) and (kind in ("drop", "rename", "size") or not tables):
         key = data.draw(st.sampled_from(sorted(doc) or ["hypotheses"]))
         if kind == "drop":
             doc.pop(key, None)
@@ -527,12 +562,17 @@ def _mutate(doc, data):
         else:
             doc[key] = data.draw(st.sampled_from(SIZE_JUNK))
         return doc
-    cols = doc["columns"]
-    key = data.draw(st.sampled_from(sorted(cols)))
+    if not tables:
+        return data.draw(st.sampled_from((None, 3, [])))
+    cols = data.draw(st.sampled_from(tables))
+    key = data.draw(st.sampled_from(sorted(cols) if isinstance(cols, dict) else range(len(cols))))
     if kind == "drop-col":
         del cols[key]
     elif kind == "rename-col":
-        cols[data.draw(st.sampled_from(KEY_JUNK))] = cols.pop(key)
+        if isinstance(cols, dict):
+            cols[data.draw(st.sampled_from(KEY_JUNK))] = cols.pop(key)
+        else:
+            cols.append(cols[key])
     elif kind == "col":
         cols[key] = data.draw(st.sampled_from(VALUE_JUNK))
     elif not isinstance(cols[key], list) or not cols[key]:
@@ -543,6 +583,14 @@ def _mutate(doc, data):
         cols[key][data.draw(st.integers(0, len(cols[key]) - 1))] = \
             data.draw(st.sampled_from(VALUE_JUNK))
     return doc
+
+
+def _run_quietly(argv):
+    """``run(argv)`` with stdout and stderr captured: (exit code, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([str(a) for a in argv])
+    return code, err.getvalue()
 
 
 @given(data=st.data())
@@ -558,11 +606,62 @@ def test_channel_subcommands_fuzzed_documents_exit_cleanly(tmp_path_factory, dat
     for argv in (["apply", psi, "--delta", "0"], ["apply", psi, "--input", "1,0,0,0"],
                  ["simulate", x, psi], ["equivalent", psi, x],
                  ["yield", psi, "--monotone", "weight"]):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(["channel", *map(str, argv)])
+        code, err = _run_quietly(["channel", *argv])
         assert code in (0, 2, 3), (argv, doc)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
+
+
+def _bundled_documents():
+    """Each other document kind: a bundled document of that kind, and the
+    argument lists (FILE standing for it) of the subcommands that read it."""
+    m, action = rotation_module()
+    rot_maps = [[m.resources[i] for i in mp] for mp in action.maps]
+    return {
+        "encoding": (incomparable_x().to_json(), [
+            ["check-order", "FILE", "y.json"], ["check-order", "y.json", "FILE"],
+            ["weight", "FILE"], ["weight", "FILE", "--m", "1", "--k", "2"],
+            ["robustness", "FILE", "--kind", "free"], ["markotope", "y.json", "FILE"],
+            ["zonotope", "FILE", "--contains", "y.json"], ["possibilistic", "FILE", "y.json"],
+            ["channel", "simulate", "FILE", "psi.json"]]),
+        "distribution": (["1/2", "1/4", "1/4"], [
+            ["lorenz", "FILE"], ["lorenz", "r.json", "--ref", "FILE"]]),
+        "module": (m.to_json(), [
+            ["module", "validate", "FILE"], ["module", "order", "FILE"],
+            ["module", "yield", "FILE", "--gold", "gold.json", "--at", "orb1"],
+            ["module", "cost", "FILE", "--gold", "gold.json", "--at", "orb1"],
+            ["module", "covariant", "FILE", "--action", "action.json"],
+            ["module", "augment", "FILE", "--set", "rot1"]]),
+        "quantale": (max_quantale().to_json(), [
+            ["ucrt", "order", "FILE", "--source", "1", "--target", "0"],
+            ["ucrt", "catalytic", "FILE", "--source", "1", "--target", "0", "--catalyst", "2"]]),
+        "valuation": ({"base": "0", "orb1": "1", "orb2": "+inf", "orb3": "-1/2"}, [
+            ["module", "yield", "m.json", "--gold", "FILE", "--at", "orb1"],
+            ["module", "cost", "m.json", "--gold", "FILE", "--at", "orb2"]]),
+        "action": ({"maps": rot_maps, "permutations": True}, [
+            ["module", "covariant", "m.json", "--action", "FILE"]]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["encoding", "distribution", "module", "quantale",
+                                  "valuation", "action"])
+@given(data=st.data())
+def test_fuzzed_documents_of_every_kind_exit_cleanly(tmp_path_factory, kind, data):
+    # exit 0, 2 or 3 and never a traceback, whatever the document holds
+    docs = _bundled_documents()
+    doc, commands = docs[kind]
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(doc, data)
+    folder = tmp_path_factory.mktemp("fuzz")
+    saved = {"y.json": incomparable_y().to_json(), "psi.json": channel_x().to_json(),
+             "r.json": ["1/3", "1/3", "1/3"], "m.json": docs["module"][0],
+             "gold.json": docs["valuation"][0], "action.json": docs["action"][0],
+             "FILE": doc}
+    for name, content in saved.items():
+        (folder / name).write_text(json.dumps(content))
+    for argv in commands:
+        code, err = _run_quietly([folder / a if a in saved else a for a in argv])
+        assert code in (0, 2, 3), (argv, doc, err)
+        assert "Traceback" not in err
 
 
 def test_output_is_deterministic(files, capsys):

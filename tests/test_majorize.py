@@ -20,6 +20,8 @@ from rthy import (
     RthyError,
     StochasticMap,
     ZeroReference,
+    channel_equivalent,
+    channel_yield,
     comb_simulates,
     det_postprocessings,
     lorenz,
@@ -30,6 +32,7 @@ from rthy import (
     relative_majorizes,
     verify_certificate,
     weight,
+    weight_fmk,
     zonotope,
     zonotope_certificate,
     zonotope_includes,
@@ -174,6 +177,29 @@ def test_witness_is_replayed_before_it_is_reported(monkeypatch):
         with pytest.raises(RuntimeError) as err:
             decide()
         assert not isinstance(err.value, RthyError)
+
+
+def test_farkas_vector_is_verified_before_it_is_reported(monkeypatch):
+    def vacuous_solver(problem):
+        # claims infeasibility with the zero vector, which refutes nothing
+        return LpOutcome(status=INFEASIBLE, farkas=[0] * problem.nrows)
+
+    x, y = incomparable_x(), incomparable_y()
+    monkeypatch.setattr("rthy.majorize.lp_solve", vacuous_solver)
+    for decide in (lambda: majorizes(x, y),
+                   lambda: markotope_contains(x, binary_image_of_x(), 2),
+                   lambda: comb_simulates(x, channel_x()),
+                   lambda: channel_equivalent(channel_x(), x),
+                   lambda: channel_yield(channel_x(), weight),
+                   lambda: relative_majorizes([H, H], [H, H], [1, 0], [H, H])):
+        with pytest.raises(RuntimeError) as err:
+            decide()
+        assert not isinstance(err.value, RthyError)
+    # f_{m,k} is +inf only on a checked Farkas vector
+    monkeypatch.setattr("rthy.measures.lp_solve", vacuous_solver)
+    with pytest.raises(RuntimeError) as err:
+        weight_fmk(x, 1, 2)
+    assert not isinstance(err.value, RthyError)
 
 
 def test_hypothesis_count_mismatch():
