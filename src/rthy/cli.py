@@ -276,7 +276,7 @@ def _cmd_ucrt(args) -> dict:
     q = qt.CommutativeQuantale.from_json(_read_doc(args.quantale))
     violations = qt.validate_quantale(q)
     if violations:
-        raise InvalidModule(violations)
+        raise InvalidModule(violations, "quantale")
     s = _names(args.source)
     t = _names(args.target)
     if args.ucrt_cmd == "order":

@@ -46,10 +46,11 @@ class IndexOutOfRange(RthyError):
 
 
 class InvalidModule(RthyError):
-    """Module failed validation; carries the violation list."""
+    """Module (or, with ``what="quantale"``, quantale) failed validation;
+    carries the violation list."""
 
-    def __init__(self, violations):
-        super().__init__(f"module axioms violated: {violations}")
+    def __init__(self, violations, what: str = "module"):
+        super().__init__(f"{what} axioms violated: {', '.join(map(str, violations))}")
         self.violations = violations
 
 

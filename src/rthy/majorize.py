@@ -3,8 +3,9 @@
 An encoding is the stochastic map from hypotheses to outcomes: column c is
 the distribution of an observed system under hypothesis c.  Conversion
 by hypothesis-independent post-processing (matrix majorization) is
-decided exactly by LP with witnesses/certificates; zonotopes, Markotopes
-and Lorenz curves expose the order's geometry.
+decided exactly with witnesses/certificates: by LP, or for two hypotheses
+by a martingale coupling and a zonotope normal; zonotopes, Markotopes and
+Lorenz curves expose the order's geometry.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .errors import (
 from .exactmath import (
     F0,
     F1,
+    INFEASIBLE,
+    LpOutcome,
     LpProblem,
     Matrix,
     OPTIMAL,
@@ -215,31 +218,150 @@ def _conversion_problem(x: Encoding, target: Matrix) -> LpProblem:
     return LpProblem(c=[0] * width, a_rows=a_rows, b=b)
 
 
+def _left_curtain(x: Encoding, y: Encoding) -> Optional[list]:
+    """Rows of a stochastic t with t * x = y for two hypotheses, or None when
+    the construction shows that there is none.
+
+    Row j of x is an atom of mass m_j = x_j0 + x_j1 at type
+    theta_j = x_j0 / m_j, and x converts to y exactly when y's atoms are
+    smaller in convex order (Blackwell 1953); a martingale coupling m_ij of
+    the two gives t_ij = m_ij / m_j (Strassen 1965).  This is the
+    left-curtain coupling (Beiglboeck & Juillet 2016): y's rows, in
+    increasing theta', each take from what is left of x the window of mass
+    l_i = c_i + d_i, contiguous in theta order, whose first-coordinate sum
+    is c_i.  That sum only grows as the window slides right, so one sweep
+    finds it; a window that cannot reach c_i means no conversion.  Zero
+    rows of x go to outcome 0.
+    """
+    mass = [a + b for a, b in x.matrix.rows]
+    theta = [a / m if m else F0 for (a, _), m in zip(x.matrix.rows, mass)]
+    order = sorted((j for j, m in enumerate(mass) if m), key=theta.__getitem__)
+    rest = list(mass)
+    rows = [[F0] * x.outcomes for _ in range(y.outcomes)]
+    targets = sorted((c / (c + d), i) for i, (c, d) in enumerate(y.matrix.rows) if c + d)
+    for _, i in targets:
+        c, d = y.matrix.rows[i]
+        live = [j for j in order if rest[j]]
+        # the leftmost window: it ends in atom live[e], short of that atom's
+        # end by ``end_room``, and starts ``start_room`` before atom live[s] ends
+        need, value, e = c + d, F0, 0
+        while True:
+            j = live[e]
+            part = min(rest[j], need)
+            value += theta[j] * part
+            need -= part
+            if not need:
+                break
+            e += 1
+        s, start_room, end_room = 0, rest[live[0]], rest[j] - part
+        # slide right; up to the next atom boundary at either end, the
+        # window's first-coordinate sum grows at theta_end - theta_start
+        while value < c:
+            if not end_room:
+                e += 1
+                if e == len(live):
+                    return None
+                end_room = rest[live[e]]
+                continue
+            if not start_room:
+                s += 1
+                start_room = rest[live[s]]
+            step = min(start_room, end_room)
+            slope = theta[live[e]] - theta[live[s]]
+            if slope and value + step * slope >= c:
+                step, value = (c - value) / slope, c
+            else:
+                value += step * slope
+            start_room -= step
+            end_room -= step
+        if value > c:
+            return None
+        window = [(live[s], c + d if s == e else start_room)]
+        if s != e:
+            window += [(j, rest[j]) for j in live[s + 1:e]]
+            window.append((live[e], rest[live[e]] - end_room))
+        for j, part in window:
+            rest[j] -= part
+            rows[i][j] = part / mass[j]
+    for j, m in enumerate(mass):
+        if not m:
+            rows[0][j] = F1
+    return rows
+
+
+def _dichotomy_normal(x: Encoding, y: Encoding) -> Optional[Tuple[int, int]]:
+    """A normal w = (x_j1, -x_j0) of a row of x, as coprime integers, with
+    h_{Z(y)}(w) > h_{Z(x)}(w), or None when no row gives one.
+
+    With two hypotheses every edge of the polygon Z(x) is parallel to a row
+    of x, and h_Z(-w) - h_Z(w) is the same for Z(x) and Z(y) (both are
+    symmetric about (1/2, 1/2)), so these n_x normals find any point of
+    Z(y) outside Z(x).  The scan runs on both encodings' rows scaled by one
+    common denominator.
+    """
+    den = lcm(*(v.denominator for e in (x, y) for row in e.matrix.rows for v in row))
+    gx, gy = ([[v.numerator * (den // v.denominator) for v in row] for row in e.matrix.rows]
+              for e in (x, y))
+    for a, b in gx:
+        w = (b, -a)
+        if _supports(w, gy)[0] > _supports(w, gx)[0]:
+            g = gcd(a, b)
+            return b // g, -a // g
+    return None
+
+
+def _checked_witness(x: Encoding, y: Encoding, rows) -> Convertible:
+    try:
+        witness = StochasticMap(Matrix(rows))
+    except FormatError:
+        witness = None
+    if witness is None or witness(x) != y:
+        raise RuntimeError("majorization witness does not map x to y: solver fault")
+    return Convertible(witness=witness)
+
+
+def _checked_refutation(problem: LpProblem, farkas) -> NotConvertible:
+    if farkas is None or not verify_certificate(
+            problem, LpOutcome(status=INFEASIBLE, farkas=farkas)):
+        raise RuntimeError("majorization Farkas vector does not refute x -> y: solver fault")
+    return NotConvertible(farkas=tuple(farkas), problem=problem)
+
+
 def majorizes(x: Encoding, y: Encoding):
     """Decide whether x converts to y by a hypothesis-independent stochastic map.
 
     Returns ``Convertible`` carrying an exact witness, replayed on x before it
     is returned, or ``NotConvertible`` carrying a Farkas certificate together
-    with the LP it refutes, checked against that LP before it is returned.
+    with the conversion LP it refutes, checked against that LP before it is
+    returned.  With two hypotheses no LP is solved: the witness is a
+    martingale coupling (``_left_curtain``), and the Farkas vector comes from
+    a normal w of Z(x) that Z(y) crosses (``_dichotomy_normal``).  It is w_c
+    at row (c, i) for y's outcomes i with w.y_i > 0, 0 at the other (c, i)
+    rows, and -max(0, w.x_j) at x's column-sum row j, so that its product
+    with the LP's b is h_{Z(y)}(w) - h_{Z(x)}(w) > 0 (Blackwell 1953).
+    Otherwise the witness or the Farkas vector comes from ``lp_solve``.
     """
     if x.hypotheses != y.hypotheses:
         raise HypothesisMismatch(
             f"encodings have {x.hypotheses} vs {y.hypotheses} hypotheses")
+    if x.hypotheses == 2:
+        rows = _left_curtain(x, y)
+        if rows is not None:
+            return _checked_witness(x, y, rows)
+        w = _dichotomy_normal(x, y)
+        farkas = None
+        if w is not None:
+            dy = _row_dots(w, y)
+            farkas = ([Fraction(a) if d > 0 else F0 for a in w for d in dy]
+                      + [-max(F0, d) for d in _row_dots(w, x)])
+        return _checked_refutation(_conversion_problem(x, y.matrix), farkas)
     problem = _conversion_problem(x, y.matrix)
     outcome = lp_solve(problem)
     if outcome.status == OPTIMAL:
         n_from = x.outcomes
-        rows = [outcome.primal[i * n_from:(i + 1) * n_from] for i in range(y.outcomes)]
-        try:
-            witness = StochasticMap(Matrix(rows))
-        except FormatError:
-            witness = None
-        if witness is None or witness(x) != y:
-            raise RuntimeError("majorization witness does not map x to y: solver fault")
-        return Convertible(witness=witness)
-    if not verify_certificate(problem, outcome):
-        raise RuntimeError("majorization Farkas vector does not refute x -> y: solver fault")
-    return NotConvertible(farkas=tuple(outcome.farkas), problem=problem)
+        return _checked_witness(x, y, [outcome.primal[i * n_from:(i + 1) * n_from]
+                                       for i in range(y.outcomes)])
+    return _checked_refutation(problem, outcome.farkas)
 
 
 def det_postprocessings(n: int, k: int) -> List[StochasticMap]:

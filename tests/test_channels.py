@@ -172,7 +172,12 @@ def test_comb_simulates_matches_reference(pair):
     res, ref = comb_simulates(x, psi), _reference_comb_simulates(x, psi)
     assert res.convertible == ref.convertible
     if res.convertible:
-        assert res.witness == ref.witness
+        # with two hypotheses a map comes from a martingale coupling, not the
+        # LP, and witnesses are not unique
+        if 2 in (x.hypotheses, x.hypotheses * psi.inputs):
+            assert check_comb_witness(x, psi, res.witness)
+        else:
+            assert res.witness == ref.witness
         return
     first = next(r for r in (majorizes(x, delta_input(psi, a)) for a in range(psi.inputs))
                  if not r.convertible)

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import os
@@ -94,6 +95,22 @@ def test_check_order_pinned_layouts(files, capsys):
                         (incomparable_y(), incomparable_x(), (15, 12))):
         problem = majorizes(a, b).problem
         assert (problem.nrows, problem.ncols) == shape
+
+
+def test_check_order_dichotomy_answers_under_any_guard(files, capsys, monkeypatch):
+    """With two hypotheses neither the coupling nor the scan over the n_x
+    normals of Z(x) is an enumeration, so a guard of 1 does not trip."""
+    monkeypatch.setenv("RTHY_ENUM_GUARD", "1")
+    x = files("x.json", two_point_encoding("1/8", "1/2").to_json())
+    y = files("y.json", two_point_encoding("1/4", "3/4").to_json())
+    # w = (4, -7) is normal to x's row (7/8, 1/2); y's row (3/4, 1/4) crosses it
+    refuted = {"certificate": {"farkas": ["0", "4", "0", "-7", "0", "0"], "verified": True},
+               "convertible": False}
+    assert run(["check-order", x, y]) == 0
+    assert _json_out(capsys) == refuted
+    assert run(["check-order", x, x]) == 0
+    assert _json_out(capsys) == {"convertible": True, "witness": {
+        "columns": [["1", "0"], ["0", "1"]], "from": 2, "to": 2}}
 
 
 def test_zonotope_vertices_and_csv(files, capsys):
@@ -481,6 +498,18 @@ def test_exit_codes(files, capsys, monkeypatch):
         _, err = _out(capsys)
         assert "rthy:" in err and "Traceback" not in err
 
+    # broken laws are named one by one, for what was read
+    assert run(["ucrt", "order", files("broken.json", broken),
+                "--source", "a", "--target", "b"]) == 2
+    _, err = _out(capsys)
+    assert err.startswith("rthy: quantale axioms violated: UnitStarViolation('a',), "
+                          "UnitStarViolation('b',), FreeNotIdempotent\n")
+    bad_module = {**unit_module, "T": ["e", "f"], "free": ["f"]}
+    assert run(["module", "order", files("bad_module.json", bad_module)]) == 2
+    _, err = _out(capsys)
+    assert err.startswith("rthy: module axioms violated: UnitStarViolation('f',), "
+                          "FreeNotReflexive\n")
+
 
 def test_undecodable_files_exit_2(files, tmp_path):
     # JSON nested past the parser's recursion limit, bytes that are not
@@ -537,6 +566,12 @@ KEY_JUNK = ("", "0", "0,0,0", "a,0", "00,0", " 1,2", "1,1", "3,3", "2,4", "-1,0"
             f"{10 ** 12},0", "0,1.0")
 
 
+def _junk(values):
+    """One of ``values``, copied: a drawn list or dict can be changed in place
+    by a later mutation, and must not change the constant it came from."""
+    return st.sampled_from(values).map(copy.deepcopy)
+
+
 def _mutate(doc, data):
     """One random change to a JSON document: the whole document replaced; a
     key dropped, renamed or given a size of the wrong type or range; or an
@@ -560,7 +595,7 @@ def _mutate(doc, data):
             doc[data.draw(st.sampled_from(("inputs", "Hypotheses", "outputs", "cols")))] = \
                 doc.pop(key, None)
         else:
-            doc[key] = data.draw(st.sampled_from(SIZE_JUNK))
+            doc[key] = data.draw(_junk(SIZE_JUNK))
         return doc
     if not tables:
         return data.draw(st.sampled_from((None, 3, [])))
@@ -574,14 +609,14 @@ def _mutate(doc, data):
         else:
             cols.append(cols[key])
     elif kind == "col":
-        cols[key] = data.draw(st.sampled_from(VALUE_JUNK))
+        cols[key] = data.draw(_junk(VALUE_JUNK))
     elif not isinstance(cols[key], list) or not cols[key]:
         cols[key] = ["1"]
     elif kind == "arity":
         cols[key] = cols[key][:-1] if data.draw(st.booleans()) else cols[key] + ["0"]
     else:
         cols[key][data.draw(st.integers(0, len(cols[key]) - 1))] = \
-            data.draw(st.sampled_from(VALUE_JUNK))
+            data.draw(_junk(VALUE_JUNK))
     return doc
 
 

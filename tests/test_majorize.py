@@ -1,11 +1,13 @@
 import itertools
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from rthy import (
+    ChannelEncoding,
     Encoding,
     EnumerationTooLarge,
     FormatError,
@@ -44,7 +46,7 @@ from rthy.instances import (
     incomparable_y,
     two_point_encoding,
 )
-from rthy.majorize import _merged_rows
+from rthy.majorize import _conversion_problem, _merged_rows
 
 from conftest import column_normalized, distributions, encodings, spread_pair, stochastic_maps
 
@@ -161,6 +163,23 @@ def test_bundled_pair_incomparable_with_certificates():
         assert verify_certificate(res.problem, replay)
 
 
+def _raises_solver_fault(decisions):
+    for decide in decisions:
+        with pytest.raises(RuntimeError) as err:
+            decide()
+        assert not isinstance(err.value, RthyError)
+
+
+EIGHTH = two_point_encoding(Fraction(1, 8), H)
+QUARTER = two_point_encoding(Fraction(1, 4), Fraction(3, 4))  # neither converts to the other
+
+
+def _two_input_channel(*states):
+    """The channel whose input a gives the two-hypothesis encoding states[a]."""
+    return ChannelEncoding.from_columns(
+        [s.column(c) for c in range(2) for s in states], len(states))
+
+
 def test_witness_is_replayed_before_it_is_reported(monkeypatch):
     def collapsing_solver(problem):
         # stochastic, but sends every outcome to outcome 0: t[0][j] is column j,
@@ -169,14 +188,20 @@ def test_witness_is_replayed_before_it_is_reported(monkeypatch):
         return LpOutcome(status=OPTIMAL, primal=[
             Fraction(k < n_from) for k in range(problem.ncols)])
 
+    def collapsing_coupling(x, y):
+        return [[Fraction(i == 0)] * x.outcomes for i in range(y.outcomes)]
+
     monkeypatch.setattr("rthy.majorize.lp_solve", collapsing_solver)
     x = incomparable_x()
-    for decide in (lambda: majorizes(x, x),
-                   lambda: comb_simulates(x, channel_x()),
-                   lambda: markotope_contains(x, binary_image_of_x(), 2)):
-        with pytest.raises(RuntimeError) as err:
-            decide()
-        assert not isinstance(err.value, RthyError)
+    _raises_solver_fault((lambda: majorizes(x, x),
+                          lambda: comb_simulates(x, channel_x()),
+                          lambda: markotope_contains(x, binary_image_of_x(), 2)))
+    # with two hypotheses the witness comes from the coupling, not the LP
+    monkeypatch.setattr("rthy.majorize._left_curtain", collapsing_coupling)
+    _raises_solver_fault((lambda: majorizes(EIGHTH, EIGHTH),
+                          lambda: comb_simulates(EIGHTH, _two_input_channel(EIGHTH, EIGHTH)),
+                          lambda: markotope_contains(EIGHTH, EIGHTH, 2),
+                          lambda: relative_majorizes([1, 0], [H, H], [H, H], [H, H])))
 
 
 def test_farkas_vector_is_verified_before_it_is_reported(monkeypatch):
@@ -186,20 +211,102 @@ def test_farkas_vector_is_verified_before_it_is_reported(monkeypatch):
 
     x, y = incomparable_x(), incomparable_y()
     monkeypatch.setattr("rthy.majorize.lp_solve", vacuous_solver)
-    for decide in (lambda: majorizes(x, y),
-                   lambda: markotope_contains(x, binary_image_of_x(), 2),
-                   lambda: comb_simulates(x, channel_x()),
-                   lambda: channel_equivalent(channel_x(), x),
-                   lambda: channel_yield(channel_x(), weight),
-                   lambda: relative_majorizes([H, H], [H, H], [1, 0], [H, H])):
-        with pytest.raises(RuntimeError) as err:
-            decide()
-        assert not isinstance(err.value, RthyError)
+    _raises_solver_fault((lambda: majorizes(x, y),
+                          lambda: markotope_contains(x, binary_image_of_x(), 2),
+                          lambda: comb_simulates(x, channel_x()),
+                          lambda: channel_equivalent(channel_x(), x),
+                          lambda: channel_yield(channel_x(), weight)))
     # f_{m,k} is +inf only on a checked Farkas vector
     monkeypatch.setattr("rthy.measures.lp_solve", vacuous_solver)
-    with pytest.raises(RuntimeError) as err:
-        weight_fmk(x, 1, 2)
-    assert not isinstance(err.value, RthyError)
+    _raises_solver_fault((lambda: weight_fmk(x, 1, 2),))
+    # with two hypotheses the vector comes from a normal of Z(x): w = (1, 1)
+    # separates nothing (both supports are 2), and None is a scan that found none
+    mixed = _two_input_channel(EIGHTH, QUARTER)
+    for normal in ((1, 1), None):
+        monkeypatch.setattr("rthy.majorize._dichotomy_normal", lambda x, y: normal)
+        _raises_solver_fault((lambda: majorizes(EIGHTH, QUARTER),
+                              lambda: markotope_contains(EIGHTH, QUARTER, 2),
+                              lambda: comb_simulates(EIGHTH, mixed),
+                              lambda: channel_equivalent(mixed, EIGHTH),
+                              lambda: channel_yield(mixed, weight),
+                              lambda: relative_majorizes([H, H], [H, H], [1, 0], [H, H])))
+
+
+def _forbidden_lp(problem):
+    raise AssertionError("majorizes solved an LP for two hypotheses")
+
+
+def _decided_without_lp(x, y):
+    """majorizes(x, y), checked: the decision equals the conversion LP's, the
+    witness replays, or the Farkas vector refutes the problem it comes with."""
+    with mock.patch("rthy.majorize.lp_solve", _forbidden_lp):
+        res = majorizes(x, y)
+    assert res.convertible == (lp_solve(_conversion_problem(x, y.matrix)).status == OPTIMAL)
+    if res.convertible:
+        assert res.witness(x) == y
+    else:
+        replay = LpOutcome(status=INFEASIBLE, farkas=list(res.farkas))
+        assert verify_certificate(res.problem, replay)
+    return res
+
+
+@st.composite
+def dichotomy_pairs(draw):
+    """(x, y) with two hypotheses and 1-7 outcomes each, from rows of small
+    integers (so types x_j0 / (x_j0 + x_j1) often tie), maybe with a zero row
+    or a repeated one; y is x itself, a post-processing of x, or drawn alone."""
+    def rows():
+        out = [draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))
+               for _ in range(draw(st.integers(1, 5)))]
+        if draw(st.booleans()):
+            out.insert(draw(st.integers(0, len(out))), [0, 0])
+        if draw(st.booleans()):
+            out.append([draw(st.integers(1, 2)) * v for v in out[0]])
+        if any(sum(r[c] for r in out) == 0 for c in range(2)):
+            out[-1] = [1, 1]
+        return out
+
+    x = column_normalized(rows())
+    kind = draw(st.sampled_from(("self", "post", "free")))
+    if kind == "self":
+        return x, x
+    if kind == "post":
+        return x, draw(stochastic_maps(x.outcomes, max_to=7))(x)
+    return x, column_normalized(rows())
+
+
+@given(dichotomy_pairs())
+def test_dichotomy_matches_lp_reference(pair):
+    _decided_without_lp(*pair)
+
+
+def _enc(*rows):
+    return column_normalized(rows)
+
+
+@pytest.mark.parametrize("x, y, convertible", [
+    # ties in theta within x (rows 0 and 1) and within y (rows 1 and 2)
+    (_enc((2, 1), (4, 2), (0, 3), (1, 1)), _enc((3, 2), (1, 2), (2, 4)), True),
+    # y's middle row sits at theta = 1/2, an atom of x, with more mass than it
+    (_enc((1, 0), (1, 1), (0, 1)), _enc((1, 0), (2, 2), (0, 1)), True),
+    (_enc((1, 0), (1, 1), (0, 1)), _enc((1, 1), (1, 1)), True),
+    # zero rows in x and in y
+    (_enc((0, 0), (3, 1), (0, 0), (1, 3)), _enc((2, 2), (0, 0), (1, 0), (1, 4)), False),
+    (_enc((0, 0), (3, 1), (0, 0), (1, 3)), _enc((0, 0), (5, 3), (3, 5)), True),
+    # x with one nonzero row: only y's rows at theta = 1/2 are reachable
+    (_enc((0, 0), (1, 1)), _enc((1, 1), (2, 2), (0, 0)), True),
+    (_enc((0, 0), (1, 1)), _enc((1, 2), (1, 0)), False),
+    # y with one outcome
+    (_enc((1, 0), (0, 1)), _enc((1, 1)), True),
+    (_enc((1, 3), (2, 0)), _enc((1, 1)), True),
+    # y = x, with a zero row and a tie
+    (_enc((1, 2), (0, 0), (2, 4), (3, 1)), _enc((1, 2), (0, 0), (2, 4), (3, 1)), True),
+    # the bundled pair of mutually non-inclusive polygons
+    (EIGHTH, QUARTER, False),
+    (QUARTER, EIGHTH, False),
+])
+def test_dichotomy_edge_cases(x, y, convertible):
+    assert _decided_without_lp(x, y).convertible == convertible
 
 
 def test_hypothesis_count_mismatch():
@@ -251,7 +358,8 @@ def test_zonotope_contains_all_subset_sums(x):
 def test_zonotope_inclusion_matches_lp_decision(x):
     # with two hypotheses the polygon test and the conversion LP agree
     y = two_point_encoding(Fraction(1, 3), Fraction(2, 3))
-    assert zonotope_includes(x, y) == majorizes(x, y).convertible
+    lp = lp_solve(_conversion_problem(x, y.matrix)).status == OPTIMAL
+    assert zonotope_includes(x, y) == lp
 
 
 def _point_in_zonotope_lp(x, point):
