@@ -172,17 +172,18 @@ def channel_yield(psi: ChannelEncoding, f: Callable[[Encoding], object]) -> Chan
     and nonconvexity) the value is the supremum of f(apply_input(psi, mu))
     over all input distributions mu.  ``exact`` certifies that the channel
     is equivalent to the state encoding x of some maximizing delta input:
-    an input-copy comb builds psi from x, and feeding that input to psi
-    gives back x.  ``maximizer`` is, as a distribution, the first
-    maximizing delta input that certifies ``exact``, or the first
-    maximizing delta input when none does.
+    x majorizes every delta input's encoding, so an input-copy comb builds
+    psi from x (the decision of ``comb_simulates``, without building its
+    sigma), and feeding that input to psi gives back x.  ``maximizer`` is,
+    as a distribution, the first maximizing delta input that certifies
+    ``exact``, or the first maximizing delta input when none does.
     """
     states = [delta_input(psi, a) for a in range(psi.inputs)]
     values = [f(x) for x in states]
     best = max(values)
     maximizers = [a for a, value in enumerate(values) if value == best]
-    certified = next((a for a in maximizers if comb_simulates(states[a], psi).convertible),
-                     None)
+    certified = next((a for a in maximizers
+                      if all(majorizes(states[a], s).convertible for s in states)), None)
     shown = maximizers[0] if certified is None else certified
     return ChannelYield(value=best, exact=certified is not None,
                         maximizer=tuple(F1 if i == shown else F0 for i in range(psi.inputs)))

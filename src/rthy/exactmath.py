@@ -8,11 +8,12 @@ entries in those columns, and pivots that block fraction-free
 (Edmonds/Bareiss), so no cell update pays a gcd.  Each row is cleared by
 the denominators of its row of A alone, and every right-hand side shares
 one common denominator D, so the denominators of b never scale a row of A
-and never reach a pivot.  Each reduced cost and entering column is priced
-from the sparse columns of A as it is needed, and Bland's rule picks
-exactly the pivots of the full-tableau simplex.
-Every solve reports its shape and the pivot count of each phase
-(``LpStats``).  It returns machine-checkable certificates for all three
+and never reach a pivot.  Reduced costs and entering columns are computed
+from the sparse columns of A as needed and priced cyclically, with Bland's
+rule after ``STALL`` degenerate pivots in a row (``_price_and_pivot``);
+under that rule the solver makes exactly the pivots of the full tableau.
+Every solve reports its shape, the pivot count of each phase and the
+number of reduced costs priced (``LpStats``).  It returns machine-checkable certificates for all three
 outcomes:
 
 * ``Optimal``     -- primal solution plus dual multipliers (checked via
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -74,7 +76,7 @@ def _as_fraction_rows(rows) -> tuple:
     out = []
     width = None
     for row in rows:
-        frow = tuple(Fraction(v) for v in row)
+        frow = tuple(v if type(v) is Fraction else Fraction(v) for v in row)
         if width is None:
             width = len(frow)
         elif len(frow) != width:
@@ -222,7 +224,8 @@ class LpProblem:
 
 
 class LpStats(NamedTuple):
-    """Counters of one solve: the LP's shape and the pivots of each phase.
+    """Counters of one solve: the LP's shape, the pivots of each phase, and
+    the reduced costs priced over both phases.
 
     Phase 1 counts the pivots that drive leftover artificials out too.
     """
@@ -231,6 +234,7 @@ class LpStats(NamedTuple):
     cols: int
     phase1_pivots: int
     phase2_pivots: int
+    priced: int
 
 
 @dataclass
@@ -258,7 +262,7 @@ class LpOutcome:
 # part and c_art the artificials' costs.  Each value equals the full
 # tableau's, and only positive scalings separate that from the textbook
 # Fraction tableau of the same LP, so every sign test and ratio
-# comparison, and hence every Bland pivot, agrees.
+# comparison, and hence every pivot, agrees.
 
 
 def _pivot(block, den, r, column):
@@ -301,33 +305,58 @@ def _column(block, col):
     return out
 
 
-def _bland(block, basis, den, cols, cost, artificials):
-    """Bland-rule pivots until no reduced cost is negative.
+# Consecutive degenerate pivots after which pricing falls back to Bland's rule.
+STALL = 50
 
-    ``cost[j]`` is c_j - c_art . A'_j for structural column j.  With
-    ``artificials`` (phase 1) the artificial columns are priced after the
-    structural ones, else they are barred from entering.  Returns
-    ``(den, pivots, None)`` at the optimum, or ``(den, pivots, enter)``
-    when structural column ``enter`` improves without bound.
+
+def _price_and_pivot(block, basis, den, cols, cost, artificials):
+    """Simplex pivots until no reduced cost is negative.
+
+    ``cost[j]`` is c_j - c_art . A'_j for structural column j.  The scan
+    runs over the structural columns, then, with ``artificials`` (phase 1),
+    over the artificial ones as columns n, n+1, ...; in phase 2 the
+    artificials are barred from entering.  Pricing is cyclic and partial:
+    each scan starts at the column after the last entering one, wraps
+    around, and enters the first column with a negative reduced cost.  The
+    ratio test breaks ties by the lowest basis index.  After ``STALL``
+    consecutive degenerate pivots (the ratio test's rhs is 0) each scan
+    starts at column 0 instead, which is Bland's rule, until a pivot is
+    nondegenerate.
+
+    This terminates.  A nondegenerate pivot strictly lowers the objective
+    and a degenerate one keeps it, so a basis can recur only within one run
+    of degenerate pivots.  Such a run makes at most ``STALL`` cyclic pivots
+    and then Bland's, which cannot cycle at a fixed objective value (Bland
+    1977), so it ends at the optimum, at an unbounded column or with a
+    nondegenerate pivot.  Finitely many bases give finitely many objective
+    values, so there are finitely many runs.
+
+    Returns ``(den, pivots, priced, enter)``: ``priced`` counts the reduced
+    costs computed, and ``enter`` is None at the optimum, or the structural
+    column that improves without bound.
     """
-    m = len(basis)
-    pivots = 0
+    n = len(cost)
+    width = n + len(basis) if artificials else n
+    pivots = priced = stalled = start = 0
     while True:
         crow = block[-1]
-        # price column by column and stop at the first negative reduced cost
-        for enter, (cj, col) in enumerate(zip(cost, cols)):
-            red = den * cj
-            for k, a in col:
-                red += crow[k] * a
-            if red < 0:
-                column = _column(block, col)
-                column.append(red)
+        if stalled >= STALL:
+            start = 0
+        for enter in chain(range(start, width), range(start)):
+            if enter < n:
+                red = den * cost[enter]
+                for k, a in cols[enter]:
+                    red += crow[k] * a
+                if red < 0:
+                    column = _column(block, cols[enter])
+                    column.append(red)
+                    break
+            elif crow[enter - n] < 0:
+                column = [row[enter - n] for row in block]
                 break
         else:
-            k = next((k for k in range(m) if crow[k] < 0), None) if artificials else None
-            if k is None:
-                return den, pivots, None
-            enter, column = len(cost) + k, [row[k] for row in block]
+            return den, pivots, priced + width, None
+        priced += (enter - start) % width + 1
         best = None
         for i, b in enumerate(basis):
             a = column[i]
@@ -341,14 +370,16 @@ def _bland(block, basis, den, cols, cost, artificials):
                     continue
             best, best_a, best_rhs = i, a, rhs
         if best is None:
-            return den, pivots, enter
+            return den, pivots, priced, enter
+        stalled = stalled + 1 if best_rhs == 0 else 0
         den = _pivot(block, den, best, column)
         basis[best] = enter
         pivots += 1
+        start = enter + 1
 
 
 def lp_solve(problem: LpProblem) -> LpOutcome:
-    """Two-phase simplex with Bland's anti-cycling rule, fully exact.
+    """Two-phase simplex, fully exact, priced by ``_price_and_pivot``.
 
     Row i is flipped to a nonnegative right-hand side (sign ``signs[i]``)
     and multiplied by ``scales[i]``, the lcm of the denominators of row i of
@@ -357,8 +388,8 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
     their denominators until all of them are cleared by their common lcm
     ``rden`` (D), so the block's last column is D b' and each primal value
     is read as that entry over den*D.  All scalings are positive, and D is
-    the same for every row, so every sign test, ratio comparison and Bland
-    pivot is that of the unscaled tableau.  ``cols[j]`` lists the nonzeros
+    the same for every row, so every sign test, ratio comparison and pivot
+    is that of the unscaled tableau.  ``cols[j]`` lists the nonzeros
     ``(i, a)`` of column j of the result A'.
     """
     m, n = problem.nrows, problem.ncols
@@ -387,14 +418,15 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
     weights = [big // s for s in scales]
     block.append([0] * m + [-sum(w * row[-1] for w, row in zip(weights, block))])
     phase1_cost = [-sum(weights[k] * a for k, a in col) for col in cols]
-    den, phase1, _ = _bland(block, basis, 1, cols, phase1_cost, artificials=True)
+    den, phase1, priced, _ = _price_and_pivot(block, basis, 1, cols, phase1_cost,
+                                              artificials=True)
 
     costrow = block[-1]
     if costrow[-1] < 0:  # residual infeasibility; costrow[-1] holds -objective
         scale = den * big
         farkas = [Fraction(sg * (scale - s * costrow[i]), scale)
                   for i, (sg, s) in enumerate(zip(signs, scales))]
-        return LpOutcome(status=INFEASIBLE, farkas=farkas, stats=LpStats(m, n, phase1, 0))
+        return LpOutcome(status=INFEASIBLE, farkas=farkas, stats=LpStats(m, n, phase1, 0, priced))
 
     # drive leftover artificials out of the basis where possible; the
     # phase-1 cost row is spent, and until phase 2 the zero objective, whose
@@ -419,8 +451,9 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
         if cb:
             costrow = [cv - cb * rv for cv, rv in zip(costrow, row)]
     block[-1] = costrow
-    den, phase2, enter = _bland(block, basis, den, cols, cost, artificials=False)
-    stats = LpStats(m, n, phase1, phase2)
+    den, phase2, priced2, enter = _price_and_pivot(block, basis, den, cols, cost,
+                                                   artificials=False)
+    stats = LpStats(m, n, phase1, phase2, priced + priced2)
 
     primal = [F0] * n
     for r, b in enumerate(basis):

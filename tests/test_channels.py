@@ -172,12 +172,11 @@ def test_comb_simulates_matches_reference(pair):
     res, ref = comb_simulates(x, psi), _reference_comb_simulates(x, psi)
     assert res.convertible == ref.convertible
     if res.convertible:
-        # with two hypotheses a map comes from a martingale coupling, not the
-        # LP, and witnesses are not unique
-        if 2 in (x.hypotheses, x.hypotheses * psi.inputs):
-            assert check_comb_witness(x, psi, res.witness)
-        else:
-            assert res.witness == ref.witness
+        # witnesses are not unique: with two hypotheses a map comes from a
+        # martingale coupling, and with more the per-input LPs, priced
+        # cyclically, need not stop at the vertex the reference's one LP
+        # reaches
+        assert check_comb_witness(x, psi, res.witness)
         return
     first = next(r for r in (majorizes(x, delta_input(psi, a)) for a in range(psi.inputs))
                  if not r.convertible)

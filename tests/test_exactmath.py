@@ -3,10 +3,13 @@
 The LP oracle here is deliberately independent of the solver: basic
 solutions are enumerated by brute force with a tiny Gaussian solver, so
 optimal values are cross-checked against vertex enumeration and
-infeasibility against the absence of any basic feasible point.  The
-revised integer ``lp_solve`` is also compared, field for field and pivot
-count for pivot count, with the dense ``Fraction`` tableau simplex
-(``_reference_lp_solve``), on random LPs and on LPs the tools build.
+infeasibility against the absence of any basic feasible point.  With
+``exactmath.STALL`` at 0 the revised integer ``lp_solve`` prices by Bland's
+rule throughout, and it is compared, field for field and pivot count for
+pivot count, with the dense ``Fraction`` tableau simplex under Bland's rule
+(``_reference_lp_solve``), on random LPs and on LPs the tools build.  With
+the default cyclic pricing it must reach the reference's status and
+objective, with a certificate that verifies.
 """
 
 import itertools
@@ -32,7 +35,7 @@ from rthy import (
     rank,
     verify_certificate,
 )
-from rthy import exactmath, majorize, measures
+from rthy import StochasticMap, exactmath, majorize, measures
 from rthy.exactmath import F0, F1, LpStats
 
 from conftest import encodings, spread_pair, stochastic_maps
@@ -265,11 +268,12 @@ def _reference_pivot(tableau, costrow, basis, r, col):
 
 
 def _reference_bland_step(tableau, costrow, basis, allowed_cols):
-    """One Bland-rule pivot.  Returns 'optimal', 'pivoted', or the entering
-    column index when the problem is unbounded in that direction."""
+    """One Bland-rule pivot over ``allowed_cols``, a ``range(k)``.  Returns
+    'optimal', 'pivoted', or 'unbounded' with the entering column index, and
+    the number of reduced costs read."""
     enter = next((j for j in allowed_cols if costrow[j] < 0), None)
     if enter is None:
-        return "optimal", None
+        return "optimal", None, len(allowed_cols)
     best = None
     for i, row in enumerate(tableau):
         a = row[enter]
@@ -278,9 +282,9 @@ def _reference_bland_step(tableau, costrow, basis, allowed_cols):
             if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
                 best = (ratio, i)
     if best is None:
-        return "unbounded", enter
+        return "unbounded", enter, enter + 1
     _reference_pivot(tableau, costrow, basis, best[1], enter)
-    return "pivoted", None
+    return "pivoted", None, enter + 1
 
 
 def _reference_lp_solve(problem):
@@ -315,9 +319,10 @@ def _reference_lp_solve(problem):
         costrow = [cv - rv for cv, rv in zip(costrow, row)]
 
     allowed = range(n + m)
-    phase1 = phase2 = 0
+    phase1 = phase2 = priced = 0
     while True:
-        state, _ = _reference_bland_step(tableau, costrow, basis, allowed)
+        state, _, read = _reference_bland_step(tableau, costrow, basis, allowed)
+        priced += read
         if state == "optimal":
             break
         phase1 += 1
@@ -325,7 +330,8 @@ def _reference_lp_solve(problem):
     if -costrow[-1] > 0:  # residual infeasibility; costrow[-1] holds -objective
         y_flip = [F1 - costrow[n + i] for i in range(m)]
         farkas = [s * y for s, y in zip(signs, y_flip)]
-        return LpOutcome(status=INFEASIBLE, farkas=farkas, stats=LpStats(m, n, phase1, 0))
+        return LpOutcome(status=INFEASIBLE, farkas=farkas,
+                         stats=LpStats(m, n, phase1, 0, priced))
 
     # drive leftover artificials out of the basis where possible
     for r in range(m):
@@ -347,7 +353,8 @@ def _reference_lp_solve(problem):
 
     allowed = range(n)
     while True:
-        state, enter = _reference_bland_step(tableau, costrow, basis, allowed)
+        state, enter, read = _reference_bland_step(tableau, costrow, basis, allowed)
+        priced += read
         if state == "optimal":
             break
         if state == "pivoted":
@@ -364,7 +371,7 @@ def _reference_lp_solve(problem):
                 if basis[r] < n:
                     ray[basis[r]] = -tableau[r][enter]
             return LpOutcome(status=UNBOUNDED, primal=primal, ray=ray,
-                             stats=LpStats(m, n, phase1, phase2))
+                             stats=LpStats(m, n, phase1, phase2, priced))
 
     primal = [F0] * n
     for r in range(m):
@@ -381,11 +388,33 @@ def _reference_lp_solve(problem):
     dual = [s * y for s, y in zip(signs, y_flip)]
     objective = sum((ci * vi for ci, vi in zip(problem.c, primal)), F0)
     return LpOutcome(status=OPTIMAL, primal=primal, dual=dual, objective=objective,
-                     stats=LpStats(m, n, phase1, phase2))
+                     stats=LpStats(m, n, phase1, phase2, priced))
 
 
 def _fields(out):
     return (out.status, out.primal, out.dual, out.farkas, out.ray, out.objective)
+
+
+def _bland_solve(problem):
+    """``lp_solve`` with Bland's rule from the first pivot on."""
+    with mock.patch.object(exactmath, "STALL", 0):
+        return lp_solve(problem)
+
+
+def _pricing_outcomes(problem):
+    """``lp_solve``'s outcomes at the default STALL, which small LPs seldom
+    reach, and at 1, where every degenerate pivot starts a Bland stretch."""
+    outs = []
+    for stall in (exactmath.STALL, 1):
+        with mock.patch.object(exactmath, "STALL", stall):
+            outs.append(lp_solve(problem))
+    return outs
+
+
+def _agree(problem, out, ref):
+    """Same status and objective as ``ref``, and a certificate that verifies."""
+    same = (out.status, out.objective) == (ref.status, ref.objective)
+    return same and verify_certificate(problem, out)
 
 
 @st.composite
@@ -418,9 +447,16 @@ def mixed_problems(draw):
 @example(_lp([["1/2", "1/3"], ["3/2", 1], [0, "-1/4"]], ["1/5", "4/7", "-1/11"],
              [1, 1]))                                  # infeasible, b's denominators not in A
 def test_lp_solve_matches_fraction_reference(problem):
-    out = lp_solve(problem)
+    out = _bland_solve(problem)
     assert _fields(out) == _fields(_reference_lp_solve(problem))
     assert verify_certificate(problem, out)
+
+
+@settings(max_examples=300)
+@given(mixed_problems())
+def test_default_pricing_matches_fraction_reference(problem):
+    ref = _reference_lp_solve(problem)
+    assert all(_agree(problem, out, ref) for out in _pricing_outcomes(problem))
 
 
 def _fmk_problem(x, m, k):
@@ -437,13 +473,14 @@ def _fmk_problem(x, m, k):
 
 
 @st.composite
-def tool_problems(draw):
+def tool_cases(draw):
     """LPs shaped as the tools build them, unlike ``mixed_problems``: up to
     several times more columns than rows, sparse columns, and dependent rows
     that leave artificials basic on a redundant 0 = 0 row after phase 1
     (every feasible conversion LP has h of them).  Either the
     conversion LP of ``majorizes`` for x and t(x) or for two random
-    encodings, or the ``weight_fmk`` LP of a small encoding."""
+    encodings, with the pair (x, y), or the ``weight_fmk`` LP of a small
+    encoding, with None."""
     if draw(st.booleans()):
         x = draw(encodings(max_outcomes=4, max_hypotheses=3))
         if draw(st.booleans()):
@@ -451,23 +488,41 @@ def tool_problems(draw):
         else:
             h = x.hypotheses
             y = draw(encodings(max_outcomes=4, min_hypotheses=h, max_hypotheses=h))
-        return majorize._conversion_problem(x, y.matrix)
+        return majorize._conversion_problem(x, y.matrix), (x, y)
     x = draw(encodings(max_outcomes=3, max_hypotheses=3))
     m = draw(st.integers(1, x.hypotheses - 1))
     k = draw(st.integers(m + 1, x.hypotheses))
-    return _fmk_problem(x, m, k)
+    return _fmk_problem(x, m, k), None
+
+
+def tool_problems():
+    return tool_cases().map(lambda case: case[0])
 
 
 @given(tool_problems())
 def test_lp_solve_matches_reference_on_tool_lps(problem):
-    out = lp_solve(problem)
+    out = _bland_solve(problem)
     assert _fields(out) == _fields(_reference_lp_solve(problem))
     assert verify_certificate(problem, out)
 
 
+@given(tool_cases())
+def test_default_pricing_matches_reference_on_tool_lps(case):
+    problem, pair = case
+    ref = _reference_lp_solve(problem)
+    for out in _pricing_outcomes(problem):
+        assert _agree(problem, out, ref)
+        if pair is not None and out.status == OPTIMAL:
+            # the conversion LP's column i*n_x + j holds t[i][j]
+            x, y = pair
+            n = x.outcomes
+            t = StochasticMap(Matrix([out.primal[i * n:(i + 1) * n] for i in range(y.outcomes)]))
+            assert t(x) == y
+
+
 @given(st.one_of(mixed_problems(), tool_problems()))
 def test_pivot_counts_match_reference(problem):
-    stats = lp_solve(problem).stats
+    stats = _bland_solve(problem).stats
     assert (stats.rows, stats.cols) == (problem.nrows, problem.ncols)
     assert stats == _reference_lp_solve(problem).stats
 
@@ -593,11 +648,92 @@ def test_drive_out_on_negative_pivot(monkeypatch):
     assert verify_certificate(problem, out)
 
 
+def test_beale_cycling_lp_solves(monkeypatch):
+    """Beale's (1955) LP, with x1, x2, x3 the slacks of its three rows.  The
+    cyclic scan alone cycles on it in phase 2; after STALL degenerate
+    pivots Bland's rule ends the cycle.  A solve that pivots more than 1000
+    times raises instead of hanging."""
+    problem = _lp([[1, 0, 0, "1/4", -8, -1, 9],
+                   [0, 1, 0, "1/2", -12, "-1/2", 3],
+                   [0, 0, 1, 0, 0, 1, 0]], [0, 0, 1], [0, 0, 0, "-3/4", 20, "-1/2", 6])
+
+    class Cycled(Exception):
+        pass
+
+    pivots = 0
+    real_pivot = exactmath._pivot
+
+    def capped(block, den, r, column):
+        nonlocal pivots
+        pivots += 1
+        if pivots > 1000:
+            raise Cycled
+        return real_pivot(block, den, r, column)
+
+    monkeypatch.setattr(exactmath, "_pivot", capped)
+    for stall in (exactmath.STALL, 1, 0):
+        pivots = 0
+        with mock.patch.object(exactmath, "STALL", stall):
+            out = lp_solve(problem)
+        assert out.status == OPTIMAL and out.objective == F(-5, 4)
+        assert verify_certificate(problem, out)
+        if stall:
+            assert out.stats.phase2_pivots > stall
+    pivots = 0
+    monkeypatch.setattr(exactmath, "STALL", 10 ** 9)
+    with pytest.raises(Cycled):
+        lp_solve(problem)
+
+
+def test_bland_stretch_is_entered_and_left(monkeypatch):
+    """With STALL = 2, two degenerate pivots in a row switch pricing to
+    Bland's rule, and the next nondegenerate pivot switches it back to the
+    cyclic scan.
+
+    The LP writes the encoding with columns (1/3, 2/3) at three hypotheses
+    as a mixture of the 8 deterministic encodings.  Its A is 0/1 and c is 0,
+    so lp_solve neither flips nor rescales a row, every priced pivot is in
+    phase 1, and the spy can price phase 1 itself: structural column j costs
+    den * (-sum_i A_ij) + crow . A_j, and artificial k costs crow[k]."""
+    assignments = list(itertools.product(range(2), repeat=3))
+    a_rows = [[int(a[c] == i) for a in assignments] for i in range(2) for c in range(3)]
+    a_rows.append([1] * len(assignments))
+    problem = _lp(a_rows, ["1/3"] * 3 + ["2/3"] * 3 + [1], [0] * len(assignments))
+    cols = [[(i, row[j]) for i, row in enumerate(a_rows) if row[j]] for j in range(8)]
+    pivots = []  # (in a Bland stretch, entered Bland's column, degenerate)
+    degenerate_run = 0
+    real_pivot = exactmath._pivot
+
+    def spy(block, den, r, column):
+        nonlocal degenerate_run
+        crow = block[-1]
+        if column[-1] < 0:  # a priced pivot, not an artificial driven out
+            reds = [den * -len(col) + sum(crow[k] for k, _ in col) for col in cols] + crow[:-1]
+            j = next(j for j, red in enumerate(reds) if red < 0)
+            bland = (exactmath._column(block, cols[j]) + [reds[j]] if j < len(cols)
+                     else [row[j - len(cols)] for row in block])
+            degenerate = block[r][-1] == 0
+            pivots.append((degenerate_run >= 2, column == bland, degenerate))
+            degenerate_run = degenerate_run + 1 if degenerate else 0
+        return real_pivot(block, den, r, column)
+
+    monkeypatch.setattr(exactmath, "STALL", 2)
+    monkeypatch.setattr(exactmath, "_pivot", spy)
+    out = lp_solve(problem)
+    assert out.status == OPTIMAL and verify_certificate(problem, out)
+    assert all(is_bland for stretch, is_bland, _ in pivots if stretch)
+    # the cyclic scan enters a column Bland's rule would not
+    assert any(not is_bland for stretch, is_bland, _ in pivots if not stretch)
+    # a nondegenerate pivot inside a stretch, followed by a cyclic pivot
+    assert any(a[0] and not a[2] and not b[0] for a, b in zip(pivots, pivots[1:]))
+
+
 def test_conversion_lp_entries_stay_small(monkeypatch):
     """Rows are cleared by the denominators of A alone, so the large
     denominators of y = t.x stay out of the pivots: on this 60 x 144
     check-order LP every stored block entry stays within 256 bits (clearing
-    each row by the lcm over [A_i | b_i] reaches 1648)."""
+    each row by the lcm over [A_i | b_i] reaches 1648).  Cyclic pricing
+    takes 129 pivots here; Bland's rule from column 0 takes 492."""
     peak = []
     real_pivot = exactmath._pivot
 
@@ -611,8 +747,8 @@ def test_conversion_lp_entries_stay_small(monkeypatch):
     problem = majorize._conversion_problem(x, y.matrix)
     out = lp_solve(problem)
     assert out.status == OPTIMAL
-    assert out.stats == LpStats(60, 144, 492, 0)
-    assert len(peak) == 492 and max(peak) <= 256
+    assert out.stats == LpStats(60, 144, 129, 0, 1141)
+    assert len(peak) == 129 and max(peak) <= 256
     t = [out.primal[i * 12:(i + 1) * 12] for i in range(12)]
     assert all(sum(col) == 1 for col in zip(*t))
     assert [[sum((t[i][j] * x.matrix[j, c] for j in range(12)), F0) for c in range(4)]
