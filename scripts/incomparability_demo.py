@@ -3,8 +3,9 @@
 
 Walks the whole stack on one worked example, printing exact rationals:
 
-  * conversion decisions in both directions, with the refuting Farkas
-    certificates replayed through the independent verifier;
+  * conversion decisions in both directions, each refuting Farkas vector
+    replayed on x and y as a decision problem on which y pays more than
+    any post-processing of x;
   * the gauge values that separate the pair (weight, robustness, and the
     rank-stratum weights), and which direction each gauge blocks;
   * the geometry: zonotope inclusion holds one way even though conversion
@@ -22,8 +23,6 @@ Run from the repository root:
 from fractions import Fraction
 
 from rthy import (
-    INFEASIBLE,
-    LpOutcome,
     bool_majorizes,
     ceil,
     channel_equivalent,
@@ -38,7 +37,6 @@ from rthy import (
     relative_majorizes,
     robustness,
     to_hypergraph,
-    verify_certificate,
     weight,
     weight_fmk,
     zonotope_includes,
@@ -64,14 +62,25 @@ def show(encoding, label):
         print("    " + "  ".join(s.rjust(width) for s in row))
 
 
+def dot(a, b):
+    return sum((p * q for p, q in zip(a, b)), Fraction(0))
+
+
 def decide(x, y, label):
     res = majorizes(x, y)
     print(f"{label}: {'convertible' if res.convertible else 'NOT convertible'}")
     if not res.convertible:
-        replay = LpOutcome(status=INFEASIBLE, farkas=list(res.farkas))
-        assert verify_certificate(res.problem, replay)
-        print(f"    Farkas certificate over {len(res.farkas)} constraints, "
-              "re-verified independently")
+        # the Farkas vector f is a decision problem: action i (an outcome of
+        # y) has utility u_i[c] = f at row (c, i), and g_j = f at x's
+        # column-sum row j bounds what any action earns on x's outcome j
+        f, h, n_y = res.farkas, x.hypotheses, y.outcomes
+        u, g = [f[i:h * n_y:n_y] for i in range(n_y)], f[h * n_y:]
+        best = [max(dot(u_i, x.matrix.row(j)) for u_i in u) for j in range(x.outcomes)]
+        pay_y = sum(dot(u_i, y.matrix.row(i)) for i, u_i in enumerate(u))
+        assert all(b + g_j <= 0 for b, g_j in zip(best, g)) and pay_y + sum(g) > 0
+        print(f"    Farkas vector over {len(f)} constraints, replayed as a decision "
+              f"problem: the target pays {format_rational(pay_y)}, any post-processing "
+              f"of the source at most {format_rational(sum(best))}")
     return res
 
 

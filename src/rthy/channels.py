@@ -130,7 +130,7 @@ def comb_simulates(x: Encoding, psi: ChannelEncoding):
     stochastic map that must take x to ``delta_input(psi, a)``.  So this is
     one majorization of x per input, in input order.  The first refuted
     input's ``NotConvertible`` is returned as it is: its Farkas vector
-    refutes that input's conversion LP.  Otherwise the witness sigma is
+    refutes x -> ``delta_input(psi, a)``.  Otherwise the witness sigma is
     a ``ChannelEncoding`` whose input-a section is input a's witness map.
     """
     maps = []

@@ -244,14 +244,11 @@ def _cmd_module(args) -> dict:
         p = qt.reachability(m)
         pairs = sorted([m.resources[a], m.resources[b]] for a, b in p.pairs() if a != b)
         return {"atoms": list(m.resources), "pairs": pairs}
-    if args.module_cmd == "yield":
+    if args.module_cmd in ("yield", "cost"):
         f = mn.PartialValuation.from_json(_read_doc(args.gold))
         d = _names(args.set) if args.set else sorted(m.free)
-        return {"value": mn.value_to_json(mn.yield_(m, d, f, args.at)), "at": args.at}
-    if args.module_cmd == "cost":
-        f = mn.PartialValuation.from_json(_read_doc(args.gold))
-        s = _names(args.set) if args.set else sorted(m.free)
-        return {"value": mn.value_to_json(mn.cost(m, s, f, args.at)), "at": args.at}
+        best = mn.yield_ if args.module_cmd == "yield" else mn.cost
+        return {"value": mn.value_to_json(best(m, d, f, args.at)), "at": args.at}
     if args.module_cmd == "covariant":
         doc = _read_doc(args.action)
         try:

@@ -14,7 +14,7 @@ import functools
 import itertools
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import List, Optional, Sequence, Tuple
@@ -31,8 +31,6 @@ from .errors import (
 from .exactmath import (
     F0,
     F1,
-    INFEASIBLE,
-    LpOutcome,
     LpProblem,
     Matrix,
     OPTIMAL,
@@ -41,7 +39,6 @@ from .exactmath import (
     lp_solve,
     parse_rational,
     row_echelon,
-    verify_certificate,
 )
 from .quantale import FunctionAction
 
@@ -178,20 +175,13 @@ class Encoding(StochasticMap):
 @dataclass(frozen=True)
 class Convertible:
     witness: object
-
-    @property
-    def convertible(self) -> bool:
-        return True
+    convertible = True
 
 
 @dataclass(frozen=True)
 class NotConvertible:
     farkas: Optional[tuple] = None
-    problem: Optional[LpProblem] = field(default=None, repr=False, compare=False)
-
-    @property
-    def convertible(self) -> bool:
-        return False
+    convertible = False
 
 
 def _conversion_problem(x: Encoding, target: Matrix) -> LpProblem:
@@ -299,15 +289,24 @@ def _dichotomy_normal(x: Encoding, y: Encoding) -> Optional[Tuple[int, int]]:
     Z(y) outside Z(x).  The scan runs on both encodings' rows scaled by one
     common denominator.
     """
-    den = lcm(*(v.denominator for e in (x, y) for row in e.matrix.rows for v in row))
-    gx, gy = ([[v.numerator * (den // v.denominator) for v in row] for row in e.matrix.rows]
-              for e in (x, y))
+    _, (gx, gy) = _integer_rows(x.matrix.rows, y.matrix.rows)
     for a, b in gx:
         w = (b, -a)
         if _supports(w, gy)[0] > _supports(w, gx)[0]:
             g = gcd(a, b)
             return b // g, -a // g
     return None
+
+
+def _integer_rows(*row_lists) -> Tuple[int, list]:
+    """(den, lists): each list of rows times den, the lcm of all their denominators."""
+    den = lcm(*(v.denominator for rows in row_lists for row in rows for v in row))
+    return den, [[[v.numerator * (den // v.denominator) for v in row] for row in rows]
+                 for rows in row_lists]
+
+
+def _dot(a, b):
+    return sum(map(operator.mul, a, b))
 
 
 def _checked_witness(x: Encoding, y: Encoding, rows) -> Convertible:
@@ -320,26 +319,38 @@ def _checked_witness(x: Encoding, y: Encoding, rows) -> Convertible:
     return Convertible(witness=witness)
 
 
-def _checked_refutation(problem: LpProblem, farkas) -> NotConvertible:
-    if farkas is None or not verify_certificate(
-            problem, LpOutcome(status=INFEASIBLE, farkas=farkas)):
-        raise RuntimeError("majorization Farkas vector does not refute x -> y: solver fault")
-    return NotConvertible(farkas=tuple(farkas), problem=problem)
+def _checked_refutation(x: Encoding, y: Encoding, farkas) -> NotConvertible:
+    """``NotConvertible`` with ``farkas``, checked on x and y with no LP built.
+
+    A Farkas vector f of the conversion LP is a decision problem (Blackwell
+    1953): utility u_i[c] = f at row (c, i) for action i, and bound g_j = f
+    at x's column-sum row j.  f.A <= 0 reads g_j + max_i u_i.x_j <= 0 for
+    each outcome j of x, and f.b > 0 reads sum_i u_i.y_i + sum_j g_j > 0: y
+    earns more on u than x's best post-processing, sum_j max_i u_i.x_j.
+    """
+    h, n_y = x.hypotheses, y.outcomes
+    if farkas is not None and len(farkas) == h * n_y + x.outcomes:
+        den, (gx, gy, (f,)) = _integer_rows(x.matrix.rows, y.matrix.rows, [farkas])
+        u, g = [f[i:h * n_y:n_y] for i in range(n_y)], f[h * n_y:]
+        if (all(den * g_j + max(_dot(u_i, x_j) for u_i in u) <= 0 for x_j, g_j in zip(gx, g))
+                and sum(map(_dot, u, gy)) + den * sum(g) > 0):
+            return NotConvertible(farkas=tuple(farkas))
+    raise RuntimeError("majorization Farkas vector does not refute x -> y: solver fault")
 
 
 def majorizes(x: Encoding, y: Encoding):
     """Decide whether x converts to y by a hypothesis-independent stochastic map.
 
-    Returns ``Convertible`` carrying an exact witness, replayed on x before it
-    is returned, or ``NotConvertible`` carrying a Farkas certificate together
-    with the conversion LP it refutes, checked against that LP before it is
-    returned.  With two hypotheses no LP is solved: the witness is a
-    martingale coupling (``_left_curtain``), and the Farkas vector comes from
-    a normal w of Z(x) that Z(y) crosses (``_dichotomy_normal``).  It is w_c
-    at row (c, i) for y's outcomes i with w.y_i > 0, 0 at the other (c, i)
-    rows, and -max(0, w.x_j) at x's column-sum row j, so that its product
-    with the LP's b is h_{Z(y)}(w) - h_{Z(x)}(w) > 0 (Blackwell 1953).
-    Otherwise the witness or the Farkas vector comes from ``lp_solve``.
+    Returns ``Convertible`` with an exact witness, replayed on x, or
+    ``NotConvertible`` with a Farkas vector of the conversion LP, checked on x
+    and y (``_checked_refutation``), each before it is returned.  With two
+    hypotheses no LP is solved: the witness is a martingale coupling
+    (``_left_curtain``), and the Farkas vector comes from a normal w of Z(x)
+    that Z(y) crosses (``_dichotomy_normal``).  It is w_c at row (c, i) for
+    y's outcomes i with w.y_i > 0, 0 at the other (c, i) rows, and
+    -max(0, w.x_j) at x's column-sum row j, so that its product with the
+    LP's b is h_{Z(y)}(w) - h_{Z(x)}(w) > 0 (Blackwell 1953).  Otherwise the
+    witness or the Farkas vector comes from ``lp_solve``.
     """
     if x.hypotheses != y.hypotheses:
         raise HypothesisMismatch(
@@ -351,17 +362,17 @@ def majorizes(x: Encoding, y: Encoding):
         w = _dichotomy_normal(x, y)
         farkas = None
         if w is not None:
-            dy = _row_dots(w, y)
+            dy = [_dot(w, row) for row in y.matrix.rows]
             farkas = ([Fraction(a) if d > 0 else F0 for a in w for d in dy]
-                      + [-max(F0, d) for d in _row_dots(w, x)])
-        return _checked_refutation(_conversion_problem(x, y.matrix), farkas)
+                      + [-max(F0, _dot(w, row)) for row in x.matrix.rows])
+        return _checked_refutation(x, y, farkas)
     problem = _conversion_problem(x, y.matrix)
     outcome = lp_solve(problem)
     if outcome.status == OPTIMAL:
         n_from = x.outcomes
         return _checked_witness(x, y, [outcome.primal[i * n_from:(i + 1) * n_from]
                                        for i in range(y.outcomes)])
-    return _checked_refutation(problem, outcome.farkas)
+    return _checked_refutation(x, y, outcome.farkas)
 
 
 def det_postprocessings(n: int, k: int) -> List[StochasticMap]:
@@ -467,7 +478,7 @@ def _supports(w, rows) -> Tuple[int, int]:
     h_Z(w) = sum_j max(0, w.g_j)."""
     up = down = 0
     for g in rows:
-        d = sum(map(operator.mul, w, g))
+        d = _dot(w, g)
         if d > 0:
             up += d
         else:
@@ -497,7 +508,7 @@ def _separating_normal(gx, gy, h: int):
                 w = [0] * h
                 for c, a in zip(cols, _cofactor_normal([[b[c] for c in cols] for b in basis])):
                     w[c] = a
-                if sum(map(operator.mul, w, v)) < 0:
+                if _dot(w, v) < 0:
                     w = [-a for a in w]
                 return w, _supports(w, gy)[0], 0
     # inside span(x), whose pivot coordinates it maps onto R^r one to one:
@@ -523,10 +534,6 @@ def _separating_normal(gx, gy, h: int):
     return None
 
 
-def _row_dots(w, e: Encoding) -> List[Fraction]:
-    return [sum(map(operator.mul, w, row), F0) for row in e.matrix.rows]
-
-
 @dataclass(frozen=True)
 class ZonotopeCertificate:
     """Evidence that Z(y) is not inside Z(x).
@@ -545,7 +552,7 @@ class ZonotopeCertificate:
         """Recompute both support values as sums over the rows of x and y."""
         if not len(self.normal) == x.hypotheses == y.hypotheses:
             return False
-        dy, dx = _row_dots(self.normal, y), _row_dots(self.normal, x)
+        dy, dx = ([_dot(self.normal, row) for row in e.matrix.rows] for e in (y, x))
         return (self.subset == tuple(i for i, d in enumerate(dy) if d > 0)
                 and sum((dy[i] for i in self.subset), F0) == self.support_y
                 and sum((d for d in dx if d > 0), F0) == self.support_x
@@ -569,18 +576,14 @@ def zonotope_certificate(x: Encoding, y: Encoding) -> Optional[ZonotopeCertifica
     if x.hypotheses != y.hypotheses:
         raise HypothesisMismatch(
             f"encodings have {x.hypotheses} vs {y.hypotheses} hypotheses")
-    gx, gy = _merged_rows(x), _merged_rows(y)
-    den = lcm(*(v.denominator for g in gx + gy for v in g))
-    found = _separating_normal(
-        [[v.numerator * (den // v.denominator) for v in g] for g in gx],
-        [[v.numerator * (den // v.denominator) for v in g] for g in gy],
-        x.hypotheses)
+    den, (gx, gy) = _integer_rows(_merged_rows(x), _merged_rows(y))
+    found = _separating_normal(gx, gy, x.hypotheses)
     if found is None:
         return None
     w, hy, hx = found
     g = gcd(*w)
     normal = tuple(a // g for a in w)
-    subset = tuple(i for i, d in enumerate(_row_dots(normal, y)) if d > 0)
+    subset = tuple(i for i, row in enumerate(y.matrix.rows) if _dot(normal, row) > 0)
     cert = ZonotopeCertificate(normal=normal, subset=subset,
                                support_y=Fraction(hy, den * g), support_x=Fraction(hx, den * g))
     if not cert.replays(x, y):

@@ -35,6 +35,7 @@ from rthy.instances import (
     incomparable_y,
     input_ignoring_channel,
 )
+from rthy.majorize import _conversion_problem
 
 from conftest import distributions, encodings, stochastic_maps
 
@@ -178,10 +179,12 @@ def test_comb_simulates_matches_reference(pair):
         # reaches
         assert check_comb_witness(x, psi, res.witness)
         return
-    first = next(r for r in (majorizes(x, delta_input(psi, a)) for a in range(psi.inputs))
-                 if not r.convertible)
-    assert (res.farkas, res.problem) == (first.farkas, first.problem)
-    assert verify_certificate(res.problem, LpOutcome(status=INFEASIBLE, farkas=res.farkas))
+    # the vector refutes x -> delta_input(psi, a) for the first input a that fails
+    state = next(s for s in map(delta_input, [psi] * psi.inputs, range(psi.inputs))
+                 if not majorizes(x, s).convertible)
+    assert res.farkas == majorizes(x, state).farkas
+    assert verify_certificate(_conversion_problem(x, state.matrix),
+                              LpOutcome(status=INFEASIBLE, farkas=res.farkas))
 
 
 @given(encodings(max_outcomes=3, max_hypotheses=2, min_hypotheses=2), st.data())

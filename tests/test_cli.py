@@ -11,7 +11,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from rthy import ChannelEncoding, FormatError, cli, majorizes
+from rthy import (
+    INFEASIBLE,
+    ChannelEncoding,
+    FormatError,
+    LpOutcome,
+    cli,
+    majorizes,
+    verify_certificate,
+)
 from rthy.cli import run
 from rthy.instances import (
     binary_image_of_x,
@@ -26,6 +34,7 @@ from rthy.instances import (
     three_chain_module,
     two_point_encoding,
 )
+from rthy.majorize import _conversion_problem
 
 from conftest import spread_pair
 
@@ -93,8 +102,10 @@ def test_check_order_pinned_layouts(files, capsys):
         assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     for a, b, shape in ((incomparable_x(), incomparable_y(), (13, 12)),
                         (incomparable_y(), incomparable_x(), (15, 12))):
-        problem = majorizes(a, b).problem
+        problem = _conversion_problem(a, b.matrix)
         assert (problem.nrows, problem.ncols) == shape
+        replay = LpOutcome(status=INFEASIBLE, farkas=majorizes(a, b).farkas)
+        assert verify_certificate(problem, replay)
 
 
 def test_check_order_dichotomy_answers_under_any_guard(files, capsys, monkeypatch):

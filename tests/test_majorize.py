@@ -46,7 +46,7 @@ from rthy.instances import (
     incomparable_y,
     two_point_encoding,
 )
-from rthy.majorize import _conversion_problem, _merged_rows
+from rthy.majorize import _checked_refutation, _conversion_problem, _merged_rows
 
 from conftest import column_normalized, distributions, encodings, spread_pair, stochastic_maps
 
@@ -160,7 +160,7 @@ def test_bundled_pair_incomparable_with_certificates():
         res = majorizes(a, b)
         assert not res.convertible
         replay = LpOutcome(status=INFEASIBLE, farkas=list(res.farkas))
-        assert verify_certificate(res.problem, replay)
+        assert verify_certificate(_conversion_problem(a, b.matrix), replay)
 
 
 def _raises_solver_fault(decisions):
@@ -232,21 +232,62 @@ def test_farkas_vector_is_verified_before_it_is_reported(monkeypatch):
                               lambda: relative_majorizes([H, H], [H, H], [1, 0], [H, H])))
 
 
+def _refutes(x, y, farkas):
+    try:
+        res = _checked_refutation(x, y, farkas)
+    except RuntimeError:
+        return False
+    assert res.farkas == tuple(farkas)
+    return True
+
+
+@given(st.integers(2, 4).flatmap(
+    lambda h: st.tuples(*[encodings(max_hypotheses=h, min_hypotheses=h)] * 2)), st.data())
+def test_refutation_check_matches_lp_reference(pair, data):
+    """The check on x and y accepts a vector exactly when verify_certificate
+    accepts it as a Farkas vector of the conversion LP: the solver's vectors
+    (majorizes's and the LP's; the zero vector when x converts to y), each
+    of them with one entry shifted by +-delta, truncated or extended, and
+    None."""
+    x, y = pair
+    problem = _conversion_problem(x, y.matrix)
+    res = majorizes(x, y)
+    bases = [[Fraction(0)] * problem.nrows] if res.convertible else [
+        list(res.farkas), list(lp_solve(problem).farkas)]
+    delta = data.draw(st.sampled_from([Fraction(1, 1000), Fraction(1, 4), Fraction(1), Fraction(3)]))
+    vectors = [None]
+    for f in bases:
+        vectors += [f, f[:-1], f + [Fraction(0)]]
+        for k in range(len(f)):
+            vectors += [f[:k] + [f[k] + d] + f[k + 1:] for d in (delta, -delta)]
+    for f in vectors:
+        replay = LpOutcome(status=INFEASIBLE, farkas=f)
+        assert _refutes(x, y, f) == verify_certificate(problem, replay), f
+    assert _refutes(x, y, bases[0]) == (not res.convertible)
+
+
 def _forbidden_lp(problem):
     raise AssertionError("majorizes solved an LP for two hypotheses")
 
 
+def _forbidden_lp_build(x, target):
+    raise AssertionError("majorizes built the conversion LP for two hypotheses")
+
+
 def _decided_without_lp(x, y):
-    """majorizes(x, y), checked: the decision equals the conversion LP's, the
-    witness replays, or the Farkas vector refutes the problem it comes with."""
-    with mock.patch("rthy.majorize.lp_solve", _forbidden_lp):
+    """majorizes(x, y), checked: it neither builds nor solves an LP, the
+    decision equals the conversion LP's, and the witness replays or the
+    Farkas vector refutes that LP."""
+    with mock.patch("rthy.majorize.lp_solve", _forbidden_lp), \
+            mock.patch("rthy.majorize._conversion_problem", _forbidden_lp_build):
         res = majorizes(x, y)
-    assert res.convertible == (lp_solve(_conversion_problem(x, y.matrix)).status == OPTIMAL)
+    problem = _conversion_problem(x, y.matrix)
+    assert res.convertible == (lp_solve(problem).status == OPTIMAL)
     if res.convertible:
         assert res.witness(x) == y
     else:
         replay = LpOutcome(status=INFEASIBLE, farkas=list(res.farkas))
-        assert verify_certificate(res.problem, replay)
+        assert verify_certificate(problem, replay)
     return res
 
 
