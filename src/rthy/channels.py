@@ -145,14 +145,12 @@ def comb_simulates(x: Encoding, psi: ChannelEncoding):
 
 
 def channel_equivalent(psi: ChannelEncoding, x: Encoding) -> bool:
-    """Mutual simulation: x builds psi via a comb, and some fixed input plus
-    post-processing of psi recovers x."""
-    if not comb_simulates(x, psi).convertible:
-        return False
-    for a in range(psi.inputs):
-        if majorizes(delta_input(psi, a), x).convertible:
-            return True
-    return False
+    """Mutual simulation: x builds psi via a comb (x majorizes every delta
+    input's encoding, the decision of ``comb_simulates`` without its sigma),
+    and some fixed input plus post-processing of psi recovers x."""
+    states = [delta_input(psi, a) for a in range(psi.inputs)]
+    return (all(majorizes(x, s).convertible for s in states)
+            and any(majorizes(s, x).convertible for s in states))
 
 
 @dataclass(frozen=True)

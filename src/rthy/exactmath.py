@@ -125,12 +125,6 @@ class Matrix:
             tuple(sum((a * b for a, b in zip(r, c)), F0) for c in cols) for r in self.rows
         )
 
-    def apply(self, vec: Sequence[Fraction]) -> list:
-        """Matrix-vector product as a plain list."""
-        if self.rows and len(vec) != self.ncols:
-            raise ShapeMismatch("vector length does not match column count")
-        return [sum((a * v for a, v in zip(r, vec)), F0) for r in self.rows]
-
     @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix(tuple(F1 if i == j else F0 for j in range(n)) for i in range(n))

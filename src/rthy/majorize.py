@@ -14,7 +14,7 @@ import functools
 import itertools
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import List, Optional, Sequence, Tuple
@@ -34,6 +34,7 @@ from .exactmath import (
     LpProblem,
     Matrix,
     OPTIMAL,
+    _scaled,
     format_rational,
     json_int,
     lp_solve,
@@ -60,16 +61,16 @@ def is_distribution(col) -> bool:
     return all(v >= 0 for v in col) and sum(col, F0) == 1
 
 
-def _check_stochastic(mat: Matrix, what: str):
-    cols = list(zip(*mat.rows))
-    if all(map(is_distribution, cols)):
+def _check_stochastic(ints, den: int, what: str):
+    cols = list(zip(*ints))
+    if all(min(col) >= 0 and sum(col) == den for col in cols):
         return
     # name the first negative entry in row order, else the first bad column
     neg = [(i, j) for j, col in enumerate(cols) for i, v in enumerate(col) if v < 0]
     if neg:
         i, j = min(neg)
         raise FormatError(f"{what} has a negative entry at ({i},{j})")
-    j = next(j for j, col in enumerate(cols) if sum(col, F0) != 1)
+    j = next(j for j, col in enumerate(cols) if sum(col) != den)
     raise FormatError(f"{what} column {j} does not sum to 1")
 
 
@@ -80,15 +81,24 @@ class StochasticMap:
 
     JSON is column-major: ``{"from": n, "to": m, "columns": [[m rationals]
     per input]}``.  A subclass renames the two sizes (``json_keys``) and
-    the label of its errors (``label``).
+    the label of its errors (``label``).  ``ints`` (the rows times ``den``,
+    the lcm of the entries' denominators) is set once, when the map is
+    built; the exact checks read it in place of the ``Fraction``s.
     """
 
     matrix: Matrix
+    ints: tuple = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
     json_keys = ("from", "to")
     label = "stochastic map"
 
     def __post_init__(self):
-        _check_stochastic(self.matrix, self.label)
+        rows = self.matrix.rows
+        den = lcm(*(v.denominator for row in rows for v in row))
+        ints = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in rows)
+        _check_stochastic(ints, den, self.label)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "den", den)
 
     @property
     def n_from(self) -> int:
@@ -286,23 +296,15 @@ def _dichotomy_normal(x: Encoding, y: Encoding) -> Optional[Tuple[int, int]]:
     With two hypotheses every edge of the polygon Z(x) is parallel to a row
     of x, and h_Z(-w) - h_Z(w) is the same for Z(x) and Z(y) (both are
     symmetric about (1/2, 1/2)), so these n_x normals find any point of
-    Z(y) outside Z(x).  The scan runs on both encodings' rows scaled by one
-    common denominator.
+    Z(y) outside Z(x).  The scan runs on both encodings' integer rows, with
+    the supports cross-multiplied by their denominators.
     """
-    _, (gx, gy) = _integer_rows(x.matrix.rows, y.matrix.rows)
-    for a, b in gx:
+    for a, b in x.ints:
         w = (b, -a)
-        if _supports(w, gy)[0] > _supports(w, gx)[0]:
+        if _supports(w, y.ints)[0] * x.den > _supports(w, x.ints)[0] * y.den:
             g = gcd(a, b)
             return b // g, -a // g
     return None
-
-
-def _integer_rows(*row_lists) -> Tuple[int, list]:
-    """(den, lists): each list of rows times den, the lcm of all their denominators."""
-    den = lcm(*(v.denominator for rows in row_lists for row in rows for v in row))
-    return den, [[[v.numerator * (den // v.denominator) for v in row] for row in rows]
-                 for rows in row_lists]
 
 
 def _dot(a, b):
@@ -310,13 +312,18 @@ def _dot(a, b):
 
 
 def _checked_witness(x: Encoding, y: Encoding, rows) -> Convertible:
+    """``Convertible`` with the map t of ``rows``, checked to be stochastic and
+    to take x to y in integers: T.X.d_y = Y.d_t.d_x."""
     try:
-        witness = StochasticMap(Matrix(rows))
+        t = StochasticMap(Matrix(rows))
     except FormatError:
-        witness = None
-    if witness is None or witness(x) != y:
+        t = None
+    cols = list(zip(*x.ints))
+    if t is None or (t.n_to, t.n_from) != (y.outcomes, x.outcomes) or any(
+            _dot(t_i, x_c) * y.den != y_ic * t.den * x.den
+            for t_i, y_i in zip(t.ints, y.ints) for x_c, y_ic in zip(cols, y_i)):
         raise RuntimeError("majorization witness does not map x to y: solver fault")
-    return Convertible(witness=witness)
+    return Convertible(witness=t)
 
 
 def _checked_refutation(x: Encoding, y: Encoding, farkas) -> NotConvertible:
@@ -327,13 +334,16 @@ def _checked_refutation(x: Encoding, y: Encoding, farkas) -> NotConvertible:
     at x's column-sum row j.  f.A <= 0 reads g_j + max_i u_i.x_j <= 0 for
     each outcome j of x, and f.b > 0 reads sum_i u_i.y_i + sum_j g_j > 0: y
     earns more on u than x's best post-processing, sum_j max_i u_i.x_j.
+    Both run on f's integer form and cross-multiply by x's and y's
+    denominators.
     """
     h, n_y = x.hypotheses, y.outcomes
     if farkas is not None and len(farkas) == h * n_y + x.outcomes:
-        den, (gx, gy, (f,)) = _integer_rows(x.matrix.rows, y.matrix.rows, [farkas])
+        f, _ = _scaled(farkas)
         u, g = [f[i:h * n_y:n_y] for i in range(n_y)], f[h * n_y:]
-        if (all(den * g_j + max(_dot(u_i, x_j) for u_i in u) <= 0 for x_j, g_j in zip(gx, g))
-                and sum(map(_dot, u, gy)) + den * sum(g) > 0):
+        if (all(x.den * g_j + max(_dot(u_i, x_j) for u_i in u) <= 0
+                for x_j, g_j in zip(x.ints, g))
+                and sum(map(_dot, u, y.ints)) + y.den * sum(g) > 0):
             return NotConvertible(farkas=tuple(farkas))
     raise RuntimeError("majorization Farkas vector does not refute x -> y: solver fault")
 
@@ -362,9 +372,9 @@ def majorizes(x: Encoding, y: Encoding):
         w = _dichotomy_normal(x, y)
         farkas = None
         if w is not None:
-            dy = [_dot(w, row) for row in y.matrix.rows]
+            dy = [_dot(w, row) for row in y.ints]
             farkas = ([Fraction(a) if d > 0 else F0 for a in w for d in dy]
-                      + [-max(F0, _dot(w, row)) for row in x.matrix.rows])
+                      + [-Fraction(max(0, _dot(w, row)), x.den) for row in x.ints])
         return _checked_refutation(x, y, farkas)
     problem = _conversion_problem(x, y.matrix)
     outcome = lp_solve(problem)
@@ -392,21 +402,16 @@ def det_postprocessings(n: int, k: int) -> List[StochasticMap]:
 # --------------------------------------------------------------------------
 
 
-def _merged_rows(x: Encoding) -> List[tuple]:
-    """Sufficient-statistic reduction: drop zero rows, sum proportional ones."""
+def _merged_rows(x: Encoding) -> List[list]:
+    """Sufficient-statistic reduction of x's integer rows (over ``x.den``):
+    drop zero rows, sum proportional ones, in order of first appearance."""
     groups = {}
-    order = []
-    for i in range(x.outcomes):
-        row = x.matrix.row(i)
-        pivot = next((c for c, v in enumerate(row) if v != 0), None)
-        if pivot is None:
-            continue
-        key = (pivot, tuple(v / row[pivot] for v in row))
-        if key not in groups:
-            groups[key] = [F0] * x.hypotheses
-            order.append(key)
-        groups[key] = [a + b for a, b in zip(groups[key], row)]
-    return [tuple(groups[k]) for k in order]
+    for row in x.ints:
+        g = gcd(*row)
+        if g:
+            key = tuple(v // g for v in row)  # rows are nonnegative: one key per ray
+            groups[key] = [a + b for a, b in zip(groups.get(key, (0,) * len(row)), row)]
+    return list(groups.values())
 
 
 def _cross(o, a, b) -> Fraction:
@@ -446,14 +451,15 @@ def zonotope(x: Encoding) -> Zonotope2:
         return -1 if cr > 0 else 1  # u strictly shallower slope first
 
     gens.sort(key=functools.cmp_to_key(shallower))
-    partial = [(F0, F0)]
+    partial = [(0, 0)]
     for g in gens:
         last = partial[-1]
         partial.append((last[0] + g[0], last[1] + g[1]))
-    top = partial[-1]  # (1,1) by column normalization
+    top = partial[-1]  # (den, den) by column normalization
     lower = partial
     upper = [(top[0] - p[0], top[1] - p[1]) for p in partial[1:-1]]
-    return Zonotope2(vertices=tuple(lower + upper))
+    return Zonotope2(vertices=tuple((Fraction(a, x.den), Fraction(b, x.den))
+                                    for a, b in lower + upper))
 
 
 def _det(m) -> int:
@@ -552,10 +558,10 @@ class ZonotopeCertificate:
         """Recompute both support values as sums over the rows of x and y."""
         if not len(self.normal) == x.hypotheses == y.hypotheses:
             return False
-        dy, dx = ([_dot(self.normal, row) for row in e.matrix.rows] for e in (y, x))
+        dy, dx = ([_dot(self.normal, row) for row in e.ints] for e in (y, x))
         return (self.subset == tuple(i for i, d in enumerate(dy) if d > 0)
-                and sum((dy[i] for i in self.subset), F0) == self.support_y
-                and sum((d for d in dx if d > 0), F0) == self.support_x
+                and Fraction(sum(dy[i] for i in self.subset), y.den) == self.support_y
+                and Fraction(sum(d for d in dx if d > 0), x.den) == self.support_x
                 and self.support_y > self.support_x)
 
 
@@ -565,9 +571,9 @@ def zonotope_certificate(x: Encoding, y: Encoding) -> Optional[ZonotopeCertifica
 
     Z(x) = {sum_j u_j g_j : u in [0,1]^n} over x's merged rows g_j, the
     reachable set of 2-outcome post-processings, has support function
-    h_Z(w) = sum_j max(0, w.g_j).  The test runs in integers on both
-    encodings' merged rows scaled by one common denominator: a row of y
-    outside span(x) refutes at once; otherwise, with r = rank(x), Z(y) is
+    h_Z(w) = sum_j max(0, w.g_j).  The test runs in integers, on x's merged
+    rows times y's denominator and y's times x's: a row of y outside
+    span(x) refutes at once; otherwise, with r = rank(x), Z(y) is
     inside Z(x) exactly when h_{Z(y)}(+-w) <= h_{Z(x)}(+-w) for the normal w
     of each set of r - 1 of x's generators that spans a hyperplane of span(x)
     (Ziegler, Lectures on Polytopes, ch. 7).  Those C(n_x, r - 1) normals are
@@ -576,14 +582,15 @@ def zonotope_certificate(x: Encoding, y: Encoding) -> Optional[ZonotopeCertifica
     if x.hypotheses != y.hypotheses:
         raise HypothesisMismatch(
             f"encodings have {x.hypotheses} vs {y.hypotheses} hypotheses")
-    den, (gx, gy) = _integer_rows(_merged_rows(x), _merged_rows(y))
+    gx = [[y.den * v for v in row] for row in _merged_rows(x)]
+    gy = [[x.den * v for v in row] for row in _merged_rows(y)]
     found = _separating_normal(gx, gy, x.hypotheses)
     if found is None:
         return None
     w, hy, hx = found
-    g = gcd(*w)
+    g, den = gcd(*w), x.den * y.den
     normal = tuple(a // g for a in w)
-    subset = tuple(i for i, row in enumerate(y.matrix.rows) if _dot(normal, row) > 0)
+    subset = tuple(i for i, row in enumerate(y.ints) if _dot(normal, row) > 0)
     cert = ZonotopeCertificate(normal=normal, subset=subset,
                                support_y=Fraction(hy, den * g), support_x=Fraction(hx, den * g))
     if not cert.replays(x, y):

@@ -69,7 +69,6 @@ def test_matrix_basics():
     a = Matrix([[F(1), F(2)], [F(0), F(1)]])
     assert (a @ Matrix.identity(2)).rows == a.rows
     assert a.transpose().transpose().rows == a.rows
-    assert list(a.apply([F(1), F(1)])) == [F(3), F(1)]
 
 
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=1, max_size=4),

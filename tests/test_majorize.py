@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 from fractions import Fraction
 from unittest import mock
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from rthy import (
     ChannelEncoding,
+    DimensionMismatch,
     Encoding,
     EnumerationTooLarge,
     FormatError,
@@ -46,7 +48,14 @@ from rthy.instances import (
     incomparable_y,
     two_point_encoding,
 )
-from rthy.majorize import _checked_refutation, _conversion_problem, _merged_rows
+from rthy.exactmath import Matrix
+from rthy.majorize import (
+    _checked_refutation,
+    _checked_witness,
+    _conversion_problem,
+    _merged_rows,
+    is_distribution,
+)
 
 from conftest import column_normalized, distributions, encodings, spread_pair, stochastic_maps
 
@@ -137,6 +146,121 @@ def test_stochastic_errors_name_their_class():
         with pytest.raises(FormatError) as err:
             build()
         assert str(err.value) == message
+
+
+def _reference_stochastic_error(rows, what):
+    """The rule that the integer check replaced, on the ``Fraction`` rows:
+    None when every column is a distribution (``is_distribution``), else
+    the message of the first negative entry in row order, or else of the
+    first column whose sum is not 1."""
+    cols = list(zip(*rows))
+    if all(map(is_distribution, cols)):
+        return None
+    neg = [(i, j) for j, col in enumerate(cols) for i, v in enumerate(col) if v < 0]
+    if neg:
+        i, j = min(neg)
+        return f"{what} has a negative entry at ({i},{j})"
+    j = next(j for j, col in enumerate(cols) if sum(col, Fraction(0)) != 1)
+    return f"{what} column {j} does not sum to 1"
+
+
+@st.composite
+def perturbed_rows(draw):
+    """Rows of a column-stochastic map with 0-4 inputs (none: m empty rows)
+    and 1-4 outputs, maybe with a zero row, and with up to two entries
+    moved by +-1/q or negated."""
+    n_from, n_to = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    cols = [draw(distributions(n_to)) for _ in range(n_from)]
+    rows = [[col[i] for col in cols] for i in range(n_to)]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, n_to)), [Fraction(0)] * n_from)
+    for _ in range(draw(st.integers(0, 2)) if n_from else 0):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, n_from - 1))
+        q = draw(st.sampled_from([1, 2, 3, 7, 24, 1000]))
+        rows[i][j] = draw(st.sampled_from([rows[i][j] + Fraction(1, q), rows[i][j] - Fraction(1, q),
+                                           -rows[i][j], -Fraction(1, q)]))
+    return rows
+
+
+@given(perturbed_rows())
+def test_stochastic_check_matches_fraction_reference(rows):
+    for cls in (StochasticMap, Encoding):
+        if cls is Encoding and not rows[0]:
+            continue  # an encoding needs a hypothesis
+        expected = _reference_stochastic_error(rows, cls.label)
+        try:
+            cls(Matrix(rows))
+        except FormatError as err:
+            assert str(err) == expected
+        else:
+            assert expected is None
+
+
+@given(perturbed_rows())
+def test_integer_form_matches_fraction_reference(rows):
+    """Built once with the map: rows times den, the lcm of the entries'
+    denominators, over which each integer reads back as its entry."""
+    if _reference_stochastic_error(rows, "") is not None:
+        return
+    t = StochasticMap(Matrix(rows))
+    assert t.den == math.lcm(*(Fraction(v).denominator for row in rows for v in row))
+    assert len(t.ints) == t.n_to and all(len(row) == t.n_from for row in t.ints)
+    assert all(Fraction(t.ints[i][j], t.den) == t.matrix[i, j]
+               for i in range(t.n_to) for j in range(t.n_from))
+    # the form does not take part in equality
+    assert t == StochasticMap(Matrix(rows)) and hash(t) == hash(StochasticMap(t.matrix))
+
+
+@st.composite
+def witness_cases(draw):
+    """(x, y, rows): y a post-processing of x (maybe with a zero row, whose
+    column of t is free), and the rows of majorizes's witness."""
+    h = draw(st.integers(2, 4))
+    x = draw(encodings(max_hypotheses=h, min_hypotheses=h))
+    if draw(st.booleans()):
+        x = Encoding(Matrix(x.matrix.rows + ((Fraction(0),) * h,)))
+    y = draw(stochastic_maps(x.outcomes))(x)
+    return x, y, [list(row) for row in majorizes(x, y).witness.matrix.rows]
+
+
+def _accepts_witness(x, y, rows):
+    try:
+        res = _checked_witness(x, y, rows)
+    except RuntimeError:
+        return False
+    assert res.witness.matrix.rows == Matrix(rows).rows
+    return True
+
+
+@given(witness_cases(), st.sampled_from([Fraction(1, 1000), Fraction(1, 4), Fraction(1)]))
+def test_checked_witness_matches_fraction_reference(case, delta):
+    """The integer check T.X.d_y = Y.d_t.d_x accepts rows exactly when the
+    Fraction product of their map takes x to y: the solver's own rows, each
+    entry moved by +-delta, delta moved between two entries of a column,
+    and the rows with one more output (a zero row) or one more input."""
+    x, y, rows = case
+    variants = [rows, rows + [[Fraction(0)] * len(rows[0])],
+                [r + [Fraction(i == 0)] for i, r in enumerate(rows)]]
+    for i, j in itertools.product(range(len(rows)), range(len(rows[0]))):
+        for d in (delta, -delta):
+            moved = [list(r) for r in rows]
+            moved[i][j] += d
+            variants.append(moved)
+        for k in range(len(rows)):
+            if k != i:
+                moved = [list(r) for r in rows]
+                moved[i][j] -= delta
+                moved[k][j] += delta
+                variants.append(moved)
+    accepted = 0
+    for v in variants:
+        try:
+            expected = StochasticMap(Matrix(v))(x) == y
+        except (FormatError, DimensionMismatch):
+            expected = False
+        assert _accepts_witness(x, y, v) == expected, v
+        accepted += expected
+    assert accepted >= 1
 
 
 @given(encodings(), st.data())
@@ -422,9 +546,9 @@ def _reference_zonotope_includes(x, y):
     if x.hypotheses == 2:
         zx = zonotope(x)
         return all(v in zx for v in zonotope(y).vertices)
-    rows = _merged_rows(y)
+    rows = _merged_rows(y)  # integer rows over y.den
     for picks in itertools.product((0, 1), repeat=len(rows)):
-        point = [sum((r[c] for r, p in zip(rows, picks) if p), Fraction(0))
+        point = [Fraction(sum(r[c] for r, p in zip(rows, picks) if p), y.den)
                  for c in range(y.hypotheses)]
         if not _point_in_zonotope_lp(x, point):
             return False
@@ -476,6 +600,28 @@ def zonotope_pairs(draw):
     else:
         y = column_normalized(raw_rows(3))
     return x, y
+
+
+def _reference_merged_rows(x):
+    """The reduction before the integer form: proportional rows keyed by the
+    row divided by its first nonzero entry, summed as Fractions."""
+    groups = {}
+    for row in x.matrix.rows:
+        pivot = next((v for v in row if v), None)
+        if pivot is not None:
+            key = tuple(v / pivot for v in row)
+            groups[key] = [a + b for a, b in zip(groups.get(key, [Fraction(0)] * len(row)), row)]
+    return list(groups.values())
+
+
+@given(zonotope_pairs())
+def test_merged_rows_match_fraction_reference(pair):
+    for x in pair:
+        assert [[Fraction(v, x.den) for v in row] for row in _merged_rows(x)] \
+            == _reference_merged_rows(x)
+    # a zero row, and rows 0 and 2 proportional but not equal
+    x = _enc((2, 1), (0, 0), (4, 2), (2, 5))
+    assert _merged_rows(x) == [[6, 3], [2, 5]] and x.den == 8
 
 
 @given(zonotope_pairs())
