@@ -54,7 +54,7 @@ from rthy.instances import (
 
 def show(encoding, label):
     print(f"{label}  ({encoding.outcomes} outcomes x {encoding.hypotheses} hypotheses)")
-    cells = [[format_rational(encoding.matrix[i, c])
+    cells = [[format_rational(encoding.matrix[i][c])
               for c in range(encoding.hypotheses)]
              for i in range(encoding.outcomes)]
     width = max(len(s) for row in cells for s in row)
@@ -75,8 +75,8 @@ def decide(x, y, label):
         # column-sum row j bounds what any action earns on x's outcome j
         f, h, n_y = res.farkas, x.hypotheses, y.outcomes
         u, g = [f[i:h * n_y:n_y] for i in range(n_y)], f[h * n_y:]
-        best = [max(dot(u_i, x.matrix.row(j)) for u_i in u) for j in range(x.outcomes)]
-        pay_y = sum(dot(u_i, y.matrix.row(i)) for i, u_i in enumerate(u))
+        best = [max(dot(u_i, x.matrix[j]) for u_i in u) for j in range(x.outcomes)]
+        pay_y = sum(dot(u_i, y.matrix[i]) for i, u_i in enumerate(u))
         assert all(b + g_j <= 0 for b, g_j in zip(best, g)) and pay_y + sum(g) > 0
         print(f"    Farkas vector over {len(f)} constraints, replayed as a decision "
               f"problem: the target pays {format_rational(pay_y)}, any post-processing "

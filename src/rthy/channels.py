@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import FormatError, IndexOutOfRange, LengthMismatch
-from .exactmath import F0, F1, Matrix, format_rational, json_int, parse_rational
-from .majorize import Convertible, Encoding, StochasticMap, is_distribution, majorizes
+from .exactmath import F0, F1, format_rational, json_int, parse_rational
+from .majorize import Convertible, Encoding, StochasticMap, _dot, is_distribution, majorizes
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,12 @@ class ChannelEncoding(StochasticMap):
     outputs = StochasticMap.n_to
 
     def __post_init__(self):
+        super().__post_init__()
         if self.inputs < 1 or not self.n_from:
             raise FormatError("channel needs at least one hypothesis and input")
         if self.n_from % self.inputs:
             raise FormatError(f"channel has {self.n_from} columns, not a multiple "
                               f"of its {self.inputs} inputs")
-        super().__post_init__()
 
     @property
     def hypotheses(self) -> int:
@@ -85,21 +85,21 @@ class ChannelEncoding(StochasticMap):
             "input": a,
             "output": self.outputs,
             "columns": {f"{j // a},{j % a}": [format_rational(v) for v in col]
-                        for j, col in enumerate(zip(*self.matrix.rows))},
+                        for j, col in enumerate(zip(*self.matrix))},
         }
 
 
 def apply_input(psi: ChannelEncoding, mu: Sequence) -> Encoding:
-    """State encoding obtained by feeding the input distribution mu: psi
-    after the map that sends hypothesis h to column (h, a) with weight mu[a]."""
+    """State encoding obtained by feeding the input distribution mu: entry
+    (i, h) is sum_a mu[a] psi[i][h*inputs + a]."""
     mu = [Fraction(v) for v in mu]
     if len(mu) != psi.inputs:
         raise LengthMismatch(f"channel takes {psi.inputs} inputs, got {len(mu)}")
     if not is_distribution(mu):
         raise FormatError("input must be a probability distribution")
-    feed = Matrix([mu[j % psi.inputs] if j // psi.inputs == h else F0
-                   for h in range(psi.hypotheses)] for j in range(psi.n_from))
-    return Encoding(psi.matrix @ feed)
+    k = psi.inputs
+    return Encoding([[_dot(mu, row[h * k:(h + 1) * k]) for h in range(psi.hypotheses)]
+                     for row in psi.matrix])
 
 
 def delta_input(psi: ChannelEncoding, a: int) -> Encoding:
@@ -108,7 +108,7 @@ def delta_input(psi: ChannelEncoding, a: int) -> Encoding:
     if not 0 <= a < psi.inputs:
         raise IndexOutOfRange(f"input index {a} is out of range for a channel with "
                               f"{psi.inputs} inputs")
-    return Encoding(Matrix(row[a::psi.inputs] for row in psi.matrix.rows))
+    return Encoding([row[a::psi.inputs] for row in psi.matrix])
 
 
 def check_comb_witness(x: Encoding, psi: ChannelEncoding, sigma: ChannelEncoding) -> bool:
@@ -138,9 +138,9 @@ def comb_simulates(x: Encoding, psi: ChannelEncoding):
         res = majorizes(x, delta_input(psi, a))
         if not res.convertible:
             return res
-        maps.append(res.witness.matrix)
+        maps.append(res.witness)
     sigma = ChannelEncoding.from_columns(
-        [t.col(b) for b in range(x.outcomes) for t in maps], psi.inputs)
+        [t.column(b) for b in range(x.outcomes) for t in maps], psi.inputs)
     return Convertible(witness=sigma)
 
 

@@ -72,64 +72,6 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _as_fraction_rows(rows) -> tuple:
-    out = []
-    width = None
-    for row in rows:
-        frow = tuple(v if type(v) is Fraction else Fraction(v) for v in row)
-        if width is None:
-            width = len(frow)
-        elif len(frow) != width:
-            raise ShapeMismatch("ragged rows")
-        out.append(frow)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class Matrix:
-    """Immutable rational matrix (tuple-of-tuples storage)."""
-
-    rows: tuple
-
-    def __init__(self, rows):
-        object.__setattr__(self, "rows", _as_fraction_rows(rows))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def __getitem__(self, key):
-        i, j = key
-        return self.rows[i][j]
-
-    def row(self, i) -> tuple:
-        return self.rows[i]
-
-    def col(self, j) -> tuple:
-        return tuple(r[j] for r in self.rows)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.rows)) if self.rows else Matrix(())
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ShapeMismatch(
-                f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
-            )
-        cols = other.transpose().rows
-        return Matrix(
-            tuple(sum((a * b for a, b in zip(r, c)), F0) for c in cols) for r in self.rows
-        )
-
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix(tuple(F1 if i == j else F0 for j in range(n)) for i in range(n))
-
-
 def _scaled(values):
     """Integers ``values * s`` with ``s`` the lcm of their denominators, and ``s``.
 
@@ -170,10 +112,11 @@ def row_echelon(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[in
     return work[:len(pivots)], pivots
 
 
-def rank(mat: Matrix) -> int:
-    """Rank via fraction-free (Bareiss) elimination on a denominator-cleared copy."""
+def rank(rows: Sequence[Sequence]) -> int:
+    """Rank of rational ``rows`` via fraction-free (Bareiss) elimination on a
+    denominator-cleared copy."""
     # row-wise clearing of denominators keeps every later pivot an integer
-    return len(row_echelon([_scaled(row)[0] for row in mat.rows])[1])
+    return len(row_echelon([_scaled(row)[0] for row in rows])[1])
 
 
 # --------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .exactmath import (
     F0,
     F1,
     LpProblem,
-    Matrix,
     OPTIMAL,
     _scaled,
     format_rational,
@@ -76,8 +75,8 @@ def _check_stochastic(ints, den: int, what: str):
 
 @dataclass(frozen=True)
 class StochasticMap:
-    """Column-stochastic matrix (``to`` x ``from``); column j is the output
-    distribution on input j.
+    """Column-stochastic matrix (``to`` x ``from``), held as its rows, a tuple
+    of ``Fraction`` tuples; column j is the output distribution on input j.
 
     JSON is column-major: ``{"from": n, "to": m, "columns": [[m rationals]
     per input]}``.  A subclass renames the two sizes (``json_keys``) and
@@ -86,47 +85,51 @@ class StochasticMap:
     built; the exact checks read it in place of the ``Fraction``s.
     """
 
-    matrix: Matrix
+    matrix: tuple
     ints: tuple = field(init=False, repr=False, compare=False)
     den: int = field(init=False, repr=False, compare=False)
     json_keys = ("from", "to")
     label = "stochastic map"
 
     def __post_init__(self):
-        rows = self.matrix.rows
+        rows = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row)
+                     for row in self.matrix)
+        if len({len(row) for row in rows}) > 1:
+            raise FormatError(f"{self.label} rows have unequal lengths")
         den = lcm(*(v.denominator for row in rows for v in row))
         ints = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in rows)
         _check_stochastic(ints, den, self.label)
+        object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "ints", ints)
         object.__setattr__(self, "den", den)
 
     @property
     def n_from(self) -> int:
-        return self.matrix.ncols
+        return len(self.matrix[0]) if self.matrix else 0
 
     @property
     def n_to(self) -> int:
-        return self.matrix.nrows
+        return len(self.matrix)
+
+    def column(self, j: int) -> tuple:
+        return tuple(row[j] for row in self.matrix)
 
     def __call__(self, x: "Encoding") -> "Encoding":
         if self.n_from != x.outcomes:
             raise DimensionMismatch(
                 f"map expects {self.n_from} outcomes, encoding has {x.outcomes}")
-        return Encoding(self.matrix @ x.matrix)
+        cols = list(zip(*x.matrix))
+        return Encoding([[_dot(row, col) for col in cols] for row in self.matrix])
 
     @staticmethod
     def identity(n: int) -> "StochasticMap":
-        return StochasticMap(Matrix.identity(n))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]):
-        return cls(Matrix(rows))
+        return StochasticMap([[F1 if i == j else F0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], *fields):
         """The map with these columns; ``fields`` are a subclass's own fields,
         after ``matrix``."""
-        cols = [[Fraction(v) for v in col] for col in columns]
+        cols = [list(col) for col in columns]
         if len({len(c) for c in cols}) > 1:
             raise FormatError(f"{cls.label} columns have unequal lengths")
         return cls._from_sized_columns(cols, len(cols[0]) if cols else 0, *fields)
@@ -137,7 +140,7 @@ class StochasticMap:
         no inputs keeps its m rows; an empty column is no distribution."""
         if cols and not m:
             raise FormatError(f"{cls.label} column 0 does not sum to 1")
-        return cls(Matrix(zip(*cols) if cols else [()] * m), *fields)
+        return cls(zip(*cols) if cols else [()] * m, *fields)
 
     @classmethod
     def from_json(cls, doc):
@@ -160,7 +163,7 @@ class StochasticMap:
         return {
             n_key: self.n_from,
             m_key: self.n_to,
-            "columns": [[format_rational(v) for v in col] for col in zip(*self.matrix.rows)],
+            "columns": [[format_rational(v) for v in col] for col in zip(*self.matrix)],
         }
 
 
@@ -174,12 +177,9 @@ class Encoding(StochasticMap):
     outcomes = StochasticMap.n_to
 
     def __post_init__(self):
-        if self.matrix.ncols == 0:
-            raise FormatError("an encoding needs at least one hypothesis")
         super().__post_init__()
-
-    def column(self, c: int) -> tuple:
-        return self.matrix.col(c)
+        if not self.hypotheses:
+            raise FormatError("an encoding needs at least one hypothesis")
 
 
 @dataclass(frozen=True)
@@ -194,15 +194,15 @@ class NotConvertible:
     convertible = False
 
 
-def _conversion_problem(x: Encoding, target: Matrix) -> LpProblem:
+def _conversion_problem(x: Encoding, target_rows) -> LpProblem:
     """Feasibility LP for a stochastic t with t * x = target.
 
     Column ``i*n_from + j`` holds ``t[i][j]``.  One row per hypothesis c and
-    output i asks ``sum_j t[i][j] x[j, c] = target[i, c]``; then one row per
-    input j asks that column j of t sums to 1.
+    output i asks ``sum_j t[i][j] x[j][c] = target_rows[i][c]``; then one row
+    per input j asks that column j of t sums to 1.
     """
     n_from, h = x.outcomes, x.hypotheses
-    n_to = target.nrows
+    n_to = len(target_rows)
     width = n_to * n_from
     a_rows, b = [], []
     for c in range(h):
@@ -211,7 +211,7 @@ def _conversion_problem(x: Encoding, target: Matrix) -> LpProblem:
             row = [0] * width
             row[i * n_from:(i + 1) * n_from] = col
             a_rows.append(row)
-            b.append(target[i, c])
+            b.append(target_rows[i][c])
     for j in range(n_from):
         a_rows.append([1 if k % n_from == j else 0 for k in range(width)])
         b.append(1)
@@ -233,14 +233,14 @@ def _left_curtain(x: Encoding, y: Encoding) -> Optional[list]:
     finds it; a window that cannot reach c_i means no conversion.  Zero
     rows of x go to outcome 0.
     """
-    mass = [a + b for a, b in x.matrix.rows]
-    theta = [a / m if m else F0 for (a, _), m in zip(x.matrix.rows, mass)]
+    mass = [a + b for a, b in x.matrix]
+    theta = [a / m if m else F0 for (a, _), m in zip(x.matrix, mass)]
     order = sorted((j for j, m in enumerate(mass) if m), key=theta.__getitem__)
     rest = list(mass)
     rows = [[F0] * x.outcomes for _ in range(y.outcomes)]
-    targets = sorted((c / (c + d), i) for i, (c, d) in enumerate(y.matrix.rows) if c + d)
+    targets = sorted((c / (c + d), i) for i, (c, d) in enumerate(y.matrix) if c + d)
     for _, i in targets:
-        c, d = y.matrix.rows[i]
+        c, d = y.matrix[i]
         live = [j for j in order if rest[j]]
         # the leftmost window: it ends in atom live[e], short of that atom's
         # end by ``end_room``, and starts ``start_room`` before atom live[s] ends
@@ -315,7 +315,7 @@ def _checked_witness(x: Encoding, y: Encoding, rows) -> Convertible:
     """``Convertible`` with the map t of ``rows``, checked to be stochastic and
     to take x to y in integers: T.X.d_y = Y.d_t.d_x."""
     try:
-        t = StochasticMap(Matrix(rows))
+        t = StochasticMap(rows)
     except FormatError:
         t = None
     cols = list(zip(*x.ints))
@@ -393,7 +393,7 @@ def det_postprocessings(n: int, k: int) -> List[StochasticMap]:
     out = []
     for assignment in itertools.product(range(k), repeat=n):
         rows = [[F1 if assignment[j] == i else F0 for j in range(n)] for i in range(k)]
-        out.append(StochasticMap(Matrix(rows)))
+        out.append(StochasticMap(rows))
     return out
 
 

@@ -31,8 +31,8 @@ def cva(x: Encoding, y: Encoding, z: Encoding):
     lam = None
     for i in range(x.outcomes):
         for c in range(x.hypotheses):
-            dy = y.matrix[i, c] - z.matrix[i, c]
-            dx = x.matrix[i, c] - z.matrix[i, c]
+            dy = y.matrix[i][c] - z.matrix[i][c]
+            dx = x.matrix[i][c] - z.matrix[i][c]
             if dy == 0:
                 if dx != 0:
                     return PLUS_INF
@@ -59,7 +59,7 @@ def weight(x: Encoding) -> Fraction:
     x = lam*g + (1-lam)*s with s constant; the largest constant part
     u = (1-lam)*s has u[i] <= min_c x[i,c], so lam = 1 - sum_i min_c x[i,c].
     """
-    return F1 - sum((min(x.matrix.row(i)) for i in range(x.outcomes)), F0)
+    return F1 - sum((min(row) for row in x.matrix), F0)
 
 
 def robustness(z: Encoding) -> Fraction:
@@ -68,7 +68,7 @@ def robustness(z: Encoding) -> Fraction:
     lam*y + (1-lam)*z can be made constant exactly when
     (1-lam) * sum_i max_c z[i,c] <= 1, so lam = 1 - 1 / sum_i max_c z[i,c].
     """
-    return F1 - F1 / sum((max(z.matrix.row(i)) for i in range(z.outcomes)), F0)
+    return F1 - F1 / sum((max(row) for row in z.matrix), F0)
 
 
 def free_robustness(z: Encoding):
@@ -105,10 +105,9 @@ def _mixture_weight(x: Encoding, entry_rows: list, n_primary: int):
     and a last row asks them to sum to 1.  The +inf is returned only once
     the solver's Farkas vector has been checked against that LP.
     """
-    n, h = x.outcomes, x.hypotheses
     width = len(entry_rows[0])
     a_rows = [*entry_rows, [1] * width]
-    b = [x.matrix[i, c] for i in range(n) for c in range(h)] + [1]
+    b = [v for row in x.matrix for v in row] + [1]
     cost = [1] * n_primary + [0] * (width - n_primary)
     problem = LpProblem(c=cost, a_rows=a_rows, b=b)
     outcome = lp_solve(problem)
@@ -133,7 +132,7 @@ def convex_combination_weight(x: Encoding, primary: Sequence[Encoding],
             raise ShapeMismatch("mixture vertices must match the target's shape")
     # columns: the primary vertices, then the base vertices
     verts = [*primary, *base]
-    entry_rows = [[e.matrix[i, c] for e in verts] for i in range(n) for c in range(h)]
+    entry_rows = [[e.matrix[i][c] for e in verts] for i in range(n) for c in range(h)]
     return _mixture_weight(x, entry_rows, len(primary))
 
 

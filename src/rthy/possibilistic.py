@@ -65,9 +65,9 @@ class BoolEncoding(BoolStochasticMap):
     outcomes = BoolStochasticMap.n_to
 
 
-def _support(m) -> tuple:
-    """Entrywise positive -> 1, else 0, of a rational matrix."""
-    return tuple(tuple(1 if v > 0 else 0 for v in row) for row in m.rows)
+def _support(rows) -> tuple:
+    """Entrywise positive -> 1, else 0, of rational rows."""
+    return tuple(tuple(1 if v > 0 else 0 for v in row) for row in rows)
 
 
 def ceil(x: Encoding) -> BoolEncoding:

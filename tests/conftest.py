@@ -42,7 +42,7 @@ def stochastic_maps(draw, n_from, max_to=4):
     n_to = draw(st.integers(1, max_to))
     cols = [draw(distributions(n_to)) for _ in range(n_from)]
     rows = [[cols[j][i] for j in range(n_from)] for i in range(n_to)]
-    return StochasticMap.from_rows(rows)
+    return StochasticMap(rows)
 
 
 def column_normalized(rows) -> Encoding:

@@ -58,14 +58,14 @@ def _reference_comb_simulates(x, psi):
     """
     nb, na, hs = x.outcomes, psi.inputs, range(psi.hypotheses)
     copied = Encoding.from_columns(
-        [[x.matrix[b, h] if a2 == a else 0 for b in range(nb) for a2 in range(na)]
+        [[x.matrix[b][h] if a2 == a else 0 for b in range(nb) for a2 in range(na)]
          for h in hs for a in range(na)])
     res = majorizes(copied, Encoding(psi.matrix))
     if not res.convertible:
         return res
-    t = res.witness.matrix
+    t = res.witness
     return Convertible(witness=ChannelEncoding.from_columns(
-        [t.col(b * na + a) for b in range(nb) for a in range(na)], na))
+        [t.column(b * na + a) for b in range(nb) for a in range(na)], na))
 
 
 @st.composite
@@ -77,7 +77,7 @@ def comb_pairs(draw):
     na, nout = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     if draw(st.booleans()):
         sigma = [[draw(distributions(nout)) for _ in range(na)] for _ in range(n)]
-        tensor = [[[sum(x.matrix[b, c] * sigma[b][a][o] for b in range(n))
+        tensor = [[[sum(x.matrix[b][c] * sigma[b][a][o] for b in range(n))
                     for o in range(nout)] for a in range(na)] for c in range(h)]
     else:
         tensor = [[draw(distributions(nout)) for _ in range(na)] for _ in range(h)]
@@ -130,7 +130,7 @@ def test_apply_input_affine():
     mixed = apply_input(psi, [H, 0, H, 0])
     for i in range(mixed.outcomes):
         for c in range(mixed.hypotheses):
-            assert mixed.matrix[i, c] == H * a.matrix[i, c] + H * b.matrix[i, c]
+            assert mixed.matrix[i][c] == H * a.matrix[i][c] + H * b.matrix[i][c]
 
 
 def test_pinned_comb_witnesses():
@@ -140,7 +140,7 @@ def test_pinned_comb_witnesses():
 
 def test_comb_witness_rejects_tampering():
     x, psi, w = incomparable_x(), channel_x(), comb_witness_x()
-    cols = [list(col) for col in zip(*w.matrix.rows)]
+    cols = [list(col) for col in zip(*w.matrix)]
     tampered = list(cols)
     tampered[1 * 4 + 1] = cols[1 * 4 + 2]  # outcome 1 on input 1 acts as on input 2
     assert not check_comb_witness(x, psi, ChannelEncoding.from_columns(tampered, 4))
@@ -257,6 +257,18 @@ def tied_channels(draw, min_hypotheses=1):
         for per_h in tensor:
             per_h[dst] = per_h[src]
     return _channel(tensor)
+
+
+@given(tied_channels(), st.data())
+def test_apply_input_matches_delta_input_reference(psi, data):
+    """apply_input(psi, mu) is sum_a mu[a] delta_input(psi, a), entry by entry."""
+    mu = data.draw(distributions(psi.inputs))
+    mixed = apply_input(psi, mu)
+    deltas = [delta_input(psi, a) for a in range(psi.inputs)]
+    assert (mixed.outcomes, mixed.hypotheses) == (psi.outputs, psi.hypotheses)
+    assert all(mixed.matrix[i][c] == sum((m * d.matrix[i][c] for m, d in zip(mu, deltas)),
+                                         Fraction(0))
+               for i in range(mixed.outcomes) for c in range(mixed.hypotheses))
 
 
 @pytest.mark.parametrize("name", [*MONOTONES, "fmk"])

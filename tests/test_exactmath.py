@@ -1,4 +1,4 @@
-"""Exact rationals, matrices, and the certified simplex.
+"""Exact rationals, exact rank, and the certified simplex.
 
 The LP oracle here is deliberately independent of the solver: basic
 solutions are enumerated by brute force with a tiny Gaussian solver, so
@@ -25,7 +25,6 @@ from rthy import (
     INFEASIBLE,
     LpOutcome,
     LpProblem,
-    Matrix,
     OPTIMAL,
     ShapeMismatch,
     UNBOUNDED,
@@ -35,7 +34,7 @@ from rthy import (
     rank,
     verify_certificate,
 )
-from rthy import StochasticMap, exactmath, majorize, measures
+from rthy import Encoding, StochasticMap, exactmath, majorize, measures
 from rthy.exactmath import F0, F1, LpStats
 
 from conftest import encodings, spread_pair, stochastic_maps
@@ -66,23 +65,27 @@ def test_format_is_canonical():
 
 
 def test_matrix_basics():
-    a = Matrix([[F(1), F(2)], [F(0), F(1)]])
-    assert (a @ Matrix.identity(2)).rows == a.rows
-    assert a.transpose().transpose().rows == a.rows
+    # the identity map composes as the identity, on either side
+    t = StochasticMap([[F(1, 3), F(1)], [F(2, 3), F(0)]])
+    x = Encoding([[F(1, 2), F(1, 4), F(1)], [F(1, 2), F(3, 4), F(0)]])
+    assert StochasticMap.identity(2)(x) == x
+    assert t(StochasticMap.identity(2)(x)) == StochasticMap.identity(2)(t(x)) == t(x)
+    assert StochasticMap.identity(2).matrix == ((F1, F0), (F0, F1))
+    assert StochasticMap.identity(0).matrix == ()
 
 
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=1, max_size=4),
                 min_size=1, max_size=4).filter(
                     lambda rows: len({len(r) for r in rows}) == 1))
 def test_rank_vs_sympy(rows):
-    ours = rank(Matrix([[F(v) for v in r] for r in rows]))
+    ours = rank([[F(v) for v in r] for r in rows])
     assert ours == sympy.Matrix(rows).rank()
 
 
 def test_rank_pinned():
-    assert rank(Matrix([[F(1), F(2)], [F(2), F(4)]])) == 1
-    assert rank(Matrix.identity(3)) == 3
-    assert rank(Matrix([[F(0)]])) == 0
+    assert rank([[F(1), F(2)], [F(2), F(4)]]) == 1
+    assert rank(StochasticMap.identity(3).matrix) == 3
+    assert rank([[F(0)]]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +518,7 @@ def test_default_pricing_matches_reference_on_tool_lps(case):
             # the conversion LP's column i*n_x + j holds t[i][j]
             x, y = pair
             n = x.outcomes
-            t = StochasticMap(Matrix([out.primal[i * n:(i + 1) * n] for i in range(y.outcomes)]))
+            t = StochasticMap([out.primal[i * n:(i + 1) * n] for i in range(y.outcomes)])
             assert t(x) == y
 
 
@@ -750,8 +753,8 @@ def test_conversion_lp_entries_stay_small(monkeypatch):
     assert len(peak) == 129 and max(peak) <= 256
     t = [out.primal[i * 12:(i + 1) * 12] for i in range(12)]
     assert all(sum(col) == 1 for col in zip(*t))
-    assert [[sum((t[i][j] * x.matrix[j, c] for j in range(12)), F0) for c in range(4)]
-            for i in range(12)] == [list(row) for row in y.matrix.rows]
+    assert [[sum((t[i][j] * x.matrix[j][c] for j in range(12)), F0) for c in range(4)]
+            for i in range(12)] == [list(row) for row in y.matrix]
     assert verify_certificate(problem, out)
 
 

@@ -48,14 +48,15 @@ from rthy.instances import (
     incomparable_y,
     two_point_encoding,
 )
-from rthy.exactmath import Matrix
 from rthy.majorize import (
     _checked_refutation,
     _checked_witness,
     _conversion_problem,
+    _left_curtain,
     _merged_rows,
     is_distribution,
 )
+from rthy.measures import deterministic_encodings
 
 from conftest import column_normalized, distributions, encodings, spread_pair, stochastic_maps
 
@@ -89,7 +90,7 @@ def test_stochastic_map_json_rejects():
 
 
 def test_stochastic_map_json_roundtrip():
-    t = StochasticMap.from_rows([[H, 1], [H, 0]])
+    t = StochasticMap([[H, 1], [H, 0]])
     assert StochasticMap.from_json(t.to_json()) == t
     assert t.to_json() == {"from": 2, "to": 2, "columns": [["1/2", "1/2"], ["1", "0"]]}
 
@@ -98,7 +99,7 @@ def test_encoding_is_the_stochastic_map_from_hypotheses_to_outcomes():
     assert issubclass(Encoding, StochasticMap)
     x = incomparable_x()
     assert (x.n_from, x.n_to) == (x.hypotheses, x.outcomes) == (3, 4)
-    assert x.column(1) == x.matrix.col(1)
+    assert x.column(1) == tuple(row[1] for row in x.matrix)
     # a map and an encoding with the same matrix are different objects
     t = StochasticMap(x.matrix)
     assert t != x and t.to_json()["columns"] == x.to_json()["columns"]
@@ -130,10 +131,10 @@ def test_inputs_with_no_outputs_are_rejected():
 def test_stochastic_errors_name_their_class():
     cases = [
         (lambda: Encoding.from_columns([[H, H / 2]]), "encoding column 0 does not sum to 1"),
-        (lambda: StochasticMap.from_rows([[-1, 0], [2, 1]]),
+        (lambda: StochasticMap([[-1, 0], [2, 1]]),
          "stochastic map has a negative entry at (0,0)"),
         # the first negative entry in row order, and negatives before sums
-        (lambda: Encoding.from_rows([[1, -1], [-1, 2], [1, 0]]),
+        (lambda: Encoding([[1, -1], [-1, 2], [1, 0]]),
          "encoding has a negative entry at (0,1)"),
         (lambda: Encoding.from_columns([[H, H / 2], [2, -1]]),
          "encoding has a negative entry at (1,1)"),
@@ -189,7 +190,7 @@ def test_stochastic_check_matches_fraction_reference(rows):
             continue  # an encoding needs a hypothesis
         expected = _reference_stochastic_error(rows, cls.label)
         try:
-            cls(Matrix(rows))
+            cls(rows)
         except FormatError as err:
             assert str(err) == expected
         else:
@@ -202,13 +203,72 @@ def test_integer_form_matches_fraction_reference(rows):
     denominators, over which each integer reads back as its entry."""
     if _reference_stochastic_error(rows, "") is not None:
         return
-    t = StochasticMap(Matrix(rows))
+    t = StochasticMap(rows)
     assert t.den == math.lcm(*(Fraction(v).denominator for row in rows for v in row))
     assert len(t.ints) == t.n_to and all(len(row) == t.n_from for row in t.ints)
-    assert all(Fraction(t.ints[i][j], t.den) == t.matrix[i, j]
+    assert all(Fraction(t.ints[i][j], t.den) == t.matrix[i][j]
                for i in range(t.n_to) for j in range(t.n_from))
     # the form does not take part in equality
-    assert t == StochasticMap(Matrix(rows)) and hash(t) == hash(StochasticMap(t.matrix))
+    assert t == StochasticMap(rows) and hash(t) == hash(StochasticMap(t.matrix))
+
+
+@given(encodings(), st.data())
+def test_map_application_matches_fraction_reference(x, data):
+    """t(x) is the row-by-column product: entry (i, c) is the Fraction sum
+    over j of t[i][j] x[j][c]."""
+    t = data.draw(stochastic_maps(x.outcomes))
+    expected = [[sum((t.matrix[i][j] * x.matrix[j][c] for j in range(x.outcomes)), Fraction(0))
+                 for c in range(x.hypotheses)] for i in range(t.n_to)]
+    y = t(x)
+    assert type(y) is Encoding and [list(row) for row in y.matrix] == expected
+    assert all(type(v) is Fraction for row in y.matrix for v in row)
+
+
+def _int_where_integral(rows):
+    return [[int(v) if v.denominator == 1 else v for v in row] for row in rows]
+
+
+@st.composite
+def int_entry_dichotomies(draw):
+    """Rows of a two-hypothesis x and of a post-processing y of it, each
+    integral entry given as an int; half the time x and the map are 0/1."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        x = draw(st.sampled_from(deterministic_encodings(n, 2)))
+        t = draw(st.sampled_from(det_postprocessings(n, draw(st.integers(1, 3)))))
+    else:
+        x = draw(encodings(max_hypotheses=2))
+        t = draw(stochastic_maps(x.outcomes))
+    return _int_where_integral(x.matrix), _int_where_integral(t(x).matrix)
+
+
+@given(int_entry_dichotomies())
+def test_int_entries_are_held_as_fractions_reference(rows):
+    """Entries given as ints are held as equal Fractions, so the
+    left-curtain coupling's a / m divides Fractions: its rows hold no float,
+    and its map takes x to y."""
+    x_rows, y_rows = rows
+    x, y = Encoding(x_rows), Encoding(y_rows)
+    for e, given_rows in ((x, x_rows), (y, y_rows)):
+        assert e.matrix == tuple(map(tuple, given_rows))
+        assert all(type(v) is Fraction for row in e.matrix for v in row)
+    coupling = _left_curtain(x, y)
+    assert coupling is not None
+    assert all(type(v) is Fraction for row in coupling for v in row)
+    assert StochasticMap(coupling)(x) == y
+
+
+def test_ragged_rows_raise_format_error_reference():
+    """Rows of unequal length are refused with a FormatError naming the
+    class, as ``BoolStochasticMap`` refuses them, before any other check."""
+    cases = [(lambda: StochasticMap([[1, 0], [0]]), "stochastic map"),
+             (lambda: Encoding([[H, -1], [H], [0, 2]]), "encoding"),
+             (lambda: Encoding([[], [1]]), "encoding"),
+             (lambda: ChannelEncoding([[1, 0, 1], [0, 1]], 2), "channel")]
+    for build, label in cases:
+        with pytest.raises(FormatError) as err:
+            build()
+        assert str(err.value) == f"{label} rows have unequal lengths"
 
 
 @st.composite
@@ -218,9 +278,9 @@ def witness_cases(draw):
     h = draw(st.integers(2, 4))
     x = draw(encodings(max_hypotheses=h, min_hypotheses=h))
     if draw(st.booleans()):
-        x = Encoding(Matrix(x.matrix.rows + ((Fraction(0),) * h,)))
+        x = Encoding(x.matrix + ((Fraction(0),) * h,))
     y = draw(stochastic_maps(x.outcomes))(x)
-    return x, y, [list(row) for row in majorizes(x, y).witness.matrix.rows]
+    return x, y, [list(row) for row in majorizes(x, y).witness.matrix]
 
 
 def _accepts_witness(x, y, rows):
@@ -228,7 +288,7 @@ def _accepts_witness(x, y, rows):
         res = _checked_witness(x, y, rows)
     except RuntimeError:
         return False
-    assert res.witness.matrix.rows == Matrix(rows).rows
+    assert res.witness.matrix == tuple(map(tuple, rows))
     return True
 
 
@@ -255,7 +315,7 @@ def test_checked_witness_matches_fraction_reference(case, delta):
     accepted = 0
     for v in variants:
         try:
-            expected = StochasticMap(Matrix(v))(x) == y
+            expected = StochasticMap(v)(x) == y
         except (FormatError, DimensionMismatch):
             expected = False
         assert _accepts_witness(x, y, v) == expected, v
@@ -512,7 +572,7 @@ def test_zonotope_centrally_symmetric(x):
 @given(encodings(max_outcomes=3, max_hypotheses=2))
 def test_zonotope_contains_all_subset_sums(x):
     z = zonotope(x)
-    rows = [x.matrix.row(i) for i in range(x.outcomes)]
+    rows = x.matrix
     for picks in itertools.product((0, 1), repeat=len(rows)):
         point = [sum((r[c] for r, p in zip(rows, picks) if p), Fraction(0))
                  for c in range(2)]
@@ -561,13 +621,13 @@ def _refutation_replays(x, y, cert):
     def dot(row):
         return sum((Fraction(w) * v for w, v in zip(cert.normal, row)), Fraction(0))
 
-    dy = [dot(row) for row in y.matrix.rows]
+    dy = [dot(row) for row in y.matrix]
     subset = tuple(i for i, d in enumerate(dy) if d > 0)
-    vertex = [sum((y.matrix[i, c] for i in subset), Fraction(0)) for c in range(y.hypotheses)]
+    vertex = [sum((y.matrix[i][c] for i in subset), Fraction(0)) for c in range(y.hypotheses)]
     return (len(cert.normal) == x.hypotheses
             and cert.subset == subset
             and cert.support_y == sum((dy[i] for i in subset), Fraction(0))
-            and cert.support_x == sum((max(dot(row), 0) for row in x.matrix.rows), Fraction(0))
+            and cert.support_x == sum((max(dot(row), 0) for row in x.matrix), Fraction(0))
             and cert.support_y > cert.support_x
             and not _point_in_zonotope_lp(x, vertex))
 
@@ -606,7 +666,7 @@ def _reference_merged_rows(x):
     """The reduction before the integer form: proportional rows keyed by the
     row divided by its first nonzero entry, summed as Fractions."""
     groups = {}
-    for row in x.matrix.rows:
+    for row in x.matrix:
         pivot = next((v for v in row if v), None)
         if pivot is not None:
             key = tuple(v / pivot for v in row)
@@ -651,7 +711,7 @@ def test_zonotope_certificate_pinned():
     assert cert.normal == (-1, 1, 1) and cert.subset == (0, 2, 3)
     assert (cert.support_y, cert.support_x) == (Fraction(3, 2), 1)
     # y outside span(x): the normal annihilates x's rows
-    cert = zonotope_certificate(two_point_encoding(1, 1), Encoding.from_rows([[H, 0], [H, 1]]))
+    cert = zonotope_certificate(two_point_encoding(1, 1), Encoding([[H, 0], [H, 1]]))
     assert cert.normal == (1, -1) and cert.subset == (0,)
     assert (cert.support_y, cert.support_x) == (H, 0)
 
@@ -728,10 +788,10 @@ def test_det_postprocessings_enumeration():
     assert len(set(maps)) == 8
     for t in maps:
         for j in range(3):
-            col = [t.matrix[i, j] for i in range(2)]
+            col = [t.matrix[i][j] for i in range(2)]
             assert sorted(col) == [0, 1]
     # first map sends everything to outcome 0
-    assert all(maps[0].matrix[0, j] == 1 for j in range(3))
+    assert all(maps[0].matrix[0][j] == 1 for j in range(3))
 
 
 def test_enumeration_guard(monkeypatch):

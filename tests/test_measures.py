@@ -35,9 +35,9 @@ def _constant_columns(x: Encoding) -> bool:
 
 
 def _mix(lam, y: Encoding, z: Encoding) -> Encoding:
-    rows = [[lam * y.matrix[i, c] + (1 - lam) * z.matrix[i, c]
+    rows = [[lam * y.matrix[i][c] + (1 - lam) * z.matrix[i][c]
              for c in range(y.hypotheses)] for i in range(y.outcomes)]
-    return Encoding.from_rows(rows)
+    return Encoding(rows)
 
 
 # Reference LPs: each minimizes the mixing weight lam directly over the
@@ -64,8 +64,8 @@ def _robustness_lp(z: Encoding):
     for i in range(n):
         for c in range(h):
             # Y[i,c] + (1-lam) z[i,c] = u[i]
-            rows.append(_row(width, {1 + i * h + c: F1, 0: -z.matrix[i, c], 1 + n * h + i: -F1}))
-            b.append(-z.matrix[i, c])
+            rows.append(_row(width, {1 + i * h + c: F1, 0: -z.matrix[i][c], 1 + n * h + i: -F1}))
+            b.append(-z.matrix[i][c])
     for c in range(h):
         rows.append(_row(width, {1 + i * h + c: F1 for i in range(n)} | {0: -F1}))
         b.append(F0)
@@ -87,8 +87,8 @@ def _free_robustness_lp(z: Encoding):
     rows, b = [], []
     for i in range(n):
         for c in range(h):
-            rows.append(_row(width, {1 + i: F1, 0: -z.matrix[i, c], 1 + n + i: -F1}))
-            b.append(-z.matrix[i, c])
+            rows.append(_row(width, {1 + i: F1, 0: -z.matrix[i][c], 1 + n + i: -F1}))
+            b.append(-z.matrix[i][c])
     rows.append(_row(width, {1 + i: F1 for i in range(n)} | {0: -F1}))
     rows.append(_row(width, {1 + n + i: F1 for i in range(n)}))
     rows.append(_row(width, {0: F1, width - 1: F1}))
@@ -110,7 +110,7 @@ def _nonconvexity_lp(x: Encoding):
     for i in range(n):
         for c in range(h):
             rows.append(_row(width, {1 + i: F1, 1 + n + i: F1}))
-            b.append(x.matrix[i, c])
+            b.append(x.matrix[i][c])
     rows.append(_row(width, {1 + i: F1 for i in range(n)} | {0: -F1}))
     rows.append(_row(width, {1 + n + i: F1 for i in range(n)} | {0: F1}))
     b += [F0, F1]
@@ -131,13 +131,13 @@ def test_closed_forms_match_reference_lps(x):
 
 @given(encodings())
 def test_weight_closed_form(x):
-    floor = sum(min(x.matrix.row(i)) for i in range(x.outcomes))
+    floor = sum(min(x.matrix[i]) for i in range(x.outcomes))
     assert weight(x) == 1 - floor
 
 
 @given(encodings())
 def test_robustness_closed_form(z):
-    ceil = sum(max(z.matrix.row(i)) for i in range(z.outcomes))
+    ceil = sum(max(z.matrix[i]) for i in range(z.outcomes))
     assert robustness(z) == 1 - Fraction(1) / ceil
 
 
