@@ -246,7 +246,7 @@ def _cmd_module(args) -> dict:
         return {"atoms": list(m.resources), "pairs": pairs}
     if args.module_cmd in ("yield", "cost"):
         f = mn.PartialValuation.from_json(_read_doc(args.gold))
-        d = _names(args.set) if args.set else sorted(m.free)
+        d = sorted(m.free) if args.set is None else _names(args.set)
         best = mn.yield_ if args.module_cmd == "yield" else mn.cost
         return {"value": mn.value_to_json(best(m, d, f, args.at)), "at": args.at}
     if args.module_cmd == "covariant":

@@ -289,24 +289,6 @@ def _left_curtain(x: Encoding, y: Encoding) -> Optional[list]:
     return rows
 
 
-def _dichotomy_normal(x: Encoding, y: Encoding) -> Optional[Tuple[int, int]]:
-    """A normal w = (x_j1, -x_j0) of a row of x, as coprime integers, with
-    h_{Z(y)}(w) > h_{Z(x)}(w), or None when no row gives one.
-
-    With two hypotheses every edge of the polygon Z(x) is parallel to a row
-    of x, and h_Z(-w) - h_Z(w) is the same for Z(x) and Z(y) (both are
-    symmetric about (1/2, 1/2)), so these n_x normals find any point of
-    Z(y) outside Z(x).  The scan runs on both encodings' integer rows, with
-    the supports cross-multiplied by their denominators.
-    """
-    for a, b in x.ints:
-        w = (b, -a)
-        if _supports(w, y.ints)[0] * x.den > _supports(w, x.ints)[0] * y.den:
-            g = gcd(a, b)
-            return b // g, -a // g
-    return None
-
-
 def _dot(a, b):
     return sum(map(operator.mul, a, b))
 
@@ -348,6 +330,17 @@ def _checked_refutation(x: Encoding, y: Encoding, farkas) -> NotConvertible:
     raise RuntimeError("majorization Farkas vector does not refute x -> y: solver fault")
 
 
+def _normal_farkas(x: Encoding, y: Encoding, w) -> list:
+    """The Farkas vector of x -> y from an integer w with
+    h_{Z(y)}(w) > h_{Z(x)}(w): w_c at row (c, i) for y's outcomes i with
+    w.y_i > 0, 0 at the other (c, i) rows, and -max(0, w.x_j) at x's
+    column-sum row j, so that its product with the LP's b is
+    h_{Z(y)}(w) - h_{Z(x)}(w) > 0 (Blackwell 1953)."""
+    dy = [_dot(w, row) for row in y.ints]
+    return ([Fraction(a) if d > 0 else F0 for a in w for d in dy]
+            + [-Fraction(max(0, _dot(w, row)), x.den) for row in x.ints])
+
+
 def majorizes(x: Encoding, y: Encoding):
     """Decide whether x converts to y by a hypothesis-independent stochastic map.
 
@@ -355,12 +348,11 @@ def majorizes(x: Encoding, y: Encoding):
     ``NotConvertible`` with a Farkas vector of the conversion LP, checked on x
     and y (``_checked_refutation``), each before it is returned.  With two
     hypotheses no LP is solved: the witness is a martingale coupling
-    (``_left_curtain``), and the Farkas vector comes from a normal w of Z(x)
-    that Z(y) crosses (``_dichotomy_normal``).  It is w_c at row (c, i) for
-    y's outcomes i with w.y_i > 0, 0 at the other (c, i) rows, and
-    -max(0, w.x_j) at x's column-sum row j, so that its product with the
-    LP's b is h_{Z(y)}(w) - h_{Z(x)}(w) > 0 (Blackwell 1953).  Otherwise the
-    witness or the Farkas vector comes from ``lp_solve``.
+    (``_left_curtain``), and the Farkas vector is ``_normal_farkas`` of a
+    normal w of Z(x) that Z(y) crosses (``_separating_normal``), signed so
+    that w_0 >= 0 >= w_1; either sign separates, as the rows of x and of y
+    each sum to (1, 1).  Otherwise the witness or the Farkas vector comes
+    from ``lp_solve``.
     """
     if x.hypotheses != y.hypotheses:
         raise HypothesisMismatch(
@@ -369,13 +361,10 @@ def majorizes(x: Encoding, y: Encoding):
         rows = _left_curtain(x, y)
         if rows is not None:
             return _checked_witness(x, y, rows)
-        w = _dichotomy_normal(x, y)
-        farkas = None
-        if w is not None:
-            dy = [_dot(w, row) for row in y.ints]
-            farkas = ([Fraction(a) if d > 0 else F0 for a in w for d in dy]
-                      + [-Fraction(max(0, _dot(w, row)), x.den) for row in x.ints])
-        return _checked_refutation(x, y, farkas)
+        w = _separating_normal(x, y)
+        if w is not None and (w[0] < 0 or w[1] > 0):
+            w = tuple(-a for a in w)
+        return _checked_refutation(x, y, None if w is None else _normal_farkas(x, y, w))
     problem = _conversion_problem(x, y.matrix)
     outcome = lp_solve(problem)
     if outcome.status == OPTIMAL:
@@ -492,12 +481,30 @@ def _supports(w, rows) -> Tuple[int, int]:
     return up, down
 
 
-def _separating_normal(gx, gy, h: int):
-    """Decide Z(gy) inside Z(gx) for integer generators in Z^h.
+def _primitive(w) -> tuple:
+    """w over the gcd of its entries, so the sign of each entry is kept."""
+    g = gcd(*w)
+    return tuple(a // g for a in w)
 
-    Returns None when it is inside, else ``(w, h_y, h_x)``: an integer w in
-    Z^h with h_{Z(gy)}(w) = h_y > h_x = h_{Z(gx)}(w).
+
+def _separating_normal(x: Encoding, y: Encoding) -> Optional[tuple]:
+    """A primitive integer w with h_{Z(y)}(w) > h_{Z(x)}(w), or None when
+    Z(y) is inside Z(x).
+
+    Z(x) = {sum_j u_j g_j : u in [0,1]^n} over x's merged rows g_j, the
+    reachable set of 2-outcome post-processings, has support function
+    h_Z(w) = sum_j max(0, w.g_j).  The search runs in integers, on x's merged
+    rows times y's denominator and y's times x's: a row of y outside
+    span(x) gives a normal to span(x) at once; otherwise, with r = rank(x),
+    Z(y) is inside Z(x) exactly when h_{Z(y)}(+-w) <= h_{Z(x)}(+-w) for the
+    normal w of each set of r - 1 of x's generators that spans a hyperplane
+    of span(x) (Ziegler, Lectures on Polytopes, ch. 7).  At r <= 2 each set
+    is one generator, so the search is a scan; from r = 3 its C(n_x, r - 1)
+    normals are checked against the enumeration guard.
     """
+    h = x.hypotheses
+    gx = [[y.den * v for v in row] for row in _merged_rows(x)]
+    gy = [[x.den * v for v in row] for row in _merged_rows(y)]
     basis, pivots = row_echelon(gx)
     r = len(pivots)
     if r < h:
@@ -514,16 +521,15 @@ def _separating_normal(gx, gy, h: int):
                 w = [0] * h
                 for c, a in zip(cols, _cofactor_normal([[b[c] for c in cols] for b in basis])):
                     w[c] = a
-                if _dot(w, v) < 0:
-                    w = [-a for a in w]
-                return w, _supports(w, gy)[0], 0
+                return _primitive([-a for a in w] if _dot(w, v) < 0 else w)
     # inside span(x), whose pivot coordinates it maps onto R^r one to one:
     # every facet normal of the full-dimensional image of Z(x) is orthogonal
     # to r - 1 of its generators
-    count, guard = comb(len(gx), r - 1), enumeration_guard()
-    if count > guard:
-        raise EnumerationTooLarge(
-            f"C({len(gx)}, {r - 1}) candidate facet normals of the zonotope", count, guard)
+    if r >= 3:
+        count, guard = comb(len(gx), r - 1), enumeration_guard()
+        if count > guard:
+            raise EnumerationTooLarge(
+                f"C({len(gx)}, {r - 1}) candidate facet normals of the zonotope", count, guard)
     px = [[g[p] for p in pivots] for g in gx]
     py = [[g[p] for p in pivots] for g in gy]
     for face in itertools.combinations(px, r - 1):
@@ -532,11 +538,11 @@ def _separating_normal(gx, gy, h: int):
             continue
         (x_up, x_down), (y_up, y_down) = _supports(w, px), _supports(w, py)
         if y_up > x_up or y_down > x_down:
-            sign, hy, hx = (1, y_up, x_up) if y_up > x_up else (-1, y_down, x_down)
+            sign = 1 if y_up > x_up else -1
             lifted = [0] * h
             for p, a in zip(pivots, w):
                 lifted[p] = sign * a
-            return lifted, hy, hx
+            return _primitive(lifted)
     return None
 
 
@@ -554,48 +560,24 @@ class ZonotopeCertificate:
     support_y: Fraction
     support_x: Fraction
 
-    def replays(self, x: Encoding, y: Encoding) -> bool:
-        """Recompute both support values as sums over the rows of x and y."""
-        if not len(self.normal) == x.hypotheses == y.hypotheses:
-            return False
-        dy, dx = ([_dot(self.normal, row) for row in e.ints] for e in (y, x))
-        return (self.subset == tuple(i for i, d in enumerate(dy) if d > 0)
-                and Fraction(sum(dy[i] for i in self.subset), y.den) == self.support_y
-                and Fraction(sum(d for d in dx if d > 0), x.den) == self.support_x
-                and self.support_y > self.support_x)
-
 
 def zonotope_certificate(x: Encoding, y: Encoding) -> Optional[ZonotopeCertificate]:
-    """None when Z(y) is inside Z(x), else a certificate, replayed on x and y
-    before it is returned, that it is not.
-
-    Z(x) = {sum_j u_j g_j : u in [0,1]^n} over x's merged rows g_j, the
-    reachable set of 2-outcome post-processings, has support function
-    h_Z(w) = sum_j max(0, w.g_j).  The test runs in integers, on x's merged
-    rows times y's denominator and y's times x's: a row of y outside
-    span(x) refutes at once; otherwise, with r = rank(x), Z(y) is
-    inside Z(x) exactly when h_{Z(y)}(+-w) <= h_{Z(x)}(+-w) for the normal w
-    of each set of r - 1 of x's generators that spans a hyperplane of span(x)
-    (Ziegler, Lectures on Polytopes, ch. 7).  Those C(n_x, r - 1) normals are
-    checked against the enumeration guard.
-    """
+    """None when Z(y) is inside Z(x), else a certificate that it is not,
+    from ``_separating_normal``.  Both support values are sums over the rows
+    of x and y, and the certificate is returned only when they separate."""
     if x.hypotheses != y.hypotheses:
         raise HypothesisMismatch(
             f"encodings have {x.hypotheses} vs {y.hypotheses} hypotheses")
-    gx = [[y.den * v for v in row] for row in _merged_rows(x)]
-    gy = [[x.den * v for v in row] for row in _merged_rows(y)]
-    found = _separating_normal(gx, gy, x.hypotheses)
-    if found is None:
+    w = _separating_normal(x, y)
+    if w is None:
         return None
-    w, hy, hx = found
-    g, den = gcd(*w), x.den * y.den
-    normal = tuple(a // g for a in w)
-    subset = tuple(i for i, row in enumerate(y.ints) if _dot(normal, row) > 0)
-    cert = ZonotopeCertificate(normal=normal, subset=subset,
-                               support_y=Fraction(hy, den * g), support_x=Fraction(hx, den * g))
-    if not cert.replays(x, y):
+    dy = [_dot(w, row) for row in y.ints]
+    subset = tuple(i for i, d in enumerate(dy) if d > 0)
+    support_y = Fraction(sum(dy[i] for i in subset), y.den)
+    support_x = Fraction(_supports(w, x.ints)[0], x.den)
+    if support_y <= support_x:
         raise RuntimeError("zonotope certificate does not replay on x and y: solver fault")
-    return cert
+    return ZonotopeCertificate(normal=w, subset=subset, support_y=support_y, support_x=support_x)
 
 
 def zonotope_includes(x: Encoding, y: Encoding) -> bool:

@@ -122,6 +122,10 @@ def test_check_order_dichotomy_answers_under_any_guard(files, capsys, monkeypatc
     assert run(["check-order", x, x]) == 0
     assert _json_out(capsys) == {"convertible": True, "witness": {
         "columns": [["1", "0"], ["0", "1"]], "from": 2, "to": 2}}
+    # the zonotope test scans the same n_x normals, so it does not trip either
+    assert run(["zonotope", x, "--contains", y]) == 0
+    assert _json_out(capsys) == {"includes": False, "certificate": {
+        "normal": ["-4", "7"], "subset": [0], "support_y": "17/4", "support_x": "3"}}
 
 
 def test_zonotope_vertices_and_csv(files, capsys):
@@ -326,6 +330,20 @@ def test_module_subcommands(files, capsys):
     assert _json_out(capsys) == {"at": "1p", "value": "0"}
     assert run(["module", "cost", mod, "--gold", gold, "--at", "1p"]) == 0
     assert _json_out(capsys) == {"at": "1p", "value": "2"}
+
+
+def test_module_empty_set_spellings_agree(files, capsys):
+    """``--set ""`` names the empty set, as ``--set ","`` does; only a
+    missing ``--set`` means the free set."""
+    mod = files("chain.json", three_chain_module().to_json())
+    gold = files("gold.json", {"0": "0", "1": "1", "2": "2"})
+    for cmd, empty in (("yield", "-inf"), ("cost", "+inf")):
+        base = ["module", cmd, mod, "--gold", gold, "--at", "2"]
+        assert run(base) == 0
+        assert _json_out(capsys) == {"at": "2", "value": "2"}
+        for spelling in ("", ","):
+            assert run(base + ["--set", spelling]) == 0
+            assert _json_out(capsys) == {"at": "2", "value": empty}, (cmd, spelling)
 
 
 def test_module_validate_pinned_violations(files, capsys):

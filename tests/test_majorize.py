@@ -54,6 +54,7 @@ from rthy.majorize import (
     _conversion_problem,
     _left_curtain,
     _merged_rows,
+    _normal_farkas,
     is_distribution,
 )
 from rthy.measures import deterministic_encodings
@@ -407,13 +408,16 @@ def test_farkas_vector_is_verified_before_it_is_reported(monkeypatch):
     # separates nothing (both supports are 2), and None is a scan that found none
     mixed = _two_input_channel(EIGHTH, QUARTER)
     for normal in ((1, 1), None):
-        monkeypatch.setattr("rthy.majorize._dichotomy_normal", lambda x, y: normal)
+        monkeypatch.setattr("rthy.majorize._separating_normal", lambda x, y: normal)
         _raises_solver_fault((lambda: majorizes(EIGHTH, QUARTER),
                               lambda: markotope_contains(EIGHTH, QUARTER, 2),
                               lambda: comb_simulates(EIGHTH, mixed),
                               lambda: channel_equivalent(mixed, EIGHTH),
                               lambda: channel_yield(mixed, weight),
                               lambda: relative_majorizes([H, H], [H, H], [1, 0], [H, H])))
+    # the zonotope test reads the same search: (1, 1) certifies nothing
+    monkeypatch.setattr("rthy.majorize._separating_normal", lambda x, y: (1, 1))
+    _raises_solver_fault((lambda: zonotope_certificate(EIGHTH, QUARTER),))
 
 
 def _refutes(x, y, farkas):
@@ -503,6 +507,48 @@ def dichotomy_pairs(draw):
 @given(dichotomy_pairs())
 def test_dichotomy_matches_lp_reference(pair):
     _decided_without_lp(*pair)
+
+
+def _reference_dichotomy_normal(x, y):
+    """The h = 2 normal search that the zonotope one replaced: the first row
+    (a, b) of x whose normal w = (b, -a), as coprime integers, has
+    h_{Z(y)}(w) > h_{Z(x)}(w), or None when no row gives one."""
+    def support(w, e):
+        return Fraction(sum(max(0, w[0] * p + w[1] * q) for p, q in e.ints), e.den)
+
+    for a, b in x.ints:
+        w = (b, -a)
+        if support(w, y) > support(w, x):
+            g = math.gcd(a, b)
+            return b // g, -a // g
+    return None
+
+
+@st.composite
+def uninformative_pairs(draw):
+    """(x, y) with two hypotheses where x's columns are equal, so every row of
+    x lies on the diagonal (maybe a zero row), and y is drawn alone."""
+    rows = [[a, a] for a in draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))]
+    if not any(a for a, _ in rows):
+        rows.append([1, 1])
+    return column_normalized(rows), draw(dichotomy_pairs())[1]
+
+
+@given(st.one_of(dichotomy_pairs(), uninformative_pairs()))
+def test_dichotomy_farkas_matches_reference(pair):
+    """With two hypotheses majorizes refutes with the Farkas vector that the
+    replaced row scan built: w_c at row (c, i) when w.y_i > 0, then
+    -max(0, w.x_j) at x's column-sum rows."""
+    x, y = pair
+    res = majorizes(x, y)
+    w = _reference_dichotomy_normal(x, y)
+    assert res.convertible == (w is None)
+    if w is not None:
+        def dot(row):
+            return w[0] * row[0] + w[1] * row[1]
+        farkas = ([Fraction(a) if dot(y_i) > 0 else Fraction(0) for a in w for y_i in y.matrix]
+                  + [-max(Fraction(0), dot(x_j)) for x_j in x.matrix])
+        assert res.farkas == tuple(farkas)
 
 
 def _enc(*rows):
@@ -692,6 +738,18 @@ def test_zonotope_includes_matches_reference(pair):
     assert zonotope_includes(x, y) == (cert is None)
     if cert is not None:
         assert _refutation_replays(x, y, cert)
+
+
+@given(zonotope_pairs())
+def test_zonotope_non_inclusion_refutes_conversion(pair):
+    """At every h, a normal along which Z(y) reaches past Z(x) is a Farkas
+    vector of x -> y (``_normal_farkas``), and the checked decision agrees."""
+    x, y = pair
+    cert = zonotope_certificate(x, y)
+    if cert is not None:
+        farkas = _normal_farkas(x, y, cert.normal)
+        assert _checked_refutation(x, y, farkas).farkas == tuple(farkas)
+        assert not majorizes(x, y).convertible
 
 
 def test_zonotope_inclusion_reach():
