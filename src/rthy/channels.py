@@ -170,7 +170,8 @@ def channel_yield(psi: ChannelEncoding, f: Callable[[Encoding], object]) -> Chan
     and nonconvexity) the value is the supremum of f(apply_input(psi, mu))
     over all input distributions mu.  ``exact`` certifies that the channel
     is equivalent to the state encoding x of some maximizing delta input:
-    x majorizes every delta input's encoding, so an input-copy comb builds
+    x majorizes every other delta input's encoding (its own by the
+    identity, which is not checked), so an input-copy comb builds
     psi from x (the decision of ``comb_simulates``, without building its
     sigma), and feeding that input to psi gives back x.  ``maximizer`` is,
     as a distribution, the first maximizing delta input that certifies
@@ -181,7 +182,8 @@ def channel_yield(psi: ChannelEncoding, f: Callable[[Encoding], object]) -> Chan
     best = max(values)
     maximizers = [a for a, value in enumerate(values) if value == best]
     certified = next((a for a in maximizers
-                      if all(majorizes(states[a], s).convertible for s in states)), None)
+                      if all(majorizes(states[a], s).convertible
+                             for b, s in enumerate(states) if b != a)), None)
     shown = maximizers[0] if certified is None else certified
     return ChannelYield(value=best, exact=certified is not None,
                         maximizer=tuple(F1 if i == shown else F0 for i in range(psi.inputs)))

@@ -198,8 +198,12 @@ def _conversion_problem(x: Encoding, target_rows) -> LpProblem:
     """Feasibility LP for a stochastic t with t * x = target.
 
     Column ``i*n_from + j`` holds ``t[i][j]``.  One row per hypothesis c and
-    output i asks ``sum_j t[i][j] x[j][c] = target_rows[i][c]``; then one row
-    per input j asks that column j of t sums to 1.
+    output i < n_to - 1 asks ``sum_j t[i][j] x[j][c] = target_rows[i][c]``;
+    then one row per input j asks that column j of t sums to 1.  Row
+    (c, n_to - 1) is left out: x's and the target's columns sum to 1, so
+    once t's columns do, it is 1 minus the rows (c, i) above it, and the
+    feasible set is the same.  A Farkas vector of this LP, with 0 put back
+    at each row (c, n_to - 1), is one of the full LP.
     """
     n_from, h = x.outcomes, x.hypotheses
     n_to = len(target_rows)
@@ -207,7 +211,7 @@ def _conversion_problem(x: Encoding, target_rows) -> LpProblem:
     a_rows, b = [], []
     for c in range(h):
         col = x.column(c)
-        for i in range(n_to):
+        for i in range(n_to - 1):
             row = [0] * width
             row[i * n_from:(i + 1) * n_from] = col
             a_rows.append(row)
@@ -352,7 +356,8 @@ def majorizes(x: Encoding, y: Encoding):
     normal w of Z(x) that Z(y) crosses (``_separating_normal``), signed so
     that w_0 >= 0 >= w_1; either sign separates, as the rows of x and of y
     each sum to (1, 1).  Otherwise the witness or the Farkas vector comes
-    from ``lp_solve``.
+    from ``lp_solve``, whose Farkas vector gets 0 back at each row that
+    ``_conversion_problem`` leaves out.
     """
     if x.hypotheses != y.hypotheses:
         raise HypothesisMismatch(
@@ -365,13 +370,17 @@ def majorizes(x: Encoding, y: Encoding):
         if w is not None and (w[0] < 0 or w[1] > 0):
             w = tuple(-a for a in w)
         return _checked_refutation(x, y, None if w is None else _normal_farkas(x, y, w))
-    problem = _conversion_problem(x, y.matrix)
-    outcome = lp_solve(problem)
+    outcome = lp_solve(_conversion_problem(x, y.matrix))
     if outcome.status == OPTIMAL:
         n_from = x.outcomes
         return _checked_witness(x, y, [outcome.primal[i * n_from:(i + 1) * n_from]
                                        for i in range(y.outcomes)])
-    return _checked_refutation(x, y, outcome.farkas)
+    f, n_y = outcome.farkas, y.outcomes
+    if f is not None:
+        f = list(f)
+        for c in range(x.hypotheses):
+            f.insert(c * n_y + n_y - 1, F0)  # the left-out row (c, n_y - 1)
+    return _checked_refutation(x, y, f)
 
 
 def det_postprocessings(n: int, k: int) -> List[StochasticMap]:

@@ -102,12 +102,16 @@ def _mixture_weight(x: Encoding, entry_rows: list, n_primary: int):
 
     ``entry_rows`` has one row per entry (i, c) of x, in row-major order,
     holding that entry of each vertex; the weights form the LP's columns,
-    and a last row asks them to sum to 1.  The +inf is returned only once
-    the solver's Farkas vector has been checked against that LP.
+    and a last row asks them to sum to 1.  The entry rows (n - 1, c) are
+    left out: x's and every vertex's columns sum to 1, so once the weights
+    do, those rows are 1 minus the entry rows (i, c) above them, and the
+    feasible set is the same.  The +inf is returned only once the solver's
+    Farkas vector has been checked against the LP it solved.
     """
     width = len(entry_rows[0])
-    a_rows = [*entry_rows, [1] * width]
-    b = [v for row in x.matrix for v in row] + [1]
+    kept = (x.outcomes - 1) * x.hypotheses
+    a_rows = [*entry_rows[:kept], [1] * width]
+    b = [v for row in x.matrix[:-1] for v in row] + [1]
     cost = [1] * n_primary + [0] * (width - n_primary)
     problem = LpProblem(c=cost, a_rows=a_rows, b=b)
     outcome = lp_solve(problem)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from rthy import Encoding, StochasticMap
+from rthy import Encoding, LpProblem, StochasticMap
 
 settings.register_profile(
     "default",
@@ -60,3 +60,36 @@ def spread_pair(h, n_x, n_y, seed):
     x = column_normalized([[rng.randint(1, 9) for _ in range(h)] for _ in range(n_x)])
     t = column_normalized([[rng.randint(1, 9) for _ in range(n_x)] for _ in range(n_y)])
     return x, StochasticMap(t.matrix)(x)
+
+
+def full_conversion_problem(x: Encoding, target_rows) -> LpProblem:
+    """The conversion LP with all h*n_y + n_x rows: row (c, i) for every
+    hypothesis c and output i asks ``sum_j t[i][j] x[j][c] = target[i][c]``,
+    then one row per input j asks that column j of t sums to 1.  The tests'
+    reference for ``majorize._conversion_problem``, which leaves out each row
+    (c, n_y - 1); a printed Farkas vector has this layout."""
+    n_from, n_to = x.outcomes, len(target_rows)
+    width = n_to * n_from
+    a_rows, b = [], []
+    for c in range(x.hypotheses):
+        for i in range(n_to):
+            row = [0] * width
+            row[i * n_from:(i + 1) * n_from] = x.column(c)
+            a_rows.append(row)
+            b.append(target_rows[i][c])
+    for j in range(n_from):
+        a_rows.append([1 if k % n_from == j else 0 for k in range(width)])
+        b.append(1)
+    return LpProblem(c=[0] * width, a_rows=a_rows, b=b)
+
+
+def full_mixture_problem(x: Encoding, vertices, n_primary: int) -> LpProblem:
+    """The mixture LP with all n*h entry rows: min the weight on the first
+    ``n_primary`` vertices over weights that sum to 1 and mix the vertices
+    into x.  The tests' reference for ``measures._mixture_weight``, which
+    leaves out the entry rows (n - 1, c)."""
+    n, h = x.outcomes, x.hypotheses
+    a_rows = [[v.matrix[i][c] for v in vertices] for i in range(n) for c in range(h)]
+    return LpProblem(c=[1] * n_primary + [0] * (len(vertices) - n_primary),
+                     a_rows=a_rows + [[1] * len(vertices)],
+                     b=[v for row in x.matrix for v in row] + [1])

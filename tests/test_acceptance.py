@@ -64,7 +64,8 @@ from rthy.instances import (
     two_level_module,
     two_point_encoding,
 )
-from rthy.majorize import _conversion_problem
+
+from conftest import full_conversion_problem
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -77,7 +78,7 @@ def _done(label):
 def _replay_infeasible(res, x, y) -> bool:
     out = LpOutcome(status=INFEASIBLE, primal=None, dual=None,
                     farkas=tuple(res.farkas), ray=None)
-    return verify_certificate(_conversion_problem(x, y.matrix), out)
+    return verify_certificate(full_conversion_problem(x, y.matrix), out)
 
 
 def test_criterion_1_incomparability_with_certificates():
@@ -261,7 +262,7 @@ def test_criterion_9c_zonotope_matches_lp():
     for _ in range(200):
         x = _random_encoding(rng, rng.randrange(1, 5), 2)
         y = _random_encoding(rng, rng.randrange(1, 5), 2)
-        lp = lp_solve(_conversion_problem(x, y.matrix)).status == OPTIMAL
+        lp = lp_solve(full_conversion_problem(x, y.matrix)).status == OPTIMAL
         assert zonotope_includes(x, y) == lp
     _done("9c")
 

@@ -35,9 +35,8 @@ from rthy.instances import (
     incomparable_y,
     input_ignoring_channel,
 )
-from rthy.majorize import _conversion_problem
 
-from conftest import distributions, encodings, stochastic_maps
+from conftest import distributions, encodings, full_conversion_problem, stochastic_maps
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -183,7 +182,7 @@ def test_comb_simulates_matches_reference(pair):
     state = next(s for s in map(delta_input, [psi] * psi.inputs, range(psi.inputs))
                  if not majorizes(x, s).convertible)
     assert res.farkas == majorizes(x, state).farkas
-    assert verify_certificate(_conversion_problem(x, state.matrix),
+    assert verify_certificate(full_conversion_problem(x, state.matrix),
                               LpOutcome(status=INFEASIBLE, farkas=res.farkas))
 
 

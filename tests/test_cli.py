@@ -36,7 +36,7 @@ from rthy.instances import (
 )
 from rthy.majorize import _conversion_problem
 
-from conftest import spread_pair
+from conftest import full_conversion_problem, spread_pair
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -81,16 +81,18 @@ def test_check_order_certificate(files, capsys):
 
 def test_check_order_pinned_layouts(files, capsys):
     """The conversion LP's column and row order reaches stdout through the
-    witness and the Farkas vector, so both are pinned here exactly."""
+    witness and the Farkas vector, so both are pinned here exactly.  The LP
+    leaves out row (c, n_y - 1) of each hypothesis c, and the printed vector
+    has 0 there: it keeps the full LP's h*n_y + n_x layout and replays on it."""
     x = files("x.json", incomparable_x().to_json())
     y = files("y.json", incomparable_y().to_json())
     z = files("z.json", binary_image_of_x().to_json())
     expected = [
-        (x, y, {"certificate": {"farkas": ["1", "1", "-4", "-4", "1", "1", "1", "-4", "1", "1",
-                                           "-1/2", "-1/2", "-1/2"], "verified": True},
+        (x, y, {"certificate": {"farkas": ["1", "1", "0", "-1", "0", "0", "0", "-1", "0", "0",
+                                           "-1/2", "0", "0"], "verified": True},
                 "convertible": False}),
-        (y, x, {"certificate": {"farkas": ["-1", "1", "-3", "-3", "-1", "-3", "1", "-3", "-1",
-                                           "-3", "-3", "1", "1", "1", "1"], "verified": True},
+        (y, x, {"certificate": {"farkas": ["0", "1", "-1", "0", "0", "-1", "1", "0", "0",
+                                           "-1", "-1", "0", "0", "0", "0"], "verified": True},
                 "convertible": False}),
         (x, z, {"convertible": True,
                 "witness": {"columns": [["0", "1"], ["1", "0"], ["0", "1"], ["0", "1"]],
@@ -100,12 +102,14 @@ def test_check_order_pinned_layouts(files, capsys):
         assert run(["check-order", a, b]) == 0
         out, _ = _out(capsys)
         assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    for a, b, shape in ((incomparable_x(), incomparable_y(), (13, 12)),
-                        (incomparable_y(), incomparable_x(), (15, 12))):
+    for a, b, shape, full_shape in ((incomparable_x(), incomparable_y(), (10, 12), (13, 12)),
+                                    (incomparable_y(), incomparable_x(), (12, 12), (15, 12))):
         problem = _conversion_problem(a, b.matrix)
         assert (problem.nrows, problem.ncols) == shape
+        full = full_conversion_problem(a, b.matrix)
+        assert (full.nrows, full.ncols) == full_shape
         replay = LpOutcome(status=INFEASIBLE, farkas=majorizes(a, b).farkas)
-        assert verify_certificate(problem, replay)
+        assert verify_certificate(full, replay)
 
 
 def test_check_order_dichotomy_answers_under_any_guard(files, capsys, monkeypatch):

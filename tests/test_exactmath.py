@@ -36,8 +36,16 @@ from rthy import (
 )
 from rthy import Encoding, StochasticMap, exactmath, majorize, measures
 from rthy.exactmath import F0, F1, LpStats
+from rthy.monotone import PLUS_INF
 
-from conftest import encodings, spread_pair, stochastic_maps
+from conftest import (
+    distributions,
+    encodings,
+    full_conversion_problem,
+    full_mixture_problem,
+    spread_pair,
+    stochastic_maps,
+)
 
 F = Fraction
 
@@ -478,11 +486,12 @@ def _fmk_problem(x, m, k):
 def tool_cases(draw):
     """LPs shaped as the tools build them, unlike ``mixed_problems``: up to
     several times more columns than rows, sparse columns, and dependent rows
-    that leave artificials basic on a redundant 0 = 0 row after phase 1
-    (every feasible conversion LP has h of them).  Either the
-    conversion LP of ``majorizes`` for x and t(x) or for two random
-    encodings, with the pair (x, y), or the ``weight_fmk`` LP of a small
-    encoding, with None."""
+    that leave artificials basic on a redundant 0 = 0 row after phase 1.
+    Either a conversion LP for x and t(x) or for two random encodings, with
+    the pair (x, y): the one ``majorizes`` builds, or the full-row
+    reference, whose h redundant rows (one per hypothesis) keep that
+    drive-out branch exercised on every feasible one; or the ``weight_fmk``
+    LP of a small encoding, with None."""
     if draw(st.booleans()):
         x = draw(encodings(max_outcomes=4, max_hypotheses=3))
         if draw(st.booleans()):
@@ -490,7 +499,8 @@ def tool_cases(draw):
         else:
             h = x.hypotheses
             y = draw(encodings(max_outcomes=4, min_hypotheses=h, max_hypotheses=h))
-        return majorize._conversion_problem(x, y.matrix), (x, y)
+        build = draw(st.sampled_from([majorize._conversion_problem, full_conversion_problem]))
+        return build(x, y.matrix), (x, y)
     x = draw(encodings(max_outcomes=3, max_hypotheses=3))
     m = draw(st.integers(1, x.hypotheses - 1))
     k = draw(st.integers(m + 1, x.hypotheses))
@@ -520,6 +530,37 @@ def test_default_pricing_matches_reference_on_tool_lps(case):
             n = x.outcomes
             t = StochasticMap([out.primal[i * n:(i + 1) * n] for i in range(y.outcomes)])
             assert t(x) == y
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_reduced_mixture_lp_matches_full_reference(n, h, data):
+    """``_mixture_weight`` leaves out the entry rows (n - 1, c) and keeps the
+    feasible set: ``weight_fmk`` and ``convex_combination_weight`` give the
+    value, +inf included, of the full-row mixture LP solved by the
+    reference simplex.  x, and the vertices of the second, are drawn from
+    the deterministic encodings and random encodings of shape n x h;
+    ``weight_fmk`` also runs on a deterministic encoding of the largest
+    rank, which at n = h = 3 lies outside the rank-2 hull."""
+    dets = measures.deterministic_encodings(n, h)
+    rank = [sum(map(any, e.matrix)) for e in dets]
+    shaped = st.builds(Encoding.from_columns, st.lists(distributions(n), min_size=h, max_size=h))
+    vertex = st.one_of(st.sampled_from(dets), shaped)
+    x = data.draw(vertex)
+
+    def reference(target, vertices, n_primary):
+        ref = _reference_lp_solve(full_mixture_problem(target, vertices, n_primary))
+        return ref.objective if ref.status == OPTIMAL else PLUS_INF
+
+    for target in (x, dets[rank.index(max(rank))]):
+        for m, k in itertools.combinations(range(1, h + 1), 2):
+            primary = [e for e, r in zip(dets, rank) if m < r <= k]
+            base = [e for e, r in zip(dets, rank) if r <= m]
+            assert measures.weight_fmk(target, m, k) == reference(
+                target, primary + base, len(primary))
+    primary = data.draw(st.lists(vertex, max_size=3))
+    base = data.draw(st.lists(vertex, min_size=0 if primary else 1, max_size=3))
+    value = measures.convex_combination_weight(x, primary, base)
+    assert value == reference(x, primary + base, len(primary))
 
 
 @given(st.one_of(mixed_problems(), tool_problems()))
@@ -732,10 +773,12 @@ def test_bland_stretch_is_entered_and_left(monkeypatch):
 
 def test_conversion_lp_entries_stay_small(monkeypatch):
     """Rows are cleared by the denominators of A alone, so the large
-    denominators of y = t.x stay out of the pivots: on this 60 x 144
-    check-order LP every stored block entry stays within 256 bits (clearing
-    each row by the lcm over [A_i | b_i] reaches 1648).  Cyclic pricing
-    takes 129 pivots here; Bland's rule from column 0 takes 492."""
+    denominators of y = t.x stay out of the pivots: on this 56 x 144
+    check-order LP (the full LP's 60 rows less row (c, 11) of each of the 4
+    hypotheses) every stored block entry stays within 256 bits, and peaks at
+    162 (on the full LP, clearing each row by the lcm over [A_i | b_i]
+    reached 1648).  Cyclic pricing takes 106 pivots here, 129 on the full
+    LP; Bland's rule from column 0 takes 489."""
     peak = []
     real_pivot = exactmath._pivot
 
@@ -749,8 +792,8 @@ def test_conversion_lp_entries_stay_small(monkeypatch):
     problem = majorize._conversion_problem(x, y.matrix)
     out = lp_solve(problem)
     assert out.status == OPTIMAL
-    assert out.stats == LpStats(60, 144, 129, 0, 1141)
-    assert len(peak) == 129 and max(peak) <= 256
+    assert out.stats == LpStats(56, 144, 106, 0, 621)
+    assert len(peak) == 106 and max(peak) <= 256
     t = [out.primal[i * 12:(i + 1) * 12] for i in range(12)]
     assert all(sum(col) == 1 for col in zip(*t))
     assert [[sum((t[i][j] * x.matrix[j][c] for j in range(12)), F0) for c in range(4)]

@@ -59,7 +59,14 @@ from rthy.majorize import (
 )
 from rthy.measures import deterministic_encodings
 
-from conftest import column_normalized, distributions, encodings, spread_pair, stochastic_maps
+from conftest import (
+    column_normalized,
+    distributions,
+    encodings,
+    full_conversion_problem,
+    spread_pair,
+    stochastic_maps,
+)
 
 H = Fraction(1, 2)
 
@@ -345,7 +352,7 @@ def test_bundled_pair_incomparable_with_certificates():
         res = majorizes(a, b)
         assert not res.convertible
         replay = LpOutcome(status=INFEASIBLE, farkas=list(res.farkas))
-        assert verify_certificate(_conversion_problem(a, b.matrix), replay)
+        assert verify_certificate(full_conversion_problem(a, b.matrix), replay)
 
 
 def _raises_solver_fault(decisions):
@@ -438,7 +445,7 @@ def test_refutation_check_matches_lp_reference(pair, data):
     of them with one entry shifted by +-delta, truncated or extended, and
     None."""
     x, y = pair
-    problem = _conversion_problem(x, y.matrix)
+    problem = full_conversion_problem(x, y.matrix)
     res = majorizes(x, y)
     bases = [[Fraction(0)] * problem.nrows] if res.convertible else [
         list(res.farkas), list(lp_solve(problem).farkas)]
@@ -452,6 +459,37 @@ def test_refutation_check_matches_lp_reference(pair, data):
         replay = LpOutcome(status=INFEASIBLE, farkas=f)
         assert _refutes(x, y, f) == verify_certificate(problem, replay), f
     assert _refutes(x, y, bases[0]) == (not res.convertible)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda h: encodings(max_hypotheses=h, min_hypotheses=h)), st.data())
+def test_reduced_conversion_lp_matches_full_reference(x, data):
+    """``_conversion_problem`` leaves out row (c, n_y - 1) of each hypothesis
+    c, and keeps the feasible set of the full-row reference LP: both LPs
+    reach the same status, as does ``majorizes``; its witness maps x to y,
+    and its Farkas vector refutes the full LP.  With h != 2 that vector
+    comes from the reduced LP and has 0 at each left-out row; with two
+    hypotheses it comes from a normal of Z(x), and no LP is built.  y is
+    t(x) or a random encoding, with 1 to 4 outcomes either way."""
+    h = x.hypotheses
+    if data.draw(st.booleans()):
+        y = data.draw(stochastic_maps(x.outcomes))(x)
+    else:
+        n_y = data.draw(st.integers(1, 4))
+        y = Encoding.from_columns([data.draw(distributions(n_y)) for _ in range(h)])
+    full, reduced = full_conversion_problem(x, y.matrix), _conversion_problem(x, y.matrix)
+    assert (reduced.nrows, reduced.ncols) == (full.nrows - h, full.ncols)
+    status = lp_solve(full).status
+    assert lp_solve(reduced).status == status
+    res = majorizes(x, y)
+    assert res.convertible == (status == OPTIMAL)
+    if res.convertible:
+        assert res.witness(x) == y
+        return
+    n_y = y.outcomes
+    if h != 2:
+        assert all(res.farkas[c * n_y + n_y - 1] == 0 for c in range(h))
+    assert verify_certificate(full, LpOutcome(status=INFEASIBLE, farkas=res.farkas))
 
 
 def _forbidden_lp(problem):
@@ -469,7 +507,7 @@ def _decided_without_lp(x, y):
     with mock.patch("rthy.majorize.lp_solve", _forbidden_lp), \
             mock.patch("rthy.majorize._conversion_problem", _forbidden_lp_build):
         res = majorizes(x, y)
-    problem = _conversion_problem(x, y.matrix)
+    problem = full_conversion_problem(x, y.matrix)
     assert res.convertible == (lp_solve(problem).status == OPTIMAL)
     if res.convertible:
         assert res.witness(x) == y
@@ -629,7 +667,7 @@ def test_zonotope_contains_all_subset_sums(x):
 def test_zonotope_inclusion_matches_lp_decision(x):
     # with two hypotheses the polygon test and the conversion LP agree
     y = two_point_encoding(Fraction(1, 3), Fraction(2, 3))
-    lp = lp_solve(_conversion_problem(x, y.matrix)).status == OPTIMAL
+    lp = lp_solve(full_conversion_problem(x, y.matrix)).status == OPTIMAL
     assert zonotope_includes(x, y) == lp
 
 
