@@ -9,6 +9,9 @@ meaning the empty set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain
+from operator import itemgetter, or_
 from typing import Dict, FrozenSet, Iterable, Tuple
 
 from .errors import (
@@ -96,10 +99,19 @@ def _table(pairs: dict, row_index: dict, col_index: dict, symmetric: bool = Fals
     """Bitmask table of ``pairs``; cells hold column atoms, absent cells are empty.
 
     ``symmetric`` also fills each mirrored cell (rows and columns then coincide).
+    Each distinct list of names is read by ``_mask_from`` once, at its first
+    occurrence, so errors are raised as if every cell were read.
     """
     table = [[0] * len(col_index) for _ in row_index]
+    masks = {}  # tuple of a list's names -> its mask
     for (a, b), out in pairs.items():
-        mask = _mask_from(out, col_index)
+        key = tuple(out) if isinstance(out, list) else None
+        try:
+            mask = masks[key]
+        except (KeyError, TypeError):  # a first occurrence, or names that are not hashable
+            mask = _mask_from(out, col_index)
+            if key is not None:
+                masks[key] = mask
         if a not in row_index or b not in col_index:
             raise FormatError(f"table key '{a},{b}' names an unknown atom")
         table[row_index[a]][col_index[b]] = mask
@@ -140,25 +152,46 @@ def _assoc_sweep(table: tuple, right_table: tuple) -> list:
     """Atom triples (i, j, k) where (i·j)·k differs from i·(j·k), in i, j, k order.
 
     ``table`` composes the first two atoms (star, or box); ``right_table``
-    applies the result to k (the same table, or the action).  Each pair
-    (i, j) compares two whole rows over k: the left row is the union of
-    the ``right_table`` rows of the atoms of ``table[i][j]``, the right row
-    is row j of ``right_table`` with each cell lifted through row i.  Only
-    rows that differ are scanned for their k.
+    applies the result to k (the same table, or the action).  Each row atom
+    i compares two flat tuples over every (j, k).  The right one lifts each
+    distinct cell of ``right_table`` through row i once and spreads the
+    lifts over the table with one ``itemgetter``; the left one chains, over
+    j, the precomputed row of cell ``table[i][j]``: the union of the
+    ``right_table`` rows of its atoms.  Only rows i whose tuples differ are
+    scanned for their (j, k).
     """
-    columns = list(zip(*right_table))
-    cells = {c for row in right_table for c in row}
-    left_rows = {}  # cell of ``table`` -> its left row
+    width = len(right_table[0]) if right_table else 0
+    if not width:
+        return []
+    # distinct cells of ``right_table``, singletons first: a singleton {b}
+    # lifts through row i to row_i[b], any other cell to a union
+    cells = set(chain.from_iterable(right_table))
+    singles = [c for c in cells if c and not c & (c - 1)]
+    others = list(cells.difference(singles))
+    index = {c: n for n, c in enumerate(singles + others)}
+    flat = list(map(index.__getitem__, chain.from_iterable(right_table)))
+    pick = itemgetter(*flat) if len(flat) > 1 else lambda lifts: (lifts[flat[0]],)
+    single_atoms = [c.bit_length() - 1 for c in singles]
+    other_atoms = [tuple(_bits(c)) for c in others]
+    # the left row of each distinct cell of ``table``
+    left_of = {}
+    for c in set(chain.from_iterable(table)):
+        if c and not c & (c - 1):
+            left_of[c] = right_table[c.bit_length() - 1]
+        else:
+            row = (0,) * width
+            for a in _bits(c):
+                row = tuple(map(or_, row, right_table[a]))
+            left_of[c] = row
     out = []
     for i, row_i in enumerate(right_table):
-        lift = {c: _union(row_i, c) for c in cells}.__getitem__
-        for j, ij in enumerate(table[i]):
-            left = left_rows.get(ij)
-            if left is None:
-                left = left_rows[ij] = tuple(_union(col, ij) for col in columns)
-            right = tuple(map(lift, right_table[j]))
-            if left != right:
-                out.extend((i, j, k) for k, (a, b) in enumerate(zip(left, right)) if a != b)
+        get = row_i.__getitem__
+        lifts = list(map(get, single_atoms))
+        lifts += [reduce(or_, map(get, atoms), 0) for atoms in other_atoms]
+        right = pick(lifts)
+        left = tuple(chain.from_iterable(map(left_of.__getitem__, table[i])))
+        if left != right:
+            out.extend((i, *divmod(n, width)) for n, (a, b) in enumerate(zip(left, right)) if a != b)
     return out
 
 

@@ -22,9 +22,14 @@ def rationals(lo=-4, hi=4, den=4):
 
 @st.composite
 def distributions(draw, size, weight_cap=6):
-    """A length-`size` rational probability vector with small denominators."""
-    weights = draw(st.lists(st.integers(0, weight_cap), min_size=size, max_size=size)
-                   .filter(lambda w: sum(w) > 0))
+    """A length-`size` rational probability vector with small denominators.
+
+    One drawn index gets a weight in 1..`weight_cap`, so the sum is positive
+    with no draw thrown away; every other weight is in 0..`weight_cap`.
+    """
+    weights = draw(st.lists(st.integers(0, weight_cap), min_size=size, max_size=size))
+    lead = draw(st.integers(0, size - 1))
+    weights[lead] = draw(st.integers(1, weight_cap))
     total = sum(weights)
     return [Fraction(w, total) for w in weights]
 

@@ -6,7 +6,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rthy import (
     CommutativeQuantale,
@@ -250,14 +250,19 @@ def _cell(width):
                      st.integers(0, (1 << width) - 1))
 
 
+def _redrawn(draw, table, width):
+    """``table`` with zero to three cells redrawn (empty, one atom or any set)."""
+    rows = [list(r) for r in table]
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, width - 1))] = draw(_cell(width))
+    return tuple(tuple(r) for r in rows)
+
+
 def _set_table(draw, rows, cols, base=None):
     """A random table, or ``base`` with up to three cells redrawn."""
     if base is None or draw(st.booleans()):
         return tuple(tuple(draw(_cell(cols)) for _ in range(cols)) for _ in range(rows))
-    table = [list(r) for r in base]
-    for _ in range(draw(st.integers(0, 3))):
-        table[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(_cell(cols))
-    return tuple(tuple(r) for r in table)
+    return _redrawn(draw, base, cols)
 
 
 LAWFUL_MODULES = (diamond_module, boolean_pair_module, stochastic_pair_module,
@@ -302,6 +307,37 @@ def test_validate_matches_reference_sweep(m, q):
     assert validate(m) == _reference_validate(m)
     assert validate_quantale(q) == _reference_validate_quantale(q)
     assert validate(q) == _reference_validate(q)
+
+
+@st.composite
+def _larger_modules(draw):
+    """A lawful function or downset module over a 3- or 4-point preorder
+    (up to 27 transformations), with a few star and action cells redrawn."""
+    n = draw(st.integers(3, 4))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    p = FinitePreorder(n, [(i, i) for i in range(n)] + extra)
+    makers = [function_module, downset_module]
+    if n == 3:  # every self-map of the 3 points: 27 transformations
+        makers.append(lambda p: function_module(p, all_functions=True))
+    m = draw(st.sampled_from(makers))(p)
+    nt, nx = len(m.transformations), len(m.resources)
+    return FiniteQuantaleModule(m.transformations, m.resources,
+                                _redrawn(draw, m.star_table, nt), _redrawn(draw, m.act_table, nx),
+                                m.unit_mask, m.free_mask)
+
+
+@settings(max_examples=10)
+@given(_larger_modules())
+@example(FiniteQuantaleModule(("e",), ("x",), ((1,),), ((1,),), 1, 1))  # T = 1
+@example(FiniteQuantaleModule(("e",), ("x",), ((0,),), ((1,),), 1, 1))  # T = 1, mixed law fails
+@example(FiniteQuantaleModule(("a", "b"), (), ((1, 2), (2, 3)), ((), ()), 1, 3))  # X = 0
+@example(FiniteQuantaleModule(("a", "b"), ("x", "y"), ((0, 0), (0, 0)), ((3, 1), (0, 2)), 1, 1))  # empty star
+@example(FiniteQuantaleModule(("a", "b"), ("x", "y"), ((1, 3), (2, 2)), ((0, 0), (0, 0)), 1, 1))  # empty action
+def test_validate_matches_reference_on_larger_modules(m):
+    """The row sweep agrees with the atom-triple loops on lawful modules of
+    realistic size with a few cells redrawn, and on the 1 x 1, zero-column
+    and all-empty tables."""
+    assert validate(m) == _reference_validate(m)
 
 
 def test_reachability_refuses_invalid():
