@@ -12,9 +12,13 @@ and never reach a pivot.  Reduced costs and entering columns are computed
 from the sparse columns of A as needed and priced cyclically, with Bland's
 rule after ``STALL`` degenerate pivots in a row (``_price_and_pivot``);
 under that rule the solver makes exactly the pivots of the full tableau.
-Every solve reports its shape, the pivot count of each phase and the
-number of reduced costs priced (``LpStats``).  It returns machine-checkable certificates for all three
-outcomes:
+After phase 2 the cost row holds the answer in integers: its artificial
+part is the duals and its right-hand side the objective, each up to a
+known factor, so every field of the outcome is read off the
+block, with one ``Fraction`` per reported entry.  Every solve reports its
+shape, the pivot count of each phase and the number of reduced costs
+priced (``LpStats``).  It returns machine-checkable certificates for all
+three outcomes:
 
 * ``Optimal``     -- primal solution plus dual multipliers (checked via
   feasibility, dual feasibility and complementary slackness),
@@ -65,8 +69,14 @@ def json_int(value, name: str) -> int:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical string form: ``"p"`` for integers, else ``"p/q"`` reduced."""
-    value = Fraction(value)
+    """Canonical string form of an int or a Fraction: ``"p"`` for integers,
+    else ``"p/q"`` reduced.
+
+    Anything else, a float included, raises ``TypeError``, so no float
+    reaches a reported value.
+    """
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"format_rational takes an int or a Fraction, not {type(value).__name__}")
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -199,7 +209,13 @@ class LpOutcome:
 # part and c_art the artificials' costs.  Each value equals the full
 # tableau's, and only positive scalings separate that from the textbook
 # Fraction tableau of the same LP, so every sign test and ratio
-# comparison, and hence every pivot, agrees.
+# comparison, and hence every pivot, agrees.  In phase 2, with c' the
+# objective cleared by its lcm and no cost on the artificials, the cost row
+# is [-den c'_B B^-1 | -den D c'_B B^-1 b']: the duals of the flipped and
+# scaled rows, and the objective, each times a known negative factor.
+# Every field of an ``LpOutcome`` is read off ``block``: the primal and the
+# ray off rows 0..m-1, the duals and the objective off the phase-2 cost
+# row, the Farkas vector off the phase-1 one.
 
 
 def _pivot(block, den, r, column):
@@ -328,6 +344,12 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
     the same for every row, so every sign test, ratio comparison and pivot
     is that of the unscaled tableau.  ``cols[j]`` lists the nonzeros
     ``(i, a)`` of column j of the result A'.
+
+    The phase-2 objective is c times its lcm ``cscale``.  At the optimum
+    the cost row's artificial entry i is -den*cscale times the dual of the
+    flipped, scaled row i, so the dual of row i of A is that entry times
+    -signs[i]*scales[i] over den*cscale; its rhs is -den*D*cscale times the
+    objective.  No field of the outcome is summed in ``Fraction``s.
     """
     m, n = problem.nrows, problem.ncols
     signs, scales, rhs = [], [], []
@@ -404,13 +426,10 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
                 ray[b] = Fraction(-a, den)
         return LpOutcome(status=UNBOUNDED, primal=primal, ray=ray, stats=stats)
 
-    basic_cost = [cost[b] if b < n else 0 for b in basis]
+    costrow = block[-1]
     scale = den * cscale
-    dual = [
-        Fraction(sg * s * sum(cb * row[i] for cb, row in zip(basic_cost, block)), scale)
-        for i, (sg, s) in enumerate(zip(signs, scales))
-    ]
-    objective = sum((ci * vi for ci, vi in zip(problem.c, primal)), F0)
+    dual = [Fraction(-sg * s * y, scale) for sg, s, y in zip(signs, scales, costrow)]
+    objective = Fraction(-costrow[-1], scale * rden)
     return LpOutcome(status=OPTIMAL, primal=primal, dual=dual, objective=objective,
                      stats=stats)
 

@@ -82,29 +82,29 @@ def _names_from(mask: int, names: tuple) -> FrozenSet[str]:
 # product of row atom i and column atom j; JSON spells a cell ``"a,b"``.
 
 
-def _pairs_from_json(section) -> dict:
-    """``{"a,b": names}`` as ``{(a, b): names}``."""
+def _pairs_from_json(section) -> Iterable:
+    """``{"a,b": names}`` as ``((a, b), names)`` pairs, each key split when it is reached."""
     if not isinstance(section, dict):
         raise FormatError("a table must be a JSON object with 'a,b' keys")
-    pairs = {}
     for key, out in section.items():
-        names = key.split(",")
-        if len(names) != 2:
+        pair = key.split(",")
+        if len(pair) != 2:
             raise FormatError(f"table key {key!r} is not two comma-separated atom names")
-        pairs[tuple(names)] = out
-    return pairs
+        yield pair, out
 
 
-def _table(pairs: dict, row_index: dict, col_index: dict, symmetric: bool = False) -> tuple:
+def _table(pairs, row_index: dict, col_index: dict, symmetric: bool = False) -> tuple:
     """Bitmask table of ``pairs``; cells hold column atoms, absent cells are empty.
 
-    ``symmetric`` also fills each mirrored cell (rows and columns then coincide).
-    Each distinct list of names is read by ``_mask_from`` once, at its first
-    occurrence, so errors are raised as if every cell were read.
+    ``pairs`` is a ``{(a, b): names}`` dict or an iterable of
+    ``((a, b), names)`` pairs, read in one pass.  ``symmetric`` also fills
+    each mirrored cell (rows and columns then coincide).  Each distinct list
+    of names is read by ``_mask_from`` once, at its first occurrence, so
+    errors are raised as if every cell were read.
     """
     table = [[0] * len(col_index) for _ in row_index]
     masks = {}  # tuple of a list's names -> its mask
-    for (a, b), out in pairs.items():
+    for (a, b), out in (pairs.items() if isinstance(pairs, dict) else pairs):
         key = tuple(out) if isinstance(out, list) else None
         try:
             mask = masks[key]
@@ -112,11 +112,13 @@ def _table(pairs: dict, row_index: dict, col_index: dict, symmetric: bool = Fals
             mask = _mask_from(out, col_index)
             if key is not None:
                 masks[key] = mask
-        if a not in row_index or b not in col_index:
-            raise FormatError(f"table key '{a},{b}' names an unknown atom")
-        table[row_index[a]][col_index[b]] = mask
+        try:
+            i, j = row_index[a], col_index[b]
+        except KeyError:
+            raise FormatError(f"table key '{a},{b}' names an unknown atom") from None
+        table[i][j] = mask
         if symmetric:
-            table[col_index[b]][row_index[a]] = mask
+            table[j][i] = mask
     return tuple(tuple(r) for r in table)
 
 
@@ -213,7 +215,9 @@ class FiniteQuantaleModule:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def build(transformations, resources, star: dict, act: dict, unit, free) -> "FiniteQuantaleModule":
+    def build(transformations, resources, star, act, unit, free) -> "FiniteQuantaleModule":
+        """The module with these atoms; ``star`` and ``act`` map ``(a, b)`` to
+        a list of names, as dicts or as iterables of pairs (see ``_table``)."""
         tnames, tindex = _index_names(transformations)
         xnames, xindex = _index_names(resources)
         return FiniteQuantaleModule(
@@ -526,7 +530,7 @@ class CommutativeQuantale(FiniteQuantaleModule):
     """
 
     @staticmethod
-    def build(resources, box: dict, unit, free) -> "CommutativeQuantale":
+    def build(resources, box, unit, free) -> "CommutativeQuantale":
         names, index = _index_names(resources)
         table = _table(box, index, index, symmetric=True)
         return CommutativeQuantale(names, names, table, table,

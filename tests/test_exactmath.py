@@ -70,6 +70,14 @@ def test_format_is_canonical():
     assert format_rational(F(2, 4)) == "1/2"
     assert format_rational(F(-8, 2)) == "-4"
     assert format_rational(F(0)) == "0"
+    assert format_rational(-3) == "-3"
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, "1/2", None])
+def test_format_refuses_non_rationals(value):
+    # no float, nor a string that only looks rational, reaches a reported value
+    with pytest.raises(TypeError):
+        format_rational(value)
 
 
 def test_matrix_basics():
@@ -480,6 +488,19 @@ def _fmk_problem(x, m, k):
     with mock.patch.object(measures, "lp_solve", capture):
         measures.weight_fmk(x, m, k)
     return seen[0]
+
+
+def test_lp_readout_matches_reference_at_widest_fmk():
+    """The readout off the cost row at the widest f_mk LP the tools solve,
+    n^h = 256 deterministic encodings (n = 2, h = 8); the random and tool
+    LPs above stop at n, h <= 3, at most 27 columns."""
+    x = Encoding.from_columns([[F(1 + c, 10), F(9 - c, 10)] for c in range(8)])
+    problem = _fmk_problem(x, 1, 2)
+    assert problem.ncols == 256
+    ref = _reference_lp_solve(problem)
+    assert ref.status == OPTIMAL
+    assert _fields(_bland_solve(problem)) == _fields(ref)
+    assert _agree(problem, lp_solve(problem), ref)
 
 
 @st.composite

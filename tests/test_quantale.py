@@ -131,6 +131,29 @@ def test_comma_names_rejected():
             unit=["a,b"], free=["a,b"])
 
 
+def test_module_tables_read_in_one_pass():
+    """``build`` takes a table as a dict or as pairs, and ``from_json`` reads
+    each "a,b" key when it reaches it: star in file order, then act, so the
+    first fault in that order is the one named."""
+    m = three_chain_module()
+    doc = m.to_json()
+    star, act = ({tuple(k.split(",")): v for k, v in doc[t].items()} for t in ("star", "act"))
+    args = (doc["T"], doc["X"])
+    sets = (doc["unit"], doc["free"])
+    assert (FiniteQuantaleModule.build(*args, star, act, *sets)
+            == FiniteQuantaleModule.build(*args, iter(star.items()), act.items(), *sets)
+            == FiniteQuantaleModule.from_json(doc) == m)
+    unit_module = {"T": ["e"], "X": ["x"], "unit": ["e"], "free": ["e"]}
+    for star, act, fault in (
+            ({"e,q": ["e"], "e,e,e": ["e"]}, {"e": ["x"]}, "unknown atom"),
+            ({"e,e,e": ["e"], "e,q": ["e"]}, {"e": ["x"]}, "not two comma-separated"),
+            ({"e,e": ["q"]}, {"e": ["x"]}, "unknown atom 'q'"),
+            ({"e,e": ["e"]}, {"e": ["x"]}, "not two comma-separated"),
+            ({"e,e": ["e"]}, [["e", "x"]], "JSON object")):
+        with pytest.raises(FormatError, match=fault):
+            FiniteQuantaleModule.from_json({**unit_module, "star": star, "act": act})
+
+
 def test_function_module_names_maps_apart_on_twelve_points():
     # run together, (0, 1, 10, ...) and (0, 11, 0, ...) would both read f0110...
     pairs = [(i, i) for i in range(12)] + [(1, 11), (2, 10), (2, 0)]
