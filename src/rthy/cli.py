@@ -111,6 +111,8 @@ def _monotone_from_args(args):
         if args.m is None or args.k is None:
             raise FormatError("--monotone fmk needs --m and --k")
         return lambda e: ms.weight_fmk(e, args.m, args.k)
+    if args.m is not None or args.k is not None:
+        raise FormatError(f"--m and --k apply only to --monotone fmk, not {kind}")
     table = {
         "weight": ms.weight,
         "robustness": ms.robustness,
@@ -197,27 +199,34 @@ def _cmd_possibilistic(args) -> dict:
     return _conversion_doc(ps.bool_majorizes(x, y), _bool_map_json)
 
 
-def _cmd_channel(args) -> dict:
-    if args.channel_cmd == "apply":
-        psi = ch.ChannelEncoding.from_json(_read_doc(args.psi))
-        if args.delta is not None:
-            enc = ch.delta_input(psi, args.delta)
-        elif args.input is not None:
-            mu = [parse_rational(v) for v in _names(args.input)]
-            enc = ch.apply_input(psi, mu)
-        else:
-            raise FormatError("channel apply needs --delta A or --input p1,p2,...")
-        return {"encoding": enc.to_json()}
-    if args.channel_cmd == "simulate":
-        x = _encoding(args.x)
-        psi = ch.ChannelEncoding.from_json(_read_doc(args.psi))
-        return _conversion_doc(ch.comb_simulates(x, psi), _sigma_json)
-    if args.channel_cmd == "equivalent":
-        psi = ch.ChannelEncoding.from_json(_read_doc(args.psi))
-        x = _encoding(args.x)
-        return {"equivalent": ch.channel_equivalent(psi, x)}
-    # yield
-    psi = ch.ChannelEncoding.from_json(_read_doc(args.psi))
+def _channel(path: str) -> ch.ChannelEncoding:
+    return ch.ChannelEncoding.from_json(_read_doc(path))
+
+
+def _cmd_channel_apply(args) -> dict:
+    psi = _channel(args.psi)
+    if args.delta is not None:
+        enc = ch.delta_input(psi, args.delta)
+    elif args.input is not None:
+        mu = [parse_rational(v) for v in _names(args.input)]
+        enc = ch.apply_input(psi, mu)
+    else:
+        raise FormatError("channel apply needs --delta A or --input p1,p2,...")
+    return {"encoding": enc.to_json()}
+
+
+def _cmd_channel_simulate(args) -> dict:
+    x = _encoding(args.x)
+    return _conversion_doc(ch.comb_simulates(x, _channel(args.psi)), _sigma_json)
+
+
+def _cmd_channel_equivalent(args) -> dict:
+    psi = _channel(args.psi)
+    return {"equivalent": ch.channel_equivalent(psi, _encoding(args.x))}
+
+
+def _cmd_channel_yield(args) -> dict:
+    psi = _channel(args.psi)
     res = ch.channel_yield(psi, _monotone_from_args(args))
     return {
         "value": mn.value_to_json(res.value),
@@ -235,31 +244,41 @@ def _violations_json(violations) -> list:
             for v in violations]
 
 
-def _cmd_module(args) -> dict:
+def _cmd_module_validate(args) -> dict:
+    violations = qt.validate(_module(args.module))
+    return {"valid": not violations, "violations": _violations_json(violations)}
+
+
+def _cmd_module_order(args) -> dict:
     m = _module(args.module)
-    if args.module_cmd == "validate":
-        violations = qt.validate(m)
-        return {"valid": not violations, "violations": _violations_json(violations)}
-    if args.module_cmd == "order":
-        p = qt.reachability(m)
-        pairs = sorted([m.resources[a], m.resources[b]] for a, b in p.pairs() if a != b)
-        return {"atoms": list(m.resources), "pairs": pairs}
-    if args.module_cmd in ("yield", "cost"):
-        f = mn.PartialValuation.from_json(_read_doc(args.gold))
-        d = sorted(m.free) if args.set is None else _names(args.set)
-        best = mn.yield_ if args.module_cmd == "yield" else mn.cost
-        return {"value": mn.value_to_json(best(m, d, f, args.at)), "at": args.at}
-    if args.module_cmd == "covariant":
-        doc = _read_doc(args.action)
-        try:
-            maps, perm = doc["maps"], doc.get("permutations", True)
-        except (KeyError, TypeError) as exc:
-            raise FormatError("action JSON needs a 'maps' list") from exc
-        if not isinstance(perm, bool):
-            raise FormatError("action 'permutations' must be true or false")
-        action = qt.action_from_names(m, maps, permutations=perm)
-        return {"covariant": sorted(qt.covariant_transformations(m, action))}
-    # augment
+    p = qt.reachability(m)
+    pairs = sorted([m.resources[a], m.resources[b]] for a, b in p.pairs() if a != b)
+    return {"atoms": list(m.resources), "pairs": pairs}
+
+
+def _cmd_module_best(best, args) -> dict:
+    """``module yield`` or ``module cost``, as ``best`` is ``mn.yield_`` or ``mn.cost``."""
+    m = _module(args.module)
+    f = mn.PartialValuation.from_json(_read_doc(args.gold))
+    d = sorted(m.free) if args.set is None else _names(args.set)
+    return {"value": mn.value_to_json(best(m, d, f, args.at)), "at": args.at}
+
+
+def _cmd_module_covariant(args) -> dict:
+    m = _module(args.module)
+    doc = _read_doc(args.action)
+    try:
+        maps, perm = doc["maps"], doc.get("permutations", True)
+    except (KeyError, TypeError) as exc:
+        raise FormatError("action JSON needs a 'maps' list") from exc
+    if not isinstance(perm, bool):
+        raise FormatError("action 'permutations' must be true or false")
+    action = qt.action_from_names(m, maps, permutations=perm)
+    return {"covariant": sorted(qt.covariant_transformations(m, action))}
+
+
+def _cmd_module_augment(args) -> dict:
+    m = _module(args.module)
     aug = qt.augment(m, _names(args.set))
     order_pairs = sorted([a, b] for a, b in aug.order.pairs() if a != b)
     return {
@@ -269,16 +288,23 @@ def _cmd_module(args) -> dict:
     }
 
 
-def _cmd_ucrt(args) -> dict:
-    q = qt.CommutativeQuantale.from_json(_read_doc(args.quantale))
+def _quantale(path: str) -> qt.CommutativeQuantale:
+    q = qt.CommutativeQuantale.from_json(_read_doc(path))
     violations = qt.validate_quantale(q)
     if violations:
         raise InvalidModule(violations, "quantale")
-    s = _names(args.source)
-    t = _names(args.target)
-    if args.ucrt_cmd == "order":
-        return {"related": qt.ucrt_order(q, s, t)}
-    return {"related": qt.catalytic_order(q, args.catalyst, s, t),
+    return q
+
+
+def _cmd_ucrt_order(args) -> dict:
+    q = _quantale(args.quantale)
+    return {"related": qt.ucrt_order(q, _names(args.source), _names(args.target))}
+
+
+def _cmd_ucrt_catalytic(args) -> dict:
+    q = _quantale(args.quantale)
+    return {"related": qt.catalytic_order(q, args.catalyst, _names(args.source),
+                                          _names(args.target)),
             "catalyst": args.catalyst}
 
 
@@ -348,47 +374,48 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("psi")
     c.add_argument("--delta", type=int, default=None, metavar="A")
     c.add_argument("--input", default=None, metavar="p1,p2,...")
-    c.set_defaults(fn=_cmd_channel)
+    c.set_defaults(fn=_cmd_channel_apply)
     c = csub.add_parser("simulate", help="can post-processing of x with copied input rebuild the channel?")
     c.add_argument("x")
     c.add_argument("psi")
-    c.set_defaults(fn=_cmd_channel)
+    c.set_defaults(fn=_cmd_channel_simulate)
     c = csub.add_parser("equivalent", help="mutual simulation of a channel and a state encoding")
     c.add_argument("psi")
     c.add_argument("x")
-    c.set_defaults(fn=_cmd_channel)
+    c.set_defaults(fn=_cmd_channel_equivalent)
     c = csub.add_parser("yield", help="max of a state monotone over the channel's delta inputs")
     c.add_argument("psi")
     c.add_argument("--monotone", required=True,
                    choices=("fmk", "weight", "robustness", "free-robustness", "nonconvexity"))
     c.add_argument("--m", type=int, default=None)
     c.add_argument("--k", type=int, default=None)
-    c.set_defaults(fn=_cmd_channel)
+    c.set_defaults(fn=_cmd_channel_yield)
 
     p = sub.add_parser("module", help="finite quantale-module operations")
     msub = p.add_subparsers(dest="module_cmd", required=True)
-    for name, hlp in (("validate", "check module laws, listing violations"),
-                      ("order", "reachability preorder induced by the free set")):
+    for name, fn, hlp in (
+            ("validate", _cmd_module_validate, "check module laws, listing violations"),
+            ("order", _cmd_module_order, "reachability preorder induced by the free set")):
         mp = msub.add_parser(name, help=hlp)
         mp.add_argument("module")
-        mp.set_defaults(fn=_cmd_module)
-    for name, hlp in (("yield", "best gold value reachable from an atom"),
-                      ("cost", "cheapest gold atom reaching an atom")):
+        mp.set_defaults(fn=fn)
+    for name, best, hlp in (("yield", mn.yield_, "best gold value reachable from an atom"),
+                            ("cost", mn.cost, "cheapest gold atom reaching an atom")):
         mp = msub.add_parser(name, help=hlp)
         mp.add_argument("module")
         mp.add_argument("--gold", required=True, metavar="valuation.json")
         mp.add_argument("--at", required=True, metavar="ATOM")
         mp.add_argument("--set", default=None, metavar="t1,t2,...",
                         help="transformation subset (default: the free set)")
-        mp.set_defaults(fn=_cmd_module)
+        mp.set_defaults(fn=functools.partial(_cmd_module_best, best))
     mp = msub.add_parser("covariant", help="transformations commuting with a symmetry action")
     mp.add_argument("module")
     mp.add_argument("--action", required=True, metavar="action.json")
-    mp.set_defaults(fn=_cmd_module)
+    mp.set_defaults(fn=_cmd_module_covariant)
     mp = msub.add_parser("augment", help="quotient classes and order induced by a submonoid")
     mp.add_argument("module")
     mp.add_argument("--set", required=True, metavar="t1,t2,...")
-    mp.set_defaults(fn=_cmd_module)
+    mp.set_defaults(fn=_cmd_module_augment)
 
     p = sub.add_parser("ucrt", help="universally combinable resource theories")
     usub = p.add_subparsers(dest="ucrt_cmd", required=True)
@@ -396,13 +423,13 @@ def _build_parser() -> argparse.ArgumentParser:
     u.add_argument("quantale")
     u.add_argument("--source", required=True, metavar="a,b,...")
     u.add_argument("--target", required=True, metavar="c,d,...")
-    u.set_defaults(fn=_cmd_ucrt)
+    u.set_defaults(fn=_cmd_ucrt_order)
     u = usub.add_parser("catalytic", help="convertibility in the presence of a catalyst")
     u.add_argument("quantale")
     u.add_argument("--source", required=True, metavar="a,b,...")
     u.add_argument("--target", required=True, metavar="c,d,...")
     u.add_argument("--catalyst", required=True, metavar="ATOM")
-    u.set_defaults(fn=_cmd_ucrt)
+    u.set_defaults(fn=_cmd_ucrt_catalytic)
 
     return parser
 

@@ -291,6 +291,10 @@ def test_channel_yield(files, capsys):
     doc = _json_out(capsys)
     assert doc["value"] == "1" and doc["exact"] is True
     assert run(["channel", "yield", psix, "--monotone", "fmk"]) == 2
+    # --m and --k belong to fmk alone, as weight refuses a lone --m
+    assert run(["channel", "yield", psix, "--monotone", "weight", "--m", "5", "--k", "1"]) == 2
+    out, err = _out(capsys)
+    assert out == "" and "--m and --k apply only to --monotone fmk" in err
     # delta inputs only: the removed --mode flag is an argparse usage error
     assert run(["channel", "yield", psix, "--monotone", "weight", "--mode", "grid:2"]) == 2
     out, err = _out(capsys)
@@ -767,6 +771,7 @@ def test_reused_parser_matches_fresh_processes(files, capsys, monkeypatch):
     x = files("x.json", incomparable_x().to_json())
     y = files("y.json", incomparable_y().to_json())
     z = files("z.json", two_point_encoding("1/8", "1/2").to_json())
+    m = files("m.json", three_chain_module().to_json())
     sequence = [
         ["check-order", x, y],
         ["--help"],
@@ -774,7 +779,10 @@ def test_reused_parser_matches_fresh_processes(files, capsys, monkeypatch):
         ["no-such-command"],
         ["zonotope", z, "--format", "csv"],
         ["zonotope", z],
+        ["module", "validate", m],
         ["module", "--help"],
+        ["zonotope", "--help"],
+        ["weight", x, "--m", "1"],
     ]
     cli._build_parser.cache_clear()
     seen = []
@@ -783,11 +791,13 @@ def test_reused_parser_matches_fresh_processes(files, capsys, monkeypatch):
         out, err = _out(capsys)
         assert (out, err, code) == _fresh_process(argv), argv
         seen.append((out, err, code))
-    assert [code for _, _, code in seen] == [0, 0, 2, 2, 0, 0, 0]
+    assert [code for _, _, code in seen] == [0, 0, 2, 2, 0, 0, 0, 0, 0, 2]
     assert "following arguments are required: y" in seen[2][1]
     assert "invalid choice: 'no-such-command'" in seen[3][1]
     assert seen[4][0] == "0,0\n7/8,1/2\n1,1\n1/8,1/2\n"
     assert json.loads(seen[5][0])["vertices"][1] == ["7/8", "1/2"]
+    assert json.loads(seen[6][0]) == {"valid": True, "violations": []}
+    assert "--m and --k must be given together" in seen[9][1]
     assert cli._build_parser.cache_info().misses == 1
 
 

@@ -29,3 +29,8 @@ def test_zonotope_gallery_runs(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "extremal.csv", "flat.csv", "skew_14_34.csv", "skew_18_12.csv",
         "three_outcome.csv"]
+
+
+def test_replay_runs():
+    res = _run_script("scripts/replay.py")
+    assert res.returncode == 0 and "Traceback" not in res.stderr, res.stderr
