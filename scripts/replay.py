@@ -188,14 +188,15 @@ def replay_conversions(tmp):
     path = {name: save(tmp, name, doc) for name, doc in docs.items()}
     enc_rows = {name: rows(doc) for name, doc in docs.items()}
     # h = 2 pairs take check-order's LP-free paths; at h = 3 the LP leaves out row
-    # (c, n_y - 1) of each hypothesis c, and replaying d -> e checks those rows too
+    # (c, n_y - 1) of each hypothesis c, and replaying d -> e checks those rows too;
+    # b3 -> x3 is refuted by a normal on hypotheses 0 and 1, x3 <-> y3 by the LP
     lines = []
     for cmd, convertible, replay, pairs in (
             ("check-order", True, replay_witness,
              (("x3", "b3"), ("x12", "y12"), ("x", "y"), ("d", "e"))),
             ("possibilistic", True, replay_bool_witness, (("x3", "b3"), ("u", "u"))),
             ("check-order", False, replay_farkas,
-             (("x", "z"), ("eighth", "quarter"), ("x3", "y3"), ("y3", "x3")))):
+             (("x", "z"), ("eighth", "quarter"), ("b3", "x3"), ("x3", "y3"), ("y3", "x3")))):
         for src, dst in pairs:
             doc = rthy(cmd, path[src], path[dst])
             assert doc["convertible"] is convertible, doc

@@ -372,8 +372,9 @@ def _build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="channel_cmd", required=True)
     c = csub.add_parser("apply", help="state encoding of a channel under an input distribution")
     c.add_argument("psi")
-    c.add_argument("--delta", type=int, default=None, metavar="A")
-    c.add_argument("--input", default=None, metavar="p1,p2,...")
+    mu = c.add_mutually_exclusive_group()
+    mu.add_argument("--delta", type=int, default=None, metavar="A")
+    mu.add_argument("--input", default=None, metavar="p1,p2,...")
     c.set_defaults(fn=_cmd_channel_apply)
     c = csub.add_parser("simulate", help="can post-processing of x with copied input rebuild the channel?")
     c.add_argument("x")

@@ -268,6 +268,10 @@ def test_channel_subcommands(files, capsys):
     assert run(["channel", "apply", psi, "--input", "1,0,0,0"]) == 0
     assert _json_out(capsys)["encoding"] == incomparable_x().to_json()
     assert run(["channel", "apply", psi]) == 2
+    # one input distribution at a time: --delta does not silently win
+    assert run(["channel", "apply", psi, "--delta", "0", "--input", "1,0,0,0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument" in err
 
     assert run(["channel", "simulate", x, psi]) == 0
     assert _json_out(capsys)["convertible"] is True

@@ -55,6 +55,7 @@ from rthy.majorize import (
     _left_curtain,
     _merged_rows,
     _normal_farkas,
+    _pairwise_normal,
     is_distribution,
 )
 from rthy.measures import deterministic_encodings
@@ -403,26 +404,30 @@ def test_farkas_vector_is_verified_before_it_is_reported(monkeypatch):
 
     x, y = incomparable_x(), incomparable_y()
     monkeypatch.setattr("rthy.majorize.lp_solve", vacuous_solver)
-    _raises_solver_fault((lambda: majorizes(x, y),
-                          lambda: markotope_contains(x, binary_image_of_x(), 2),
-                          lambda: comb_simulates(x, channel_x()),
-                          lambda: channel_equivalent(channel_x(), x),
-                          lambda: channel_yield(channel_x(), weight)))
+    lp_decisions = (lambda: majorizes(x, y),
+                    lambda: markotope_contains(x, binary_image_of_x(), 2),
+                    lambda: comb_simulates(x, channel_x()),
+                    lambda: channel_equivalent(channel_x(), x),
+                    lambda: channel_yield(channel_x(), weight))
+    _raises_solver_fault(lp_decisions)
     # f_{m,k} is +inf only on a checked Farkas vector
     monkeypatch.setattr("rthy.measures.lp_solve", vacuous_solver)
     _raises_solver_fault((lambda: weight_fmk(x, 1, 2),))
-    # with two hypotheses the vector comes from a normal of Z(x): w = (1, 1)
-    # separates nothing (both supports are 2), and None is a scan that found none
+    # a normal on a pair of hypotheses refutes before any LP: w = (1, ..., 1)
+    # separates nothing (w.g is g's row sum, so both supports are h), and
+    # None is a scan that found none, which sends h >= 3 to the vacuous LP
+    # and leaves h = 2 with no vector
     mixed = _two_input_channel(EIGHTH, QUARTER)
-    for normal in ((1, 1), None):
-        monkeypatch.setattr("rthy.majorize._separating_normal", lambda x, y: normal)
-        _raises_solver_fault((lambda: majorizes(EIGHTH, QUARTER),
-                              lambda: markotope_contains(EIGHTH, QUARTER, 2),
-                              lambda: comb_simulates(EIGHTH, mixed),
-                              lambda: channel_equivalent(mixed, EIGHTH),
-                              lambda: channel_yield(mixed, weight),
-                              lambda: relative_majorizes([H, H], [H, H], [1, 0], [H, H])))
-    # the zonotope test reads the same search: (1, 1) certifies nothing
+    for normal in (lambda x, y: (1,) * x.hypotheses, lambda x, y: None):
+        monkeypatch.setattr("rthy.majorize._pairwise_normal", normal)
+        _raises_solver_fault(lp_decisions + (
+            lambda: majorizes(EIGHTH, QUARTER),
+            lambda: markotope_contains(EIGHTH, QUARTER, 2),
+            lambda: comb_simulates(EIGHTH, mixed),
+            lambda: channel_equivalent(mixed, EIGHTH),
+            lambda: channel_yield(mixed, weight),
+            lambda: relative_majorizes([H, H], [H, H], [1, 0], [H, H])))
+    # the zonotope test has its own search: (1, 1) certifies nothing
     monkeypatch.setattr("rthy.majorize._separating_normal", lambda x, y: (1, 1))
     _raises_solver_fault((lambda: zonotope_certificate(EIGHTH, QUARTER),))
 
@@ -467,10 +472,12 @@ def test_reduced_conversion_lp_matches_full_reference(x, data):
     """``_conversion_problem`` leaves out row (c, n_y - 1) of each hypothesis
     c, and keeps the feasible set of the full-row reference LP: both LPs
     reach the same status, as does ``majorizes``; its witness maps x to y,
-    and its Farkas vector refutes the full LP.  With h != 2 that vector
-    comes from the reduced LP and has 0 at each left-out row; with two
-    hypotheses it comes from a normal of Z(x), and no LP is built.  y is
-    t(x) or a random encoding, with 1 to 4 outcomes either way."""
+    and its Farkas vector refutes the full LP.  That vector is
+    ``_normal_farkas`` of the normal on a pair of hypotheses that
+    ``_pairwise_normal`` finds, which it always finds with two hypotheses;
+    when it finds none, the vector comes from the reduced LP and has 0 at
+    each left-out row.  y is t(x) or a random encoding, with 1 to 4
+    outcomes either way."""
     h = x.hypotheses
     if data.draw(st.booleans()):
         y = data.draw(stochastic_maps(x.outcomes))(x)
@@ -486,10 +493,51 @@ def test_reduced_conversion_lp_matches_full_reference(x, data):
     if res.convertible:
         assert res.witness(x) == y
         return
-    n_y = y.outcomes
-    if h != 2:
+    n_y, w = y.outcomes, _pairwise_normal(x, y)
+    if w is None:
+        assert h != 2
         assert all(res.farkas[c * n_y + n_y - 1] == 0 for c in range(h))
+    else:
+        assert res.farkas == tuple(_normal_farkas(x, y, w))
     assert verify_certificate(full, LpOutcome(status=INFEASIBLE, farkas=res.farkas))
+
+
+@given(st.integers(3, 4).flatmap(
+    lambda h: encodings(max_hypotheses=h, min_hypotheses=h)), st.data())
+def test_pairwise_normal_refutes_full_lp_reference(x, data):
+    """With three or four hypotheses, whenever ``_pairwise_normal`` finds a
+    normal w, ``_normal_farkas`` of w is a Farkas vector of the full-row
+    reference LP, and that LP's own solve is infeasible; for y = t(x) it
+    finds none.  Otherwise y is a random encoding with 1 to 4 outcomes."""
+    if data.draw(st.booleans()):
+        assert _pairwise_normal(x, data.draw(stochastic_maps(x.outcomes))(x)) is None
+        return
+    n_y = data.draw(st.integers(1, 4))
+    y = Encoding.from_columns([data.draw(distributions(n_y)) for _ in range(x.hypotheses)])
+    w = _pairwise_normal(x, y)
+    if w is not None:
+        problem = full_conversion_problem(x, y.matrix)
+        replay = LpOutcome(status=INFEASIBLE, farkas=_normal_farkas(x, y, w))
+        assert verify_certificate(problem, replay)
+        assert lp_solve(problem).status == INFEASIBLE
+
+
+def test_pairwise_normal_pinned():
+    """No pair of hypotheses separates the bundled x3 and y3 either way, or
+    y3 from its binary image b3: those refutations come from the LP, with 0
+    at each left-out row (c, n_y - 1).  b3 -> x3 is refuted on hypotheses
+    (0, 1) by w = (2, -1, 0), the normal of b3's second row (1, 2, 2)/2."""
+    x, y, b = incomparable_x(), incomparable_y(), binary_image_of_x()
+    for p, q in ((x, y), (y, x), (y, b)):
+        assert _pairwise_normal(p, q) is None
+        res, n_y = majorizes(p, q), q.outcomes
+        assert not res.convertible
+        assert all(res.farkas[c * n_y + n_y - 1] == 0 for c in range(3))
+    assert _pairwise_normal(b, x) == (2, -1, 0)
+    res = majorizes(b, x)
+    assert res.farkas == tuple(_normal_farkas(b, x, (2, -1, 0)))
+    replay = LpOutcome(status=INFEASIBLE, farkas=list(res.farkas))
+    assert verify_certificate(full_conversion_problem(b, x.matrix), replay)
 
 
 def _forbidden_lp(problem):
@@ -548,8 +596,8 @@ def test_dichotomy_matches_lp_reference(pair):
 
 
 def _reference_dichotomy_normal(x, y):
-    """The h = 2 normal search that the zonotope one replaced: the first row
-    (a, b) of x whose normal w = (b, -a), as coprime integers, has
+    """The h = 2 normal search in ``Fraction``s: the first row (a, b) of x
+    whose normal w = (b, -a), as coprime integers, has
     h_{Z(y)}(w) > h_{Z(x)}(w), or None when no row gives one."""
     def support(w, e):
         return Fraction(sum(max(0, w[0] * p + w[1] * q) for p, q in e.ints), e.den)
