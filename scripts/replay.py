@@ -202,11 +202,15 @@ def replay_conversions(tmp):
             assert doc["convertible"] is convertible, doc
             evidence = doc["witness"] if convertible else doc["certificate"]
             lines.append(f"{src} -> {dst}: {replay(evidence, enc_rows[src], enc_rows[dst])}")
+    # Z(quarter) leaves Z(eighth) along the pair scan's normal, Z(x3) leaves
+    # Z(y3) along a facet normal, since no pair of hypotheses separates them
     assert rthy("zonotope", path["d"], "--contains", path["e"]) == {"includes": True}
-    doc = rthy("zonotope", path["y3"], "--contains", path["x3"])
-    assert doc["includes"] is False, doc
-    cert = replay_zonotope_certificate(doc["certificate"], enc_rows["y3"], enc_rows["x3"])
-    return lines + [f"Z(x3) not inside Z(y3): {cert}"]
+    for src, dst in (("eighth", "quarter"), ("y3", "x3")):
+        doc = rthy("zonotope", path[src], "--contains", path[dst])
+        assert doc["includes"] is False, doc
+        cert = replay_zonotope_certificate(doc["certificate"], enc_rows[src], enc_rows[dst])
+        lines.append(f"Z({dst}) not inside Z({src}): {cert}")
+    return lines
 
 
 def replay_beale():

@@ -1,11 +1,11 @@
 """Distinguishability of finite stochastic encodings.
 
 An encoding is the stochastic map from hypotheses to outcomes: column c is
-the distribution of an observed system under hypothesis c.  Conversion
-by hypothesis-independent post-processing (matrix majorization) is
-decided exactly with witnesses/certificates: by LP, or for two hypotheses
-by a martingale coupling and a zonotope normal; zonotopes, Markotopes and
-Lorenz curves expose the order's geometry.
+the distribution of an observed system under hypothesis c.  Conversion by
+hypothesis-independent post-processing (matrix majorization) is decided
+exactly, with evidence: by a normal on one pair of hypotheses, a martingale
+coupling (h = 2) or LP.  Zonotope inclusion scans the same pairs first, and
+facets only at rank >= 3; Markotopes and Lorenz curves show its geometry.
 """
 
 from __future__ import annotations
@@ -532,20 +532,18 @@ def _primitive(w) -> tuple:
 
 def _separating_normal(x: Encoding, y: Encoding) -> Optional[tuple]:
     """A primitive integer w with h_{Z(y)}(w) > h_{Z(x)}(w), or None when
-    Z(y) is inside Z(x).
+    Z(y) is inside Z(x); run at h >= 3 once ``_pairwise_normal`` finds none.
 
-    Z(x) = {sum_j u_j g_j : u in [0,1]^n} over x's merged rows g_j, the
-    reachable set of 2-outcome post-processings, has support function
-    h_Z(w) = sum_j max(0, w.g_j).  The search runs in integers, on x's merged
-    rows times y's denominator and y's times x's: a row of y outside
-    span(x) gives a normal to span(x) at once; otherwise, with r = rank(x),
-    Z(y) is inside Z(x) exactly when h_{Z(y)}(+-w) <= h_{Z(x)}(+-w) for the
-    normal w of each set of r - 1 of x's generators that spans a hyperplane
-    of span(x) (Ziegler, Lectures on Polytopes, ch. 7).  At r <= 2 each set
-    is one generator, so the search is a scan; from r = 3 its C(n_x, r - 1)
-    normals are checked against the enumeration guard.  It serves
-    ``zonotope_certificate`` only: ``majorizes`` refutes with the cheaper
-    ``_pairwise_normal``, which needs no rank and no facet enumeration.
+    Z(x), over x's merged rows g_j, has support h_Z(w) = sum_j max(0, w.g_j).
+    The search runs in integers, on x's merged rows times y's denominator and
+    y's times x's: a row of y outside span(x) gives a normal to span(x) at
+    once; otherwise, with r = rank(x), Z(y) is inside Z(x) exactly when
+    h_{Z(y)}(+-w) <= h_{Z(x)}(+-w) for the normal w of each set of r - 1 of
+    x's generators that spans a hyperplane of span(x) (Ziegler, Lectures on
+    Polytopes, ch. 7).  At r = 1 that w is a unit vector, along which both
+    supports are the column total; at r = 2 it is normal, on the pivot pair,
+    to a merged row, and the pair scan tried it.  So only r >= 3 enumerates,
+    its C(n_x, r - 1) normals checked against the guard.
     """
     h = x.hypotheses
     gx = [[y.den * v for v in row] for row in _merged_rows(x)]
@@ -567,14 +565,14 @@ def _separating_normal(x: Encoding, y: Encoding) -> Optional[tuple]:
                 for c, a in zip(cols, _cofactor_normal([[b[c] for c in cols] for b in basis])):
                     w[c] = a
                 return _primitive([-a for a in w] if _dot(w, v) < 0 else w)
-    # inside span(x), whose pivot coordinates it maps onto R^r one to one:
-    # every facet normal of the full-dimensional image of Z(x) is orthogonal
-    # to r - 1 of its generators
-    if r >= 3:
-        count, guard = comb(len(gx), r - 1), enumeration_guard()
-        if count > guard:
-            raise EnumerationTooLarge(
-                f"C({len(gx)}, {r - 1}) candidate facet normals of the zonotope", count, guard)
+    if r <= 2:
+        return None
+    # inside span(x), mapped one to one onto R^r by its pivot coordinates,
+    # each facet normal of Z(x)'s image is orthogonal to r - 1 generators
+    count, guard = comb(len(gx), r - 1), enumeration_guard()
+    if count > guard:
+        raise EnumerationTooLarge(
+            f"C({len(gx)}, {r - 1}) candidate facet normals of the zonotope", count, guard)
     px = [[g[p] for p in pivots] for g in gx]
     py = [[g[p] for p in pivots] for g in gy]
     for face in itertools.combinations(px, r - 1):
@@ -607,13 +605,15 @@ class ZonotopeCertificate:
 
 
 def zonotope_certificate(x: Encoding, y: Encoding) -> Optional[ZonotopeCertificate]:
-    """None when Z(y) is inside Z(x), else a certificate that it is not,
-    from ``_separating_normal``.  Both support values are sums over the rows
-    of x and y, and the certificate is returned only when they separate."""
+    """None when Z(y) is inside Z(x), as x -> y implies (at h = 2, iff), else
+    a certificate on the normal of ``_pairwise_normal`` (complete at h = 2)
+    or ``_separating_normal``, returned only once its two supports separate."""
     if x.hypotheses != y.hypotheses:
         raise HypothesisMismatch(
             f"encodings have {x.hypotheses} vs {y.hypotheses} hypotheses")
-    w = _separating_normal(x, y)
+    w = _pairwise_normal(x, y)
+    if w is None and x.hypotheses >= 3:
+        w = _separating_normal(x, y)
     if w is None:
         return None
     dy = [_dot(w, row) for row in y.ints]

@@ -98,12 +98,14 @@ def _table(pairs, row_index: dict, col_index: dict, symmetric: bool = False) -> 
 
     ``pairs`` is a ``{(a, b): names}`` dict or an iterable of
     ``((a, b), names)`` pairs, read in one pass.  ``symmetric`` also fills
-    each mirrored cell (rows and columns then coincide).  Each distinct list
-    of names is read by ``_mask_from`` once, at its first occurrence, so
-    errors are raised as if every cell were read.
+    the mirror of each cell where ``pairs`` leaves it out, so one triangle
+    gives a symmetric table and cells given both ways stay as given.  Each
+    distinct list of names is read by ``_mask_from`` once, at its first
+    occurrence, so errors are raised as if every cell were read.
     """
     table = [[0] * len(col_index) for _ in row_index]
     masks = {}  # tuple of a list's names -> its mask
+    given = set()  # cells that ``pairs`` names, when ``symmetric``
     for (a, b), out in (pairs.items() if isinstance(pairs, dict) else pairs):
         key = tuple(out) if isinstance(out, list) else None
         try:
@@ -118,7 +120,9 @@ def _table(pairs, row_index: dict, col_index: dict, symmetric: bool = False) -> 
             raise FormatError(f"table key '{a},{b}' names an unknown atom") from None
         table[i][j] = mask
         if symmetric:
-            table[j][i] = mask
+            given.add((i, j))
+            if (j, i) not in given:
+                table[j][i] = mask
     return tuple(tuple(r) for r in table)
 
 

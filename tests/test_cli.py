@@ -126,10 +126,11 @@ def test_check_order_dichotomy_answers_under_any_guard(files, capsys, monkeypatc
     assert run(["check-order", x, x]) == 0
     assert _json_out(capsys) == {"convertible": True, "witness": {
         "columns": [["1", "0"], ["0", "1"]], "from": 2, "to": 2}}
-    # the zonotope test scans the same n_x normals, so it does not trip either
+    # the zonotope test runs the same scan, so it does not trip either, and
+    # its normal is the Farkas vector's w = (4, -7)
     assert run(["zonotope", x, "--contains", y]) == 0
     assert _json_out(capsys) == {"includes": False, "certificate": {
-        "normal": ["-4", "7"], "subset": [0], "support_y": "17/4", "support_x": "3"}}
+        "normal": ["4", "-7"], "subset": [1], "support_y": "5/4", "support_x": "0"}}
 
 
 def test_zonotope_vertices_and_csv(files, capsys):
@@ -418,6 +419,19 @@ def test_ucrt_commands(files, capsys):
     assert run(["ucrt", "catalytic", q, "--source", "1", "--target", "0",
                 "--catalyst", "2"]) == 0
     assert _json_out(capsys) == {"catalyst": "2", "related": True}
+
+
+def test_ucrt_asymmetric_box_exits_2(files, capsys):
+    # a cell and its mirror both given, with different atoms: neither wins
+    doc = max_quantale().to_json()
+    doc["box"]["2,1"] = ["1"]  # 1 box 2 = {2}, but 2 box 1 = {1}
+    q = files("q.json", doc)
+    for argv in (["ucrt", "order", q, "--source", "1", "--target", "0"],
+                 ["ucrt", "catalytic", q, "--source", "1", "--target", "0", "--catalyst", "2"]):
+        assert run(argv) == 2
+        out, err = _out(capsys)
+        assert out == ""
+        assert err.startswith("rthy: quantale axioms violated: CommutativityViolation('1', '2')\n")
 
 
 def test_exit_codes(files, capsys, monkeypatch):

@@ -427,9 +427,14 @@ def test_farkas_vector_is_verified_before_it_is_reported(monkeypatch):
             lambda: channel_equivalent(mixed, EIGHTH),
             lambda: channel_yield(mixed, weight),
             lambda: relative_majorizes([H, H], [H, H], [1, 0], [H, H])))
-    # the zonotope test has its own search: (1, 1) certifies nothing
-    monkeypatch.setattr("rthy.majorize._separating_normal", lambda x, y: (1, 1))
+    # the zonotope test checks both of its searches' normals: at h = 2 the
+    # pair scan's, and at h = 3 _separating_normal's, on y3 -> x3, which no
+    # pair of hypotheses separates; an all-ones normal certifies nothing
+    monkeypatch.setattr("rthy.majorize._pairwise_normal", lambda x, y: (1, 1))
     _raises_solver_fault((lambda: zonotope_certificate(EIGHTH, QUARTER),))
+    monkeypatch.setattr("rthy.majorize._pairwise_normal", _pairwise_normal)
+    monkeypatch.setattr("rthy.majorize._separating_normal", lambda x, y: (1, 1, 1))
+    _raises_solver_fault((lambda: zonotope_certificate(y, x),))
 
 
 def _refutes(x, y, farkas):
@@ -635,6 +640,25 @@ def test_dichotomy_farkas_matches_reference(pair):
         farkas = ([Fraction(a) if dot(y_i) > 0 else Fraction(0) for a in w for y_i in y.matrix]
                   + [-max(Fraction(0), dot(x_j)) for x_j in x.matrix])
         assert res.farkas == tuple(farkas)
+
+
+def _forbidden_facet_search(*args):
+    raise AssertionError("zonotope inclusion left the pair scan for two hypotheses")
+
+
+@given(st.one_of(dichotomy_pairs(), uninformative_pairs()))
+def test_dichotomy_zonotope_inclusion_matches_majorizes_reference(pair):
+    """With two hypotheses Z(y) is inside Z(x) exactly when x converts to y
+    (Blackwell 1953), and the pair scan alone decides both: no rank, no
+    facet search, and the certificate's normal is the scan's."""
+    x, y = pair
+    with mock.patch("rthy.majorize._separating_normal", _forbidden_facet_search), \
+            mock.patch("rthy.majorize.row_echelon", _forbidden_facet_search):
+        cert = zonotope_certificate(x, y)
+        assert zonotope_includes(x, y) == majorizes(x, y).convertible == (cert is None)
+    if cert is not None:
+        assert cert.normal == _pairwise_normal(x, y)
+        assert _refutation_replays(x, y, cert)
 
 
 def _enc(*rows):

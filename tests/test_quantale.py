@@ -518,7 +518,8 @@ def test_max_quantale_is_lawful():
 
 
 def test_validate_quantale_reports_an_asymmetric_box():
-    # built directly: JSON and ``build`` mirror every cell, the constructor does not
+    # built directly; JSON and ``build`` mirror only the cells a document leaves
+    # out, so one that gives both cells differently is reported the same way
     q = max_quantale()
     box = [list(row) for row in q.star_table]
     box[1][2] = q.xmask(["1"])  # 1 box 2 = {1}, but 2 box 1 = {2}
@@ -527,6 +528,12 @@ def test_validate_quantale_reports_an_asymmetric_box():
     violations = validate_quantale(bad)
     assert violations[0] == Violation("CommutativityViolation", ("1", "2"))
     assert [v for v in violations if v.kind == "CommutativityViolation"] == violations[:1]
+    doc = q.to_json()
+    doc["box"]["2,1"] = ["1"]  # 1 box 2 = {2}, but 2 box 1 = {1}
+    assert validate_quantale(CommutativeQuantale.from_json(doc))[0] == violations[0]
+    # either triangle alone gives the symmetric table
+    lower = {",".join(key.split(",")[::-1]): out for key, out in q.to_json()["box"].items()}
+    assert CommutativeQuantale.from_json({**q.to_json(), "box": lower}) == q
 
 
 def test_validate_quantale_associativity_matches_validate():
