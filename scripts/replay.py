@@ -4,8 +4,10 @@
 Each answer comes from ``python -m rthy.cli``; its evidence is checked here,
 not trusted.  Conversion and Boolean witnesses are applied, Farkas vectors and
 zonotope certificates are read as decision problems (Blackwell 1953), the comb
-behind an exact channel yield rebuilds the channel, and Beale's (1955) cycling
-LP's optimum replays with its duals.  Run ``PYTHONPATH=src python3 scripts/replay.py``.
+behind an exact channel yield rebuilds the channel, a module's associativity
+violation and a catalytic conversion are recomputed from their tables, and
+Beale's (1955) cycling LP's optimum replays with its duals.  Run
+``PYTHONPATH=src python3 scripts/replay.py``.
 """
 
 import json
@@ -18,7 +20,8 @@ from pathlib import Path
 
 from rthy.exactmath import OPTIMAL, LpProblem, lp_solve
 from rthy.instances import (binary_image_of_x, channel_x, channel_y, incomparable_x,
-                            incomparable_y, two_point_encoding)
+                            incomparable_y, max_quantale, three_chain_module,
+                            two_level_module, two_point_encoding)
 
 # inputs 0 and 1 tie on free robustness; only input 1's encoding simulates the channel
 TIED_CHANNEL = {"hypotheses": 3, "input": 2, "output": 2, "columns": {
@@ -213,6 +216,46 @@ def replay_conversions(tmp):
     return lines
 
 
+def lift(cell, left, right):
+    """The product of two atom sets: the union of ``cell(a, b)`` over their pairs."""
+    return {c for a in left for b in right for c in cell(a, b)}
+
+
+def replay_modules(tmp):
+    """The bundled three-chain and two-level modules validate.  The three-chain
+    module with f000*f000 = f111 does not: for its first associativity violation
+    (i, j, k), (i*j)*k and i*(j*k) are recomputed as sets from its star table
+    and differ.  On the max quantale, catalyst 2 relates source 0 to target 1:
+    target*2 lies inside free*(source*2), by its box table."""
+    for name, doc in (("three_chain", three_chain_module().to_json()),
+                      ("two_level", two_level_module()[0].to_json())):
+        res = rthy("module", "validate", save(tmp, name, doc))
+        assert res == {"valid": True, "violations": []}, (name, res)
+    broken = three_chain_module().to_json()
+    broken["star"]["f000,f000"] = ["f111"]
+    res = rthy("module", "validate", save(tmp, "broken", broken))
+    first = res["violations"][0]
+    assert res["valid"] is False and first["kind"] == "AssociativityViolation", first
+    i, j, k = first["witness"]
+
+    def star(a, b):
+        return broken["star"].get(f"{a},{b}", ())
+
+    left, right = lift(star, lift(star, {i}, {j}), {k}), lift(star, {i}, lift(star, {j}, {k}))
+    assert left != right, (first, left, right)
+    doc = max_quantale().to_json()
+
+    def box(a, b):  # the table gives one triangle of the symmetric product
+        return doc["box"].get(f"{a},{b}", doc["box"].get(f"{b},{a}", ()))
+
+    res = rthy("ucrt", "catalytic", save(tmp, "max_quantale", doc),
+               "--source", "0", "--target", "1", "--catalyst", "2")
+    related = lift(box, {"1"}, {"2"}) <= lift(box, doc["free"], lift(box, {"0"}, {"2"}))
+    assert res == {"related": related, "catalyst": "2"} and related, res
+    return [f"broken module: ({i}*{j})*{k} = {sorted(left)}, {i}*({j}*{k}) = {sorted(right)}",
+            "max quantale: 0 -> 1 with catalyst 2"]
+
+
 def replay_beale():
     # minimize -3/4 x4 + 20 x5 - 1/2 x6 + 6 x7; x1, x2, x3 are the rows' slacks
     beale = LpProblem(c=[F(v) for v in (0, 0, 0, "-3/4", 20, "-1/2", 6)],
@@ -237,6 +280,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         print("exact channel yields replayed:", "; ".join(replay_channel_yields(tmp)))
         print("conversions replayed:", "; ".join(replay_conversions(tmp)))
+        print("module tables replayed:", "; ".join(replay_modules(tmp)))
     print(replay_beale())
 
 

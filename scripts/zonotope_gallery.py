@@ -40,7 +40,7 @@ def main():
     members = gallery()
 
     for name, enc in members:
-        verts = zonotope(enc).vertices
+        verts = zonotope(enc)
         path = outdir / f"{name}.csv"
         path.write_text("".join(
             f"{format_rational(a)},{format_rational(b)}\n" for a, b in verts))

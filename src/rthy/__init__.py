@@ -34,19 +34,13 @@ from .exactmath import (
     format_rational,
     lp_solve,
     parse_rational,
-    rank,
     verify_certificate,
 )
 from .order import (
     FinitePreorder,
     all_downsets,
     chain,
-    degradation_geq,
-    discrete,
     down_closure,
-    downsets_fixed,
-    enhancement_geq,
-    up_closure,
 )
 from .quantale import (
     Augmentation,
@@ -58,13 +52,10 @@ from .quantale import (
     action_from_names,
     augment,
     catalytic_order,
-    check_morphism,
     covariant_transformations,
-    free_image,
     is_g_compatible,
     is_left_invariant,
     is_right_invariant,
-    left_right_augmentations,
     reachability,
     ucrt_order,
     validate,
@@ -73,12 +64,9 @@ from .quantale import (
 from .monotone import (
     MINUS_INF,
     PLUS_INF,
-    InterestingRelation,
     PartialValuation,
     cost,
     cost_witness,
-    interesting_pairs,
-    more_informative,
     value_from_json,
     value_to_json,
     yield_,
@@ -89,25 +77,18 @@ from .majorize import (
     Encoding,
     NotConvertible,
     StochasticMap,
-    Zonotope2,
     ZonotopeCertificate,
-    det_postprocessings,
     enumeration_guard,
     lorenz,
     majorizes,
     markotope_contains,
-    orbit_encoding,
     relative_majorizes,
     zonotope,
     zonotope_certificate,
     zonotope_includes,
 )
 from .measures import (
-    convex_combination_weight,
-    cva,
-    deterministic_encodings,
     free_robustness,
-    hull_member,
     nonconvexity,
     robustness,
     weight,
@@ -118,7 +99,6 @@ from .possibilistic import (
     BoolStochasticMap,
     bool_majorizes,
     ceil,
-    ceil_map,
     to_hypergraph,
 )
 from .channels import (
@@ -141,30 +121,22 @@ __all__ = [
     "NotReflexiveTransitive", "NotRightInvariant", "RthyError",
     "ShapeMismatch", "WrongHypothesisCount", "ZeroReference",
     "INFEASIBLE", "OPTIMAL", "UNBOUNDED", "LpOutcome", "LpProblem",
-    "format_rational", "lp_solve", "parse_rational", "rank",
-    "verify_certificate",
-    "FinitePreorder", "all_downsets", "chain", "degradation_geq",
-    "discrete", "down_closure", "downsets_fixed", "enhancement_geq",
-    "up_closure",
+    "format_rational", "lp_solve", "parse_rational", "verify_certificate",
+    "FinitePreorder", "all_downsets", "chain", "down_closure",
     "Augmentation", "CommutativeQuantale", "FiniteQuantaleModule",
     "FunctionAction", "PermutationAction", "Violation", "action_from_names",
-    "augment", "catalytic_order", "check_morphism",
-    "covariant_transformations", "free_image", "is_g_compatible",
-    "is_left_invariant", "is_right_invariant", "left_right_augmentations",
+    "augment", "catalytic_order", "covariant_transformations",
+    "is_g_compatible", "is_left_invariant", "is_right_invariant",
     "reachability", "ucrt_order", "validate", "validate_quantale",
-    "MINUS_INF", "PLUS_INF", "InterestingRelation", "PartialValuation",
-    "cost", "cost_witness", "interesting_pairs", "more_informative",
+    "MINUS_INF", "PLUS_INF", "PartialValuation", "cost", "cost_witness",
     "value_from_json", "value_to_json", "yield_", "yield_witness",
     "Convertible", "Encoding", "NotConvertible", "StochasticMap",
-    "Zonotope2", "ZonotopeCertificate", "det_postprocessings",
-    "enumeration_guard", "lorenz", "majorizes", "markotope_contains",
-    "orbit_encoding", "relative_majorizes", "zonotope",
+    "ZonotopeCertificate", "enumeration_guard", "lorenz", "majorizes",
+    "markotope_contains", "relative_majorizes", "zonotope",
     "zonotope_certificate", "zonotope_includes",
-    "convex_combination_weight", "cva", "deterministic_encodings",
-    "free_robustness", "hull_member", "nonconvexity", "robustness",
-    "weight", "weight_fmk",
+    "free_robustness", "nonconvexity", "robustness", "weight", "weight_fmk",
     "BoolEncoding", "BoolStochasticMap", "bool_majorizes", "ceil",
-    "ceil_map", "to_hypergraph",
+    "to_hypergraph",
     "ChannelEncoding", "ChannelYield", "apply_input",
     "channel_equivalent", "channel_yield", "check_comb_witness",
     "comb_simulates", "delta_input",

@@ -145,8 +145,7 @@ def _cmd_zonotope(args) -> dict:
             "support_y": format_rational(cert.support_y),
             "support_x": format_rational(cert.support_x),
         }}
-    z = mj.zonotope(x)
-    return {"vertices": _vertices_json(z.vertices)}
+    return {"vertices": _vertices_json(mj.zonotope(x))}
 
 
 def _cmd_lorenz(args) -> dict:

@@ -122,13 +122,6 @@ def row_echelon(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[in
     return work[:len(pivots)], pivots
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank of rational ``rows`` via fraction-free (Bareiss) elimination on a
-    denominator-cleared copy."""
-    # row-wise clearing of denominators keeps every later pivot an integer
-    return len(row_echelon([_scaled(row)[0] for row in rows])[1])
-
-
 # --------------------------------------------------------------------------
 # Linear programming
 # --------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from .exactmath import (
     parse_rational,
     row_echelon,
 )
-from .quantale import FunctionAction
 
 DEFAULT_ENUM_GUARD = 1 << 20
 
@@ -417,18 +416,6 @@ def majorizes(x: Encoding, y: Encoding):
     return _checked_refutation(x, y, f)
 
 
-def det_postprocessings(n: int, k: int) -> List[StochasticMap]:
-    """All k^n deterministic (0/1) column-stochastic maps n -> k, lexicographic."""
-    total, guard = k ** n, enumeration_guard()
-    if total > guard:
-        raise EnumerationTooLarge(f"{k}^{n} deterministic maps", total, guard)
-    out = []
-    for assignment in itertools.product(range(k), repeat=n):
-        rows = [[F1 if assignment[j] == i else F0 for j in range(n)] for i in range(k)]
-        out.append(StochasticMap(rows))
-    return out
-
-
 # --------------------------------------------------------------------------
 # Zonotopes
 # --------------------------------------------------------------------------
@@ -446,34 +433,10 @@ def _merged_rows(x: Encoding) -> List[list]:
     return list(groups.values())
 
 
-def _cross(o, a, b) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-@dataclass(frozen=True)
-class Zonotope2:
-    """Planar zonotope: CCW vertices starting at the lexicographic minimum."""
-
-    vertices: tuple
-
-    def __contains__(self, point) -> bool:
-        p = (Fraction(point[0]), Fraction(point[1]))
-        vs = self.vertices
-        if len(vs) == 1:
-            return p == vs[0]
-        if len(vs) == 2:
-            a, b = vs
-            if _cross(a, b, p) != 0:
-                return False
-            lo0, hi0 = min(a[0], b[0]), max(a[0], b[0])
-            lo1, hi1 = min(a[1], b[1]), max(a[1], b[1])
-            return lo0 <= p[0] <= hi0 and lo1 <= p[1] <= hi1
-        return all(_cross(vs[i], vs[(i + 1) % len(vs)], p) >= 0 for i in range(len(vs)))
-
-
-def zonotope(x: Encoding) -> Zonotope2:
+def zonotope(x: Encoding) -> tuple:
     """The set of top rows of all 2-outcome post-processings of a 2-hypothesis
-    encoding, as an exact CCW polygon from (0,0) to (1,1) and back."""
+    encoding: the vertices of an exact polygon, counter-clockwise from (0,0)
+    through (1,1) and back, as a tuple of ``Fraction`` pairs."""
     if x.hypotheses != 2:
         raise WrongHypothesisCount(f"zonotope needs 2 hypotheses, got {x.hypotheses}")
     gens = _merged_rows(x)  # pairwise non-parallel, all in the first quadrant
@@ -490,17 +453,29 @@ def zonotope(x: Encoding) -> Zonotope2:
     top = partial[-1]  # (den, den) by column normalization
     lower = partial
     upper = [(top[0] - p[0], top[1] - p[1]) for p in partial[1:-1]]
-    return Zonotope2(vertices=tuple((Fraction(a, x.den), Fraction(b, x.den))
-                                    for a, b in lower + upper))
+    return tuple((Fraction(a, x.den), Fraction(b, x.den)) for a, b in lower + upper)
 
 
 def _det(m) -> int:
-    """Determinant of a small square integer matrix, by cofactor expansion."""
-    if not m:
-        return 1
-    rest = m[1:]
-    return sum((-1) ** c * v * _det([r[:c] + r[c + 1:] for r in rest])
-               for c, v in enumerate(m[0]) if v)
+    """Determinant of a square integer matrix, by fraction-free (Bareiss 1968)
+    elimination: each division is exact, and each row swap flips the sign."""
+    a = [list(r) for r in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            p = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if p is None:
+                return 0
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        piv, row_k = a[k][k], a[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (piv * row[j] - f * row_k[j]) // prev
+        prev = piv
+    return sign * a[-1][-1] if n else 1
 
 
 def _cofactor_normal(rows) -> List[int]:
@@ -673,21 +648,3 @@ def relative_majorizes(x: Sequence, rx: Sequence, y: Sequence, ry: Sequence):
     """Majorization of the pair (x, rx) over (y, ry) as 2-hypothesis encodings."""
     return majorizes(Encoding.from_columns([x, rx]), Encoding.from_columns([y, ry]))
 
-
-def orbit_encoding(x: Sequence, action: FunctionAction) -> Encoding:
-    """Encoding whose hypotheses are the symmetry-moved copies of x.
-
-    Column k is the push-forward of x along the k-th map of the action;
-    any distinguishability monotone of the result measures asymmetry of x.
-    """
-    xs = [Fraction(v) for v in x]
-    if action.degree != len(xs):
-        raise LengthMismatch(
-            f"action permutes {action.degree} points, distribution has {len(xs)}")
-    cols = []
-    for mp in action.maps:
-        col = [F0] * len(xs)
-        for j, v in enumerate(xs):
-            col[mp[j]] += v
-        cols.append(col)
-    return Encoding.from_columns(cols)

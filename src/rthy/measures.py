@@ -11,40 +11,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import List, Sequence
 
-from .errors import BadStratumBounds, EnumerationTooLarge, ShapeMismatch
+from .errors import BadStratumBounds, EnumerationTooLarge
 from .exactmath import F0, F1, LpProblem, OPTIMAL, lp_solve, verify_certificate
 from .majorize import Encoding, enumeration_guard
 from .monotone import PLUS_INF
-
-
-def cva(x: Encoding, y: Encoding, z: Encoding):
-    """Least mixing weight placing x on the segment from z to y.
-
-    inf { lam in [0,1] : x = lam*y + (1-lam)*z }; the affine system pins
-    lam from any coordinate where y and z differ, so no LP is needed.
-    """
-    shape = (x.outcomes, x.hypotheses)
-    if (y.outcomes, y.hypotheses) != shape or (z.outcomes, z.hypotheses) != shape:
-        raise ShapeMismatch("cva arguments must share outcome/hypothesis counts")
-    lam = None
-    for i in range(x.outcomes):
-        for c in range(x.hypotheses):
-            dy = y.matrix[i][c] - z.matrix[i][c]
-            dx = x.matrix[i][c] - z.matrix[i][c]
-            if dy == 0:
-                if dx != 0:
-                    return PLUS_INF
-            else:
-                cand = dx / dy
-                if lam is None:
-                    lam = cand
-                elif lam != cand:
-                    return PLUS_INF
-    if lam is None:  # y = z: feasible only when x = z, with weight 0
-        return F0
-    return lam if 0 <= lam <= 1 else PLUS_INF
 
 
 def _is_free(x: Encoding) -> bool:
@@ -122,24 +93,6 @@ def _mixture_weight(x: Encoding, entry_rows: list, n_primary: int):
     return PLUS_INF
 
 
-def convex_combination_weight(x: Encoding, primary: Sequence[Encoding],
-                              base: Sequence[Encoding]):
-    """min sum of weights on ``primary`` vertices over all convex combinations
-    of primary + base vertices equal to x; +inf when x is outside the hull.
-
-    This is the vertex-description form of the weight LP: any polytope
-    pair (costly resources, free set) given by vertices plugs in here.
-    """
-    n, h = x.outcomes, x.hypotheses
-    for e in itertools.chain(primary, base):
-        if (e.outcomes, e.hypotheses) != (n, h):
-            raise ShapeMismatch("mixture vertices must match the target's shape")
-    # columns: the primary vertices, then the base vertices
-    verts = [*primary, *base]
-    entry_rows = [[e.matrix[i][c] for e in verts] for i in range(n) for c in range(h)]
-    return _mixture_weight(x, entry_rows, len(primary))
-
-
 def _assignments(n: int, h: int):
     """All n^h assignments of an outcome to each hypothesis, lexicographic;
     raises before the first one when n^h exceeds the guard."""
@@ -149,21 +102,6 @@ def _assignments(n: int, h: int):
     return itertools.product(range(n), repeat=h)
 
 
-def deterministic_encodings(n: int, h: int) -> List[Encoding]:
-    """All n^h encodings with delta columns, lexicographic in the outcome
-    assignment."""
-    out = []
-    for assignment in _assignments(n, h):
-        cols = [[F1 if i == a else F0 for i in range(n)] for a in assignment]
-        out.append(Encoding.from_columns(cols))
-    return out
-
-
-def hull_member(x: Encoding, vertices: Sequence[Encoding]) -> bool:
-    """Exact membership of x in the convex hull of the given encodings."""
-    return convex_combination_weight(x, [], vertices) == 0
-
-
 def weight_fmk(x: Encoding, m: int, k: int):
     """Rank-stratified weight: least total mass on deterministic encodings of
     rank in (m, k] when decomposing x over all deterministic encodings of
@@ -171,9 +109,9 @@ def weight_fmk(x: Encoding, m: int, k: int):
 
     A deterministic encoding is an outcome assignment ``a`` (hypothesis c
     yields outcome a[c]): its entry (i, c) is ``a[c] == i`` and its rank is
-    the number of distinct outcomes it uses.  The LP is the one
-    ``convex_combination_weight`` builds from ``deterministic_encodings``,
-    with the rank-(m, k] vertices first, written straight from the assignments.
+    the number of distinct outcomes it uses.  The LP is ``_mixture_weight``
+    over those encodings, with the rank-(m, k] vertices first, written
+    straight from the assignments.
     """
     h, n = x.hypotheses, x.outcomes
     if not (1 <= m < k <= h):

@@ -1,5 +1,5 @@
-"""Yield/cost constructions over finite modules and the informativeness
-ordering of partial valuations.
+"""Yield/cost constructions over finite modules, from partial valuations
+of their resource atoms.
 
 Values live in the extended rationals: exact ``Fraction`` everywhere,
 with ``PLUS_INF``/``MINUS_INF`` as pure order sentinels (they are never
@@ -15,7 +15,6 @@ from numbers import Rational
 
 from .errors import FormatError, NotLeftInvariant, NotRightInvariant
 from .exactmath import format_rational, parse_rational
-from .order import FinitePreorder
 from .quantale import FiniteQuantaleModule, is_left_invariant, is_right_invariant
 
 
@@ -89,8 +88,6 @@ class PartialValuation:
         except (AttributeError, ValueError) as exc:
             raise FormatError("valuation JSON must map atom names to rationals") from exc
 
-    def to_json(self) -> dict:
-        return {k: value_to_json(v) for k, v in self.values.items()}
 
 
 def yield_(m: FiniteQuantaleModule, d_subset, f: PartialValuation, x: str):
@@ -135,38 +132,3 @@ def cost_witness(m: FiniteQuantaleModule, s_subset, f: PartialValuation, x: str)
         if domain >> i & 1 and f(name) < best and m.act_set(smask, 1 << i) & xbit:
             best, arg = f(name), name
     return best, arg
-
-
-@dataclass(frozen=True)
-class InterestingRelation:
-    pairs: frozenset  # ordered (a, b) pairs in the valuation's key space
-
-
-def _atom_index(p: FinitePreorder, key, names):
-    if names is not None:
-        return names.index(key)
-    if not isinstance(key, int):
-        raise FormatError("valuation keys must be atom indices, or pass names=")
-    return key
-
-
-def interesting_pairs(p: FinitePreorder, f: PartialValuation, names=None) -> InterestingRelation:
-    """Pairs (x, y) on the domain with f(x) < f(y) while x does not dominate y.
-
-    For each such pair, monotonicity of any extension of f certifies that
-    x cannot be converted into y.  ``names`` translates string keys to the
-    preorder's integer carrier when the valuation is name-based.
-    """
-    dom = sorted(f.domain, key=lambda k: _atom_index(p, k, names))
-    out = set()
-    for x in dom:
-        for y in dom:
-            if f(x) < f(y) and not p.geq(_atom_index(p, x, names), _atom_index(p, y, names)):
-                out.add((x, y))
-    return InterestingRelation(pairs=frozenset(out))
-
-
-def more_informative(p: FinitePreorder, f: PartialValuation, g: PartialValuation,
-                     names=None) -> bool:
-    """Does f witness every inconvertibility that g does?"""
-    return interesting_pairs(p, f, names).pairs >= interesting_pairs(p, g, names).pairs

@@ -1,4 +1,4 @@
-"""Finite preorders and their set-lifted orders.
+"""Finite preorders, their down-closures and down-sets, and chains.
 
 Relations are stored as dense bitmasks: ``above[i]`` has bit ``j`` set
 when ``i`` dominates ``j``.  Carriers are small throughout, so we trade
@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable
 
-from .errors import FormatError, IndexOutOfRange, NotReflexiveTransitive
-from .exactmath import json_int
+from .errors import IndexOutOfRange, NotReflexiveTransitive
 
 
 def _check_indices(size: int, subset: Iterable[int]) -> frozenset:
@@ -70,24 +69,6 @@ class FinitePreorder:
             if self.above[i] & (1 << j)
         ]
 
-    # -- JSON -------------------------------------------------------------
-
-    @staticmethod
-    def from_json(doc) -> "FinitePreorder":
-        try:
-            size = json_int(doc["size"], "preorder 'size'")
-            pairs = [(json_int(a, "preorder pair entry"), json_int(b, "preorder pair entry"))
-                     for a, b in doc.get("pairs", [])]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError("preorder JSON needs {'size': n, 'pairs': [[i,j],...]}") from exc
-        if size < 0:
-            raise FormatError(f"preorder 'size' must not be negative, got {size}")
-        pairs.extend((i, i) for i in range(size))
-        return FinitePreorder(size, pairs)
-
-    def to_json(self) -> dict:
-        return {"size": self.size, "pairs": [[a, b] for a, b in self.pairs()]}
-
 
 def _to_mask(p: FinitePreorder, subset) -> int:
     if isinstance(subset, int):
@@ -120,38 +101,6 @@ def down_closure(p: FinitePreorder, subset) -> FrozenSet[int]:
     return _to_set(out)
 
 
-def up_closure(p: FinitePreorder, subset) -> FrozenSet[int]:
-    """Everything dominating some member of ``subset``."""
-    mask = _to_mask(p, subset)
-    out = 0
-    for i in range(p.size):
-        if p.above[i] & mask:
-            out |= 1 << i
-    return _to_set(out)
-
-
-def enhancement_geq(p: FinitePreorder, y, z) -> bool:
-    """Set order where Y beats Z iff each member of Z is dominated from Y.
-
-    Decided via inclusion of downward closures; the empty set is bottom.
-    """
-    return down_closure(p, y) >= down_closure(p, z)
-
-
-def degradation_geq(p: FinitePreorder, y, z) -> bool:
-    """Set order where Y beats Z iff Y survives a dominance-decreasing map into Z.
-
-    Decided via inclusion of upward closures; the empty set is top.
-    """
-    return up_closure(p, y) <= up_closure(p, z)
-
-
-def downsets_fixed(p: FinitePreorder, subset) -> bool:
-    """True when ``subset`` is already downward closed."""
-    s = _check_indices(p.size, subset) if not isinstance(subset, int) else _to_set(subset)
-    return down_closure(p, s) == s
-
-
 def all_downsets(p: FinitePreorder) -> list:
     """Every downward closed subset, as frozensets (exponential; small carriers only)."""
     out = []
@@ -166,7 +115,3 @@ def chain(n: int) -> FinitePreorder:
     """Total order n-1 >= ... >= 1 >= 0."""
     pairs = [(i, i) for i in range(n)] + [(i + 1, i) for i in range(n - 1)]
     return FinitePreorder(n, pairs)
-
-
-def discrete(n: int) -> FinitePreorder:
-    return FinitePreorder(n, [(i, i) for i in range(n)])

@@ -75,11 +75,6 @@ def ceil(x: Encoding) -> BoolEncoding:
     return BoolEncoding(_support(x.matrix))
 
 
-def ceil_map(t) -> BoolStochasticMap:
-    """Support pattern of a rational stochastic map."""
-    return BoolStochasticMap(_support(t.matrix))
-
-
 def to_hypergraph(x: BoolEncoding) -> List[frozenset]:
     """One hyperedge per hypothesis: the outcomes it can produce."""
     return [frozenset(i for i in range(x.outcomes) if x.matrix[i][h])

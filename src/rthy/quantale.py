@@ -14,13 +14,7 @@ from itertools import chain
 from operator import itemgetter, or_
 from typing import Dict, FrozenSet, Iterable, Tuple
 
-from .errors import (
-    FormatError,
-    InvalidModule,
-    NotLeftInvariant,
-    NotReflexiveTransitive,
-    NotRightInvariant,
-)
+from .errors import FormatError, InvalidModule, NotReflexiveTransitive
 from .order import FinitePreorder, _bits
 
 
@@ -310,11 +304,6 @@ def validate(m: FiniteQuantaleModule) -> list:
     return out
 
 
-def free_image(m: FiniteQuantaleModule, resources) -> FrozenSet[str]:
-    """Everything producible from ``resources`` by free transformations."""
-    return m.x_set(m.act_set(m.free_mask, m.xmask(resources)))
-
-
 def reachability(m: FiniteQuantaleModule) -> FinitePreorder:
     """Atom-level convertibility order: y dominates z iff z is in the free image of y."""
     violations = validate(m)
@@ -367,18 +356,6 @@ def is_left_invariant(m: FiniteQuantaleModule, subset) -> bool:
 def is_right_invariant(m: FiniteQuantaleModule, subset) -> bool:
     smask = m.tmask(subset)
     return m.star_set(smask, m.free_mask) & ~smask == 0
-
-
-def left_right_augmentations(m: FiniteQuantaleModule, u_subset):
-    """Smallest left-invariant (free * U) and right-invariant (U * free) extensions."""
-    umask = m.tmask(u_subset)
-    smask = m.star_set(m.free_mask, umask)
-    dmask = m.star_set(umask, m.free_mask)
-    if not is_left_invariant(m, smask):
-        raise NotLeftInvariant("free * U is not left invariant; module is broken")
-    if not is_right_invariant(m, dmask):
-        raise NotRightInvariant("U * free is not right invariant; module is broken")
-    return m.t_set(smask), m.t_set(dmask)
 
 
 # --------------------------------------------------------------------------
@@ -474,48 +451,6 @@ def covariant_transformations(m: FiniteQuantaleModule, action: FunctionAction) -
         if is_g_compatible(m, 1 << t, action):
             out.append(name)
     return frozenset(out)
-
-
-# --------------------------------------------------------------------------
-# Morphisms
-# --------------------------------------------------------------------------
-
-
-def check_morphism(src: FiniteQuantaleModule, dst: FiniteQuantaleModule,
-                   ell: dict, f: dict, mode: str = "strict") -> list:
-    """Check a pair of atom->subset tables as a (possibly oplax) morphism.
-
-    ``ell`` sends each source transformation atom to a set of target
-    transformation names, ``f`` likewise on resources; both lift to all
-    sets by unions.  Strict mode demands on-the-nose equality of the
-    star/action squares, oplax mode only inclusion (left side inside the
-    right).  Free transformations must land inside the target free set in
-    both modes.
-    """
-    if mode not in ("strict", "oplax"):
-        raise FormatError(f"unknown morphism mode {mode!r}")
-    ell_masks = [dst.tmask(ell[name]) for name in src.transformations]
-    f_masks = [dst.xmask(f[name]) for name in src.resources]
-    ok = (lambda a, b: a == b) if mode == "strict" else (lambda a, b: a & ~b == 0)
-    out = []
-    nt, nx = len(src.transformations), len(src.resources)
-    for i in range(nt):
-        for j in range(nt):
-            lhs = _union(ell_masks, src.star_table[i][j])
-            rhs = dst.star_set(ell_masks[i], ell_masks[j])
-            if not ok(lhs, rhs):
-                out.append(Violation("StarMismatch",
-                                     (src.transformations[i], src.transformations[j])))
-    for i in range(nt):
-        for x in range(nx):
-            lhs = _union(f_masks, src.act_table[i][x])
-            rhs = dst.act_set(ell_masks[i], f_masks[x])
-            if not ok(lhs, rhs):
-                out.append(Violation("ActionMismatch",
-                                     (src.transformations[i], src.resources[x])))
-    if _union(ell_masks, src.free_mask) & ~dst.free_mask:
-        out.append(Violation("FreePreservationViolation"))
-    return out
 
 
 # --------------------------------------------------------------------------

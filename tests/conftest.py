@@ -4,7 +4,19 @@ from fractions import Fraction
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from rthy import Encoding, LpProblem, StochasticMap
+from rthy import (
+    BoolStochasticMap,
+    Encoding,
+    LpProblem,
+    NotLeftInvariant,
+    NotRightInvariant,
+    ShapeMismatch,
+    StochasticMap,
+    is_left_invariant,
+    is_right_invariant,
+)
+from rthy.exactmath import F0, F1, _scaled, row_echelon
+from rthy.measures import _assignments, _mixture_weight
 
 settings.register_profile(
     "default",
@@ -98,3 +110,71 @@ def full_mixture_problem(x: Encoding, vertices, n_primary: int) -> LpProblem:
     return LpProblem(c=[1] * n_primary + [0] * (len(vertices) - n_primary),
                      a_rows=a_rows + [[1] * len(vertices)],
                      b=[v for row in x.matrix for v in row] + [1])
+
+
+# --------------------------------------------------------------------------
+# Reference constructions the tests build on; the library does not need them
+# --------------------------------------------------------------------------
+
+
+def rank(rows) -> int:
+    """Rank of rational ``rows``: each row cleared of its denominators, then
+    fraction-free elimination."""
+    return len(row_echelon([_scaled(row)[0] for row in rows])[1])
+
+
+def det_postprocessings(n: int, k: int):
+    """All k^n deterministic (0/1) column-stochastic maps n -> k,
+    lexicographic in the assignment of an output to each input."""
+    return [StochasticMap([[F1 if a[j] == i else F0 for j in range(n)] for i in range(k)])
+            for a in _assignments(k, n)]
+
+
+def deterministic_encodings(n: int, h: int):
+    """All n^h encodings with delta columns, lexicographic in the outcome
+    assignment: the vertices ``weight_fmk`` writes as 0/1 columns."""
+    return [Encoding.from_columns([[F1 if i == a_c else F0 for i in range(n)] for a_c in a])
+            for a in _assignments(n, h)]
+
+
+def convex_combination_weight(x: Encoding, primary, base):
+    """min sum of weights on ``primary`` vertices over all convex combinations
+    of primary + base vertices equal to x; +inf when x is outside the hull.
+    Membership of x in the hull of ``base`` is ``... [], base) == 0``."""
+    n, h = x.outcomes, x.hypotheses
+    verts = [*primary, *base]
+    if any((e.outcomes, e.hypotheses) != (n, h) for e in verts):
+        raise ShapeMismatch("mixture vertices must match the target's shape")
+    entry_rows = [[e.matrix[i][c] for e in verts] for i in range(n) for c in range(h)]
+    return _mixture_weight(x, entry_rows, len(primary))
+
+
+def ceil_map(t) -> BoolStochasticMap:
+    """Support pattern of a rational stochastic map."""
+    return BoolStochasticMap([[int(v > 0) for v in row] for row in t.matrix])
+
+
+def left_right_augmentations(m, u_subset):
+    """Smallest left-invariant (free * U) and right-invariant (U * free)
+    extensions of U, as sets of transformation names."""
+    umask = m.tmask(u_subset)
+    smask = m.star_set(m.free_mask, umask)
+    dmask = m.star_set(umask, m.free_mask)
+    if not is_left_invariant(m, smask):
+        raise NotLeftInvariant("free * U is not left invariant; module is broken")
+    if not is_right_invariant(m, dmask):
+        raise NotRightInvariant("U * free is not right invariant; module is broken")
+    return m.t_set(smask), m.t_set(dmask)
+
+
+def interesting_pairs(p, f, names=None) -> frozenset:
+    """Pairs (x, y) on the domain of the valuation f with f(x) < f(y) while x
+    does not dominate y in the preorder p: monotonicity of any extension of
+    f certifies that x cannot be converted into y.  ``names`` translates
+    string keys to p's integer carrier when f is name-based."""
+    def index(key):
+        return key if names is None else names.index(key)
+
+    dom = sorted(f.domain, key=index)
+    return frozenset((x, y) for x in dom for y in dom
+                     if f(x) < f(y) and not p.geq(index(x), index(y)))

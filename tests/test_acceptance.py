@@ -23,7 +23,6 @@ from rthy import (
     all_downsets,
     bool_majorizes,
     ceil,
-    ceil_map,
     channel_equivalent,
     channel_yield,
     check_comb_witness,
@@ -31,9 +30,7 @@ from rthy import (
     covariant_transformations,
     down_closure,
     free_robustness,
-    interesting_pairs,
     is_g_compatible,
-    left_right_augmentations,
     lorenz,
     lp_solve,
     majorizes,
@@ -65,7 +62,7 @@ from rthy.instances import (
     two_point_encoding,
 )
 
-from conftest import full_conversion_problem
+from conftest import ceil_map, full_conversion_problem, interesting_pairs, left_right_augmentations
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -280,7 +277,7 @@ def _all_preorders(n):
 
 
 def _interesting(p, valuation, names):
-    return interesting_pairs(p, valuation, names=names).pairs
+    return interesting_pairs(p, valuation, names=names)
 
 
 def _is_monotone_on_domain(p, fd, idx):

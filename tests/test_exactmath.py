@@ -31,7 +31,6 @@ from rthy import (
     format_rational,
     lp_solve,
     parse_rational,
-    rank,
     verify_certificate,
 )
 from rthy import Encoding, StochasticMap, exactmath, majorize, measures
@@ -39,10 +38,13 @@ from rthy.exactmath import F0, F1, LpStats
 from rthy.monotone import PLUS_INF
 
 from conftest import (
+    convex_combination_weight,
+    deterministic_encodings,
     distributions,
     encodings,
     full_conversion_problem,
     full_mixture_problem,
+    rank,
     spread_pair,
     stochastic_maps,
 )
@@ -562,7 +564,7 @@ def test_reduced_mixture_lp_matches_full_reference(n, h, data):
     the deterministic encodings and random encodings of shape n x h;
     ``weight_fmk`` also runs on a deterministic encoding of the largest
     rank, which at n = h = 3 lies outside the rank-2 hull."""
-    dets = measures.deterministic_encodings(n, h)
+    dets = deterministic_encodings(n, h)
     rank = [sum(map(any, e.matrix)) for e in dets]
     shaped = st.builds(Encoding.from_columns, st.lists(distributions(n), min_size=h, max_size=h))
     vertex = st.one_of(st.sampled_from(dets), shaped)
@@ -580,7 +582,7 @@ def test_reduced_mixture_lp_matches_full_reference(n, h, data):
                 target, primary + base, len(primary))
     primary = data.draw(st.lists(vertex, max_size=3))
     base = data.draw(st.lists(vertex, min_size=0 if primary else 1, max_size=3))
-    value = measures.convex_combination_weight(x, primary, base)
+    value = convex_combination_weight(x, primary, base)
     assert value == reference(x, primary + base, len(primary))
 
 

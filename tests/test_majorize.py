@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rthy import (
     ChannelEncoding,
@@ -27,12 +27,10 @@ from rthy import (
     channel_equivalent,
     channel_yield,
     comb_simulates,
-    det_postprocessings,
     lorenz,
     lp_solve,
     majorizes,
     markotope_contains,
-    orbit_encoding,
     relative_majorizes,
     verify_certificate,
     weight,
@@ -51,6 +49,7 @@ from rthy.instances import (
 from rthy.majorize import (
     _checked_refutation,
     _checked_witness,
+    _cofactor_normal,
     _conversion_problem,
     _left_curtain,
     _merged_rows,
@@ -58,11 +57,13 @@ from rthy.majorize import (
     _pairwise_normal,
     is_distribution,
 )
-from rthy.measures import deterministic_encodings
 
 from conftest import (
     column_normalized,
+    det_postprocessings,
+    deterministic_encodings,
     distributions,
+    rank,
     encodings,
     full_conversion_problem,
     spread_pair,
@@ -697,10 +698,10 @@ def test_hypothesis_count_mismatch():
 
 def test_zonotope_pinned_vertices():
     eighth = two_point_encoding(Fraction(1, 8), H)
-    assert zonotope(eighth).vertices == (
+    assert zonotope(eighth) == (
         (0, 0), (Fraction(7, 8), H), (1, 1), (Fraction(1, 8), H))
     quarter = two_point_encoding(Fraction(1, 4), Fraction(3, 4))
-    assert zonotope(quarter).vertices == (
+    assert zonotope(quarter) == (
         (0, 0), (Fraction(3, 4), Fraction(1, 4)), (1, 1),
         (Fraction(1, 4), Fraction(3, 4)))
 
@@ -719,10 +720,27 @@ def test_zonotope_includes_bundled_pair():
 
 @given(encodings(max_hypotheses=2))
 def test_zonotope_centrally_symmetric(x):
-    vs = zonotope(x).vertices
+    vs = zonotope(x)
     assert vs[0] == (0, 0)
     flipped = {(1 - a, 1 - b) for a, b in vs}
     assert flipped == set(vs)
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _in_polygon(vertices, point) -> bool:
+    """Is ``point`` in the convex polygon with these counter-clockwise
+    vertices?  One vertex is a point, two a segment."""
+    p = (Fraction(point[0]), Fraction(point[1]))
+    if len(vertices) == 1:
+        return p == vertices[0]
+    if len(vertices) == 2:
+        a, b = vertices
+        return (_cross(a, b, p) == 0 and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+                and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+    return all(_cross(v, w, p) >= 0 for v, w in zip(vertices, vertices[1:] + vertices[:1]))
 
 
 @given(encodings(max_outcomes=3, max_hypotheses=2))
@@ -732,7 +750,7 @@ def test_zonotope_contains_all_subset_sums(x):
     for picks in itertools.product((0, 1), repeat=len(rows)):
         point = [sum((r[c] for r, p in zip(rows, picks) if p), Fraction(0))
                  for c in range(2)]
-        assert tuple(point) in z
+        assert _in_polygon(z, point)
 
 
 @given(encodings(max_outcomes=4, max_hypotheses=2, min_hypotheses=2))
@@ -761,7 +779,7 @@ def _reference_zonotope_includes(x, y):
     subset sum of y's merged rows inside Z(x), one LP each."""
     if x.hypotheses == 2:
         zx = zonotope(x)
-        return all(v in zx for v in zonotope(y).vertices)
+        return all(_in_polygon(zx, v) for v in zonotope(y))
     rows = _merged_rows(y)  # integer rows over y.den
     for picks in itertools.product((0, 1), repeat=len(rows)):
         point = [Fraction(sum(r[c] for r, p in zip(rows, picks) if p), y.den)
@@ -871,6 +889,54 @@ def test_zonotope_inclusion_reach():
     assert zonotope_includes(x, y)
     assert time.perf_counter() - start < 0.25
     assert _reference_zonotope_includes(x, y)
+    # h = 7: C(9, 6) = 84 normals, each from 7 determinants of order 6,
+    # which cofactor expansion took 1.8 s to form on a 2-core host
+    x, y = spread_pair(7, 9, 9, seed=0)
+    start = time.perf_counter()
+    assert zonotope_includes(x, y)
+    assert time.perf_counter() - start < 0.25
+
+
+def _expansion_det(m) -> int:
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** c * v * _expansion_det([r[:c] + r[c + 1:] for r in m[1:]])
+               for c, v in enumerate(m[0]) if v)
+
+
+@st.composite
+def normal_rows(draw):
+    """k integer rows of length k + 1, k in 1..5, with many zeros (so pivots
+    need row swaps); at k >= 2, one row may be made dependent on the others:
+    zero, a copy of another, or the sum of two others."""
+    k = draw(st.integers(1, 5))
+    rows = [draw(st.lists(st.integers(-3, 3), min_size=k + 1, max_size=k + 1)) for _ in range(k)]
+    if k >= 2:
+        order = draw(st.permutations(range(k)))
+        kind = draw(st.sampled_from(("none", "zero", "copy", "sum" if k >= 3 else "copy")))
+        if kind == "zero":
+            rows[order[0]] = [0] * (k + 1)
+        elif kind == "copy":
+            rows[order[0]] = list(rows[order[1]])
+        elif kind == "sum":
+            rows[order[0]] = [a + b for a, b in zip(rows[order[1]], rows[order[2]])]
+    return rows
+
+
+@given(normal_rows())
+@example([[1, 2, 3], [2, 4, 6]])
+@example([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]])
+def test_cofactor_normal_matches_expansion_reference(rows):
+    """The fraction-free determinant gives each cofactor that expansion
+    gives, sign included: w is orthogonal to every row, and zero exactly
+    when the rows are dependent."""
+    k = len(rows)
+    w = _cofactor_normal(rows)
+    assert w == [(-1) ** (k + c) * _expansion_det([r[:c] + r[c + 1:] for r in rows])
+                 for c in range(k + 1)]
+    assert all(sum(a * b for a, b in zip(w, r)) == 0 for r in rows)
+    assert any(w) == (rank(rows) == k)
 
 
 def test_zonotope_certificate_pinned():
@@ -970,12 +1036,21 @@ def test_enumeration_guard(monkeypatch):
     assert len(det_postprocessings(3, 2)) == 8
 
 
-def test_det_postprocessings_guard_reports_count(monkeypatch):
-    monkeypatch.setenv("RTHY_ENUM_GUARD", "7")
-    with pytest.raises(EnumerationTooLarge) as err:
-        det_postprocessings(3, 2)
-    assert (err.value.count, err.value.guard) == (8, 7)
-    assert str(err.value) == "2^3 deterministic maps = 8, above the guard 7"
+def orbit_encoding(x, action) -> Encoding:
+    """Encoding whose hypotheses are the symmetry-moved copies of x: column k
+    is the push-forward of x along the k-th map of the action, so any
+    distinguishability monotone of the result measures asymmetry of x."""
+    xs = [Fraction(v) for v in x]
+    if action.degree != len(xs):
+        raise LengthMismatch(
+            f"action permutes {action.degree} points, distribution has {len(xs)}")
+    cols = []
+    for mp in action.maps:
+        col = [Fraction(0)] * len(xs)
+        for j, v in enumerate(xs):
+            col[mp[j]] += v
+        cols.append(col)
+    return Encoding.from_columns(cols)
 
 
 CYCLE3 = PermutationAction([(0, 1, 2), (1, 2, 0), (2, 0, 1)])

@@ -9,22 +9,23 @@ from rthy import (
     EnumerationTooLarge,
     PLUS_INF,
     ShapeMismatch,
-    convex_combination_weight,
-    cva,
-    det_postprocessings,
-    deterministic_encodings,
     free_robustness,
-    hull_member,
     nonconvexity,
     robustness,
     weight,
     weight_fmk,
 )
 from rthy import measures
-from rthy.exactmath import F0, F1, OPTIMAL, LpProblem, lp_solve, rank
+from rthy.exactmath import F0, F1, OPTIMAL, LpProblem, lp_solve
 from rthy.instances import incomparable_x, incomparable_y, two_point_encoding
 
-from conftest import encodings, stochastic_maps
+from conftest import (
+    convex_combination_weight,
+    deterministic_encodings,
+    encodings,
+    rank,
+    stochastic_maps,
+)
 
 H = Fraction(1, 2)
 
@@ -162,6 +163,32 @@ def test_pinned_measure_values():
     assert nonconvexity(flat) == 0
 
 
+def cva(x: Encoding, y: Encoding, z: Encoding):
+    """Least mixing weight placing x on the segment from z to y:
+    inf { lam in [0,1] : x = lam*y + (1-lam)*z }.  The affine system pins
+    lam from any coordinate where y and z differ, so no LP is needed."""
+    shape = (x.outcomes, x.hypotheses)
+    if (y.outcomes, y.hypotheses) != shape or (z.outcomes, z.hypotheses) != shape:
+        raise ShapeMismatch("cva arguments must share outcome/hypothesis counts")
+    lam = None
+    for i in range(x.outcomes):
+        for c in range(x.hypotheses):
+            dy = y.matrix[i][c] - z.matrix[i][c]
+            dx = x.matrix[i][c] - z.matrix[i][c]
+            if dy == 0:
+                if dx != 0:
+                    return PLUS_INF
+            else:
+                cand = dx / dy
+                if lam is None:
+                    lam = cand
+                elif lam != cand:
+                    return PLUS_INF
+    if lam is None:  # y = z: feasible only when x = z, with weight 0
+        return F0
+    return lam if 0 <= lam <= 1 else PLUS_INF
+
+
 @given(encodings(max_outcomes=3, max_hypotheses=2), st.data())
 def test_cva_recovers_mixture_weight(y, data):
     z = data.draw(encodings(max_outcomes=3, max_hypotheses=2))
@@ -238,8 +265,8 @@ def test_convex_combination_weight_basics():
 def test_hull_member_pinned():
     up = two_point_encoding(1, 0)
     down = two_point_encoding(0, 1)
-    assert hull_member(two_point_encoding(H, H), [up, down])
-    assert not hull_member(two_point_encoding(1, 1), [up, down])
+    assert convex_combination_weight(two_point_encoding(H, H), [], [up, down]) == 0
+    assert convex_combination_weight(two_point_encoding(1, 1), [], [up, down]) != 0
 
 
 def test_weight_fmk_pinned_values():
@@ -309,7 +336,7 @@ def test_weight_fmk_zero_iff_low_rank_hull(x):
     h, n = x.hypotheses, x.outcomes
     m = h - 1
     dets = [e for e in deterministic_encodings(n, h) if rank(e.matrix) <= m]
-    assert (weight_fmk(x, m, h) == 0) == hull_member(x, dets)
+    assert (weight_fmk(x, m, h) == 0) == (convex_combination_weight(x, [], dets) == 0)
 
 
 @given(encodings(max_outcomes=3, max_hypotheses=2, min_hypotheses=2), st.data())

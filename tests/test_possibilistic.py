@@ -11,12 +11,11 @@ from rthy import (
     HypothesisMismatch,
     bool_majorizes,
     ceil,
-    ceil_map,
     to_hypergraph,
 )
 from rthy.instances import incomparable_x, incomparable_y
 
-from conftest import encodings, stochastic_maps
+from conftest import ceil_map, encodings, stochastic_maps
 
 
 def test_bool_encoding_validation():

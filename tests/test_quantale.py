@@ -22,14 +22,11 @@ from rthy import (
     augment,
     catalytic_order,
     chain,
-    check_morphism,
     cli,
     covariant_transformations,
-    free_image,
     is_g_compatible,
     is_left_invariant,
     is_right_invariant,
-    left_right_augmentations,
     reachability,
     ucrt_order,
     validate,
@@ -53,6 +50,9 @@ from rthy.instances import (
     three_chain_module,
     two_level_module,
 )
+from rthy.quantale import _union
+
+from conftest import left_right_augmentations
 
 
 def _chain_doc():
@@ -381,8 +381,8 @@ def test_three_chain_reachability_is_the_chain():
 
 def test_free_image_is_down_closure():
     m = three_chain_module()
-    assert free_image(m, ["2"]) == {"0", "1", "2"}
-    assert free_image(m, ["0"]) == {"0"}
+    for atom, image in (("2", {"0", "1", "2"}), ("0", {"0"})):
+        assert m.x_set(m.act_set(m.free_mask, m.xmask([atom]))) == image
 
 
 @given(st.integers(1, 4), st.data())
@@ -463,6 +463,38 @@ def test_action_from_names_dict_and_list():
     assert set(as_dict.maps) == set(as_list.maps)
     with pytest.raises(FormatError):
         action_from_names(m, [{"base": "nowhere"}])
+
+
+def check_morphism(src, dst, ell: dict, f: dict, mode: str = "strict") -> list:
+    """Check a pair of atom->subset tables as a (possibly oplax) morphism.
+
+    ``ell`` sends each source transformation atom to a set of target
+    transformation names, ``f`` likewise on resources; both lift to all
+    sets by unions.  Strict mode demands on-the-nose equality of the
+    star/action squares, oplax mode only inclusion (left side inside the
+    right).  Free transformations must land inside the target free set in
+    both modes.
+    """
+    if mode not in ("strict", "oplax"):
+        raise FormatError(f"unknown morphism mode {mode!r}")
+    ell_masks = [dst.tmask(ell[name]) for name in src.transformations]
+    f_masks = [dst.xmask(f[name]) for name in src.resources]
+    ok = (lambda a, b: a == b) if mode == "strict" else (lambda a, b: a & ~b == 0)
+    out = []
+    t, x = src.transformations, src.resources
+    for i in range(len(t)):
+        for j in range(len(t)):
+            if not ok(_union(ell_masks, src.star_table[i][j]),
+                      dst.star_set(ell_masks[i], ell_masks[j])):
+                out.append(Violation("StarMismatch", (t[i], t[j])))
+    for i in range(len(t)):
+        for k in range(len(x)):
+            if not ok(_union(f_masks, src.act_table[i][k]),
+                      dst.act_set(ell_masks[i], f_masks[k])):
+                out.append(Violation("ActionMismatch", (t[i], x[k])))
+    if _union(ell_masks, src.free_mask) & ~dst.free_mask:
+        out.append(Violation("FreePreservationViolation"))
+    return out
 
 
 def test_support_morphism_is_strict():
