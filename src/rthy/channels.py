@@ -18,8 +18,9 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import FormatError, IndexOutOfRange, LengthMismatch
-from .exactmath import F0, F1, format_rational, json_int, parse_rational
-from .majorize import Convertible, Encoding, StochasticMap, _dot, is_distribution, majorizes
+from .exactmath import F0, F1, _rational_pair, format_rational, json_int
+from .majorize import (Convertible, Encoding, StochasticMap, _dot, _over_common_den,
+                       is_distribution, majorizes)
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,10 @@ class ChannelEncoding(StochasticMap):
                 raise FormatError(f"channel column {hh},{aa} is given twice")
             if not isinstance(col, list) or len(col) != bb:
                 raise FormatError(f"channel column {key!r} is not a list of {bb} rationals")
-            columns[hh * a + aa] = [parse_rational(v) for v in col]
+            columns[hh * a + aa] = [_rational_pair(v) for v in col]
         # h * a distinct in-range keys: every column is present
-        return cls._from_sized_columns(columns, bb, a)
+        columns, den = _over_common_den(columns)
+        return cls._from_sized_columns(columns, bb, a, den=den)
 
     def to_json(self) -> dict:
         a = self.inputs
@@ -108,7 +110,7 @@ def delta_input(psi: ChannelEncoding, a: int) -> Encoding:
     if not 0 <= a < psi.inputs:
         raise IndexOutOfRange(f"input index {a} is out of range for a channel with "
                               f"{psi.inputs} inputs")
-    return Encoding([row[a::psi.inputs] for row in psi.matrix])
+    return Encoding._from_ints([row[a::psi.inputs] for row in psi.ints], psi.den)
 
 
 def check_comb_witness(x: Encoding, psi: ChannelEncoding, sigma: ChannelEncoding) -> bool:

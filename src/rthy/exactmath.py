@@ -44,21 +44,31 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
+def _rational_pair(text) -> Tuple[int, int]:
+    """Parse ``"p/q"`` or ``"p"`` (each an ``int`` literal: optional sign,
+    surrounding blanks) or a JSON integer into its reduced pair (p, q), q > 0."""
+    if not isinstance(text, str):
+        if isinstance(text, bool):
+            raise FormatError("expected rational string, got bool")
+        if isinstance(text, int):
+            return text, 1
+        raise FormatError(f"expected rational string, got {type(text).__name__}")
+    num, slash, den = text.partition("/")
+    try:
+        num, den = int(num), int(den) if slash else 1
+    except ValueError as exc:  # "1/2/3" leaves a "/" in den
+        raise FormatError(f"bad rational literal {text!r}") from exc
+    if not den:
+        raise FormatError(f"bad rational literal {text!r}")
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or ``"p"`` (integers, optional sign) into a Fraction."""
-    if isinstance(text, bool):
-        raise FormatError("expected rational string, got bool")
-    if isinstance(text, int):
-        return Fraction(text)
-    if not isinstance(text, str):
-        raise FormatError(f"expected rational string, got {type(text).__name__}")
-    try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad rational literal {text!r}") from exc
+    return Fraction(*_rational_pair(text))
 
 
 def json_int(value, name: str) -> int:

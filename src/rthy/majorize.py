@@ -1,11 +1,14 @@
 """Distinguishability of finite stochastic encodings.
 
 An encoding is the stochastic map from hypotheses to outcomes: column c is
-the distribution of an observed system under hypothesis c.  Conversion by
-hypothesis-independent post-processing (matrix majorization) is decided
-exactly, with evidence: by a normal on one pair of hypotheses, a martingale
-coupling (h = 2) or LP.  Zonotope inclusion scans the same pairs first, and
-facets only at rank >= 3; Markotopes and Lorenz curves show its geometry.
+the distribution of an observed system under hypothesis c.  Each map holds
+integer rows over one denominator (``ints``, ``den``) beside its
+``Fraction`` rows; JSON is read straight into the integers, and the checks
+read them.  Conversion by hypothesis-independent post-processing (matrix
+majorization) is decided exactly, with evidence: by a normal on one pair
+of hypotheses, a martingale coupling swept in integers (h = 2) or LP.
+Zonotope inclusion scans the same pairs first, and facets only at rank
+>= 3; Markotopes and Lorenz curves show its geometry.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ from .exactmath import (
     F1,
     LpProblem,
     OPTIMAL,
+    _rational_pair,
     _scaled,
     format_rational,
     json_int,
     lp_solve,
-    parse_rational,
     row_echelon,
 )
 
@@ -72,16 +75,34 @@ def _check_stochastic(ints, den: int, what: str):
     raise FormatError(f"{what} column {j} does not sum to 1")
 
 
+def _over_common_den(cols):
+    """Columns of reduced pairs (p, q) as integer columns over one
+    denominator, the lcm of the q, and that denominator."""
+    den = lcm(*(q for col in cols for _, q in col))
+    return [[p * (den // q) for p, q in col] for col in cols], den
+
+
+class _Cleared(tuple):
+    """(ints, den): the integer form ``StochasticMap._from_ints`` hands to the
+    constructor in place of the rows."""
+
+
 @dataclass(frozen=True)
 class StochasticMap:
-    """Column-stochastic matrix (``to`` x ``from``), held as its rows, a tuple
-    of ``Fraction`` tuples; column j is the output distribution on input j.
+    """Column-stochastic matrix (``to`` x ``from``); column j is the output
+    distribution on input j.
+
+    It is held twice: ``ints``, its rows as integers over ``den``, the lcm
+    of the entries' reduced denominators, which the exact checks read; and
+    ``matrix``, the same rows as a tuple of ``Fraction`` tuples, built once
+    with the map.  ``_from_ints`` takes integer rows over any positive
+    denominator and reduces it (JSON, delta inputs and witnesses are built
+    so); the constructor takes rows of rationals and clears them.  Neither
+    ``ints`` nor ``den`` takes part in equality.
 
     JSON is column-major: ``{"from": n, "to": m, "columns": [[m rationals]
     per input]}``.  A subclass renames the two sizes (``json_keys``) and
-    the label of its errors (``label``).  ``ints`` (the rows times ``den``,
-    the lcm of the entries' denominators) is set once, when the map is
-    built; the exact checks read it in place of the ``Fraction``s.
+    the label of its errors (``label``).
     """
 
     matrix: tuple
@@ -91,16 +112,36 @@ class StochasticMap:
     label = "stochastic map"
 
     def __post_init__(self):
-        rows = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row)
-                     for row in self.matrix)
-        if len({len(row) for row in rows}) > 1:
-            raise FormatError(f"{self.label} rows have unequal lengths")
-        den = lcm(*(v.denominator for row in rows for v in row))
-        ints = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in rows)
-        _check_stochastic(ints, den, self.label)
+        if type(self.matrix) is _Cleared:
+            ints, den = self.matrix
+            self._check_lengths(ints)
+            g = gcd(den, *itertools.chain.from_iterable(ints))
+            if g > 1:
+                den //= g
+                ints = tuple(tuple(v // g for v in row) for row in ints)
+            _check_stochastic(ints, den, self.label)
+            entry = {v: Fraction(v, den) for v in set(itertools.chain.from_iterable(ints))}
+            rows = tuple(tuple(map(entry.__getitem__, row)) for row in ints)
+        else:
+            rows = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row)
+                         for row in self.matrix)
+            self._check_lengths(rows)
+            den = lcm(*(v.denominator for row in rows for v in row))
+            ints = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in rows)
+            _check_stochastic(ints, den, self.label)
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "ints", ints)
         object.__setattr__(self, "den", den)
+
+    def _check_lengths(self, rows):
+        if len({len(row) for row in rows}) > 1:
+            raise FormatError(f"{self.label} rows have unequal lengths")
+
+    @classmethod
+    def _from_ints(cls, ints, den: int, *fields):
+        """The map whose rows are the integer rows ``ints`` over ``den`` > 0;
+        ``fields`` are a subclass's own fields, after ``matrix``."""
+        return cls(_Cleared((tuple(map(tuple, ints)), den)), *fields)
 
     @property
     def n_from(self) -> int:
@@ -134,12 +175,14 @@ class StochasticMap:
         return cls._from_sized_columns(cols, len(cols[0]) if cols else 0, *fields)
 
     @classmethod
-    def _from_sized_columns(cls, cols, m: int, *fields):
-        """The map whose columns (each of length m) are ``cols``.  A map with
-        no inputs keeps its m rows; an empty column is no distribution."""
+    def _from_sized_columns(cls, cols, m: int, *fields, den=None):
+        """The map whose columns (each of length m) are ``cols``, integers
+        over ``den`` when it is given.  A map with no inputs keeps its m
+        rows; an empty column is no distribution."""
         if cols and not m:
             raise FormatError(f"{cls.label} column 0 does not sum to 1")
-        return cls(zip(*cols) if cols else [()] * m, *fields)
+        rows = list(zip(*cols)) if cols else [()] * m
+        return cls(rows, *fields) if den is None else cls._from_ints(rows, den, *fields)
 
     @classmethod
     def from_json(cls, doc):
@@ -155,7 +198,8 @@ class StochasticMap:
             raise FormatError(f"{label} 'columns' must be a list of lists")
         if len(cols) != n or any(len(c) != m for c in cols):
             raise FormatError(f"{label} 'columns' shape disagrees with declared sizes")
-        return cls._from_sized_columns([[parse_rational(v) for v in col] for col in cols], m)
+        int_cols, den = _over_common_den([[_rational_pair(v) for v in col] for col in cols])
+        return cls._from_sized_columns(int_cols, m, den=den)
 
     def to_json(self) -> dict:
         n_key, m_key = self.json_keys
@@ -221,9 +265,10 @@ def _conversion_problem(x: Encoding, target_rows) -> LpProblem:
     return LpProblem(c=[0] * width, a_rows=a_rows, b=b)
 
 
-def _left_curtain(x: Encoding, y: Encoding) -> Optional[list]:
-    """Rows of a stochastic t with t * x = y for two hypotheses, or None when
-    the construction shows that there is none.
+def _left_curtain(x: Encoding, y: Encoding) -> Optional[Tuple[list, int]]:
+    """Integer rows, over one denominator, of a stochastic t with t * x = y
+    for two hypotheses, and that denominator; or None when the construction
+    shows that there is none.
 
     Row j of x is an atom of mass m_j = x_j0 + x_j1 at type
     theta_j = x_j0 / m_j, and x converts to y exactly when y's atoms are
@@ -235,19 +280,38 @@ def _left_curtain(x: Encoding, y: Encoding) -> Optional[list]:
     is c_i.  That sum only grows as the window slides right, so one sweep
     finds it; a window that cannot reach c_i means no conversion.  Zero
     rows of x go to outcome 0.
+
+    The sweep runs in integers, over one common scale G (at first 1): a
+    mass is held times d_x * d_y * G and a type times K, the lcm of x's
+    nonzero integer row sums.  So atom j has mass M_j * G, with
+    M_j = (X_j0 + X_j1) * d_y, and type T_j = X_j0 * K / (X_j0 + X_j1);
+    target i takes mass (Y_i0 + Y_i1) * d_x * G, and its window sum V
+    must reach C = Y_i0 * d_x * G * K.  The window stops at the break point
+    (C - V) / (T_e - T_s), which need not be an integer: when its reduced
+    denominator q is above 1, G and every mass and sum held are multiplied
+    by q.  That ends the target's slide, so it happens at most once per
+    target.  Each comparison is then one of positive multiples of the
+    quantities a sweep in ``Fraction``s compares, so the windows are that
+    sweep's, and so are the rows t_ij = part_ij / (M_j * G), returned over
+    G * d_y * K.
     """
-    mass = [a + b for a, b in x.matrix]
-    theta = [a / m if m else F0 for (a, _), m in zip(x.matrix, mass)]
-    order = sorted((j for j, m in enumerate(mass) if m), key=theta.__getitem__)
-    rest = list(mass)
-    rows = [[F0] * x.outcomes for _ in range(y.outcomes)]
-    targets = sorted((c / (c + d), i) for i, (c, d) in enumerate(y.matrix) if c + d)
+    dx, dy = x.den, y.den
+    sums = [a + b for a, b in x.ints]
+    k = lcm(*(m for m in sums if m))
+    theta = [a * k // m if m else 0 for (a, _), m in zip(x.ints, sums)]
+    order = sorted((j for j, m in enumerate(sums) if m), key=theta.__getitem__)
+    rest, g = [m * dy for m in sums], 1
+    parts = [[0] * x.outcomes for _ in range(y.outcomes)]
+    y_sums = [c + d for c, d in y.ints]
+    k_y = lcm(*(v for v in y_sums if v))
+    targets = sorted((c * k_y // y_sums[i], i) for i, (c, _) in enumerate(y.ints) if y_sums[i])
     for _, i in targets:
-        c, d = y.matrix[i]
+        total = need = y_sums[i] * dx * g
+        c = y.ints[i][0] * dx * g * k
         live = [j for j in order if rest[j]]
         # the leftmost window: it ends in atom live[e], short of that atom's
         # end by ``end_room``, and starts ``start_room`` before atom live[s] ends
-        need, value, e = c + d, F0, 0
+        value, e = 0, 0
         while True:
             j = live[e]
             part = min(rest[j], need)
@@ -258,7 +322,7 @@ def _left_curtain(x: Encoding, y: Encoding) -> Optional[list]:
             e += 1
         s, start_room, end_room = 0, rest[live[0]], rest[j] - part
         # slide right; up to the next atom boundary at either end, the
-        # window's first-coordinate sum grows at theta_end - theta_start
+        # window's first-coordinate sum grows at T_end - T_start
         while value < c:
             if not end_room:
                 e += 1
@@ -272,43 +336,52 @@ def _left_curtain(x: Encoding, y: Encoding) -> Optional[list]:
             step = min(start_room, end_room)
             slope = theta[live[e]] - theta[live[s]]
             if slope and value + step * slope >= c:
-                step, value = (c - value) / slope, c
+                q = slope // gcd(c - value, slope)
+                if q > 1:  # the break point is a new fraction of G: refine G
+                    g *= q
+                    rest = [r * q for r in rest]
+                    parts = [[p * q for p in row] for row in parts]
+                    c, value = c * q, value * q  # a break has s < e, so ``total`` is not read
+                    start_room, end_room = start_room * q, end_room * q
+                step, value = (c - value) // slope, c
             else:
                 value += step * slope
             start_room -= step
             end_room -= step
         if value > c:
             return None
-        window = [(live[s], c + d if s == e else start_room)]
+        window = [(live[s], total if s == e else start_room)]
         if s != e:
             window += [(j, rest[j]) for j in live[s + 1:e]]
             window.append((live[e], rest[live[e]] - end_room))
         for j, part in window:
             rest[j] -= part
-            rows[i][j] = part / mass[j]
-    for j, m in enumerate(mass):
+            parts[i][j] = part
+    # t_ij = part_ij / (M_j * G), over den = G * d_y * K
+    den = g * dy * k
+    scale = [k // m if m else 0 for m in sums]
+    rows = [[p * f for p, f in zip(row, scale)] for row in parts]
+    for j, m in enumerate(sums):
         if not m:
-            rows[0][j] = F1
-    return rows
+            rows[0][j] = den
+    return rows, den
 
 
 def _dot(a, b):
     return sum(map(operator.mul, a, b))
 
 
-def _checked_witness(x: Encoding, y: Encoding, rows) -> Convertible:
-    """``Convertible`` with the map t of ``rows``, checked to be stochastic and
-    to take x to y in integers: T.X.d_y = Y.d_t.d_x."""
-    try:
-        t = StochasticMap(rows)
-    except FormatError:
-        t = None
+def _checked_witness(x: Encoding, y: Encoding, rows, den: int) -> Convertible:
+    """``Convertible`` with the map t of the integer ``rows`` over ``den``,
+    checked in integers before any ``Fraction`` is formed: t is n_y x n_x,
+    its columns are distributions, and T.X.d_y = Y.d_t.d_x."""
     cols = list(zip(*x.ints))
-    if t is None or (t.n_to, t.n_from) != (y.outcomes, x.outcomes) or any(
-            _dot(t_i, x_c) * y.den != y_ic * t.den * x.den
-            for t_i, y_i in zip(t.ints, y.ints) for x_c, y_ic in zip(cols, y_i)):
+    if (len(rows) != y.outcomes or any(len(t_i) != x.outcomes for t_i in rows)
+            or not all(min(col) >= 0 and sum(col) == den for col in zip(*rows))
+            or any(_dot(t_i, x_c) * y.den != y_ic * den * x.den
+                   for t_i, y_i in zip(rows, y.ints) for x_c, y_ic in zip(cols, y_i))):
         raise RuntimeError("majorization witness does not map x to y: solver fault")
-    return Convertible(witness=t)
+    return Convertible(witness=StochasticMap._from_ints(rows, den))
 
 
 def _checked_refutation(x: Encoding, y: Encoding, farkas) -> NotConvertible:
@@ -397,17 +470,17 @@ def majorizes(x: Encoding, y: Encoding):
         raise HypothesisMismatch(
             f"encodings have {x.hypotheses} vs {y.hypotheses} hypotheses")
     if x.hypotheses == 2:
-        rows = _left_curtain(x, y)
-        if rows is not None:
-            return _checked_witness(x, y, rows)
+        coupling = _left_curtain(x, y)
+        if coupling is not None:
+            return _checked_witness(x, y, *coupling)
     w = _pairwise_normal(x, y)
     if w is not None or x.hypotheses == 2:  # at h = 2 finding none is a fault
         return _checked_refutation(x, y, None if w is None else _normal_farkas(x, y, w))
     outcome = lp_solve(_conversion_problem(x, y.matrix))
     if outcome.status == OPTIMAL:
-        n_from = x.outcomes
-        return _checked_witness(x, y, [outcome.primal[i * n_from:(i + 1) * n_from]
-                                       for i in range(y.outcomes)])
+        (t, den), n_from = _scaled(outcome.primal), x.outcomes
+        return _checked_witness(x, y, [t[i * n_from:(i + 1) * n_from]
+                                       for i in range(y.outcomes)], den)
     f, n_y = outcome.farkas, y.outcomes
     if f is not None:
         f = list(f)

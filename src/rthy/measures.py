@@ -13,33 +13,35 @@ import itertools
 from fractions import Fraction
 
 from .errors import BadStratumBounds, EnumerationTooLarge
-from .exactmath import F0, F1, LpProblem, OPTIMAL, lp_solve, verify_certificate
+from .exactmath import F0, LpProblem, OPTIMAL, lp_solve, verify_certificate
 from .majorize import Encoding, enumeration_guard
 from .monotone import PLUS_INF
 
 
 def _is_free(x: Encoding) -> bool:
-    """Free encodings are the constant-column ones."""
-    first = x.column(0)
-    return all(x.column(c) == first for c in range(1, x.hypotheses))
+    """Free encodings are the constant-column ones: each row is constant."""
+    return all(min(row) == max(row) for row in x.ints)
 
 
 def weight(x: Encoding) -> Fraction:
     """Least total mass of a general encoding in a mixture producing x.
 
     x = lam*g + (1-lam)*s with s constant; the largest constant part
-    u = (1-lam)*s has u[i] <= min_c x[i,c], so lam = 1 - sum_i min_c x[i,c].
+    u = (1-lam)*s has u[i] <= min_c x[i,c], so lam = 1 - sum_i min_c x[i,c],
+    here (den - sum_i min_c X[i,c]) / den on x's integer rows.
     """
-    return F1 - sum((min(row) for row in x.matrix), F0)
+    return Fraction(x.den - sum(min(row) for row in x.ints), x.den)
 
 
 def robustness(z: Encoding) -> Fraction:
     """Least mass of an arbitrary encoding whose mixture with z is free.
 
     lam*y + (1-lam)*z can be made constant exactly when
-    (1-lam) * sum_i max_c z[i,c] <= 1, so lam = 1 - 1 / sum_i max_c z[i,c].
+    (1-lam) * sum_i max_c z[i,c] <= 1, so lam = 1 - 1 / sum_i max_c z[i,c],
+    here 1 - den / sum_i max_c Z[i,c] on z's integer rows.
     """
-    return F1 - F1 / sum((max(row) for row in z.matrix), F0)
+    top = sum(max(row) for row in z.ints)
+    return Fraction(top - z.den, top)
 
 
 def free_robustness(z: Encoding):

@@ -117,6 +117,65 @@ def full_mixture_problem(x: Encoding, vertices, n_primary: int) -> LpProblem:
 # --------------------------------------------------------------------------
 
 
+def left_curtain_reference(x: Encoding, y: Encoding):
+    """The left-curtain coupling of ``majorize._left_curtain``, swept in
+    ``Fraction``s: the rows of t with t * x = y, or None.  Atom j of x has
+    mass m_j = x_j0 + x_j1 and type x_j0 / m_j; y's rows, in increasing
+    type, each take the leftmost window of what is left of x, contiguous in
+    type order, whose first-coordinate sum is theirs; zero rows of x go to
+    outcome 0."""
+    mass = [a + b for a, b in x.matrix]
+    theta = [a / m if m else F0 for (a, _), m in zip(x.matrix, mass)]
+    order = sorted((j for j, m in enumerate(mass) if m), key=theta.__getitem__)
+    rest = list(mass)
+    rows = [[F0] * x.outcomes for _ in range(y.outcomes)]
+    targets = sorted((c / (c + d), i) for i, (c, d) in enumerate(y.matrix) if c + d)
+    for _, i in targets:
+        c, d = y.matrix[i]
+        live = [j for j in order if rest[j]]
+        need, value, e = c + d, F0, 0
+        while True:
+            j = live[e]
+            part = min(rest[j], need)
+            value += theta[j] * part
+            need -= part
+            if not need:
+                break
+            e += 1
+        s, start_room, end_room = 0, rest[live[0]], rest[j] - part
+        while value < c:
+            if not end_room:
+                e += 1
+                if e == len(live):
+                    return None
+                end_room = rest[live[e]]
+                continue
+            if not start_room:
+                s += 1
+                start_room = rest[live[s]]
+            step = min(start_room, end_room)
+            slope = theta[live[e]] - theta[live[s]]
+            if slope and value + step * slope >= c:
+                step, value = (c - value) / slope, c
+            else:
+                value += step * slope
+            start_room -= step
+            end_room -= step
+        if value > c:
+            return None
+        window = [(live[s], c + d if s == e else start_room)]
+        if s != e:
+            window += [(j, rest[j]) for j in live[s + 1:e]]
+            window.append((live[e], rest[live[e]] - end_room))
+        for j, part in window:
+            rest[j] -= part
+            rows[i][j] = part / mass[j]
+    for j, m in enumerate(mass):
+        if not m:
+            rows[0][j] = F1
+    return rows
+
+
 def rank(rows) -> int:
     """Rank of rational ``rows``: each row cleared of its denominators, then
     fraction-free elimination."""

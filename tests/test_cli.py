@@ -513,6 +513,13 @@ def test_exit_codes(files, capsys, monkeypatch):
     # JSON booleans are not rationals
     bad_docs.append((["weight"], [], {"hypotheses": 2, "outcomes": 2,
                                       "columns": [[True, False], [False, True]]}))
+    # entries outside the rational grammar, in an encoding and in a channel
+    for entry in ("1/0", "1/2/3", "", "x", 0.5, True):
+        bad_docs.append((["weight"], [], {"hypotheses": 2, "outcomes": 2,
+                                          "columns": [[entry, "0"], ["0", "1"]]}))
+        bad_docs.append((["channel", "apply"], ["--delta", "0"],
+                         {**psi, "columns": {**psi["columns"],
+                                             "0,0": [entry] + psi["columns"]["0,0"][1:]}}))
     # columns that are not a list of lists, and sizes that are not JSON integers
     ident = {"hypotheses": 2, "outcomes": 2, "columns": [["1", "0"], ["0", "1"]]}
     for doc in ({**ident, "columns": 5}, {**ident, "columns": [5, 6]},

@@ -34,7 +34,7 @@ from rthy import (
     verify_certificate,
 )
 from rthy import Encoding, StochasticMap, exactmath, majorize, measures
-from rthy.exactmath import F0, F1, LpStats
+from rthy.exactmath import F0, F1, LpStats, _rational_pair
 from rthy.monotone import PLUS_INF
 
 from conftest import (
@@ -53,14 +53,33 @@ F = Fraction
 
 
 def test_parse_rational_forms():
-    assert parse_rational("3/4") == F(3, 4)
-    assert parse_rational("-7") == F(-7)
-    assert parse_rational("  2/6 ") == F(1, 3)
-    assert parse_rational(5) == F(5)
-    with pytest.raises(FormatError):
-        parse_rational("1/0")
-    with pytest.raises(FormatError):
-        parse_rational("0.5x")
+    """One grammar: ``int`` literals p or p/q, or a JSON integer, read as a
+    reduced pair with q > 0 and then as a Fraction; encodings read the pair."""
+    accepted = {"3/4": (3, 4), "-7": (-7, 1), "  2/6 ": (1, 3), "3/-4": (-3, 4),
+                "-0": (0, 1), "1_0": (10, 1), "0/-5": (0, 1), "+6/-4": (-3, 2),
+                5: (5, 1), -2: (-2, 1)}
+    for text, pair in accepted.items():
+        assert _rational_pair(text) == pair
+        assert parse_rational(text) == F(*pair)
+    refused = {True: "expected rational string, got bool",
+               0.5: "expected rational string, got float",
+               None: "expected rational string, got NoneType",
+               "1/0": "bad rational literal '1/0'",
+               "1/2/3": "bad rational literal '1/2/3'",
+               "": "bad rational literal ''",
+               "x": "bad rational literal 'x'",
+               "0.5x": "bad rational literal '0.5x'",
+               "1/": "bad rational literal '1/'",
+               "/2": "bad rational literal '/2'"}
+    for text, message in refused.items():
+        for read in (_rational_pair, parse_rational):
+            with pytest.raises(FormatError) as err:
+                read(text)
+            assert str(err.value) == message
+    x = Encoding.from_json({"hypotheses": 2, "outcomes": 2,
+                            "columns": [["  2/6 ", "4/6"], ["1_0/10", "-0"]]})
+    assert x.matrix == ((F(1, 3), 1), (F(2, 3), 0)) and x.den == 3
+    assert x.ints == ((1, 3), (2, 0))
 
 
 @given(st.fractions(max_denominator=50))

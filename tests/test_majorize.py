@@ -46,6 +46,7 @@ from rthy.instances import (
     incomparable_y,
     two_point_encoding,
 )
+from rthy.exactmath import _scaled
 from rthy.majorize import (
     _checked_refutation,
     _checked_witness,
@@ -66,6 +67,7 @@ from conftest import (
     rank,
     encodings,
     full_conversion_problem,
+    left_curtain_reference,
     spread_pair,
     stochastic_maps,
 )
@@ -152,6 +154,14 @@ def test_stochastic_errors_name_their_class():
          "encoding 'columns' shape disagrees with declared sizes"),
         (lambda: StochasticMap.from_json({"from": 1, "to": True, "columns": [["1"]]}),
          "stochastic map 'to' must be a JSON integer, got True"),
+        # read into integers: the same checks and messages
+        (lambda: Encoding.from_json({"hypotheses": 2, "outcomes": 2,
+                                     "columns": [["1/2", "1/2"], ["3/2", "-1/2"]]}),
+         "encoding has a negative entry at (1,1)"),
+        (lambda: Encoding.from_json({"hypotheses": 1, "outcomes": 2, "columns": [["1/2", "1/4"]]}),
+         "encoding column 0 does not sum to 1"),
+        (lambda: StochasticMap._from_ints([[-2, 4], [6, 0]], 4),
+         "stochastic map has a negative entry at (0,0)"),
     ]
     for build, message in cases:
         with pytest.raises(FormatError) as err:
@@ -254,18 +264,72 @@ def int_entry_dichotomies(draw):
 
 @given(int_entry_dichotomies())
 def test_int_entries_are_held_as_fractions_reference(rows):
-    """Entries given as ints are held as equal Fractions, so the
-    left-curtain coupling's a / m divides Fractions: its rows hold no float,
-    and its map takes x to y."""
+    """Entries given as ints are held as equal Fractions, with the integer
+    form the checks read; the left-curtain coupling, swept on that form,
+    gives integer rows whose map (of Fraction rows) takes x to y."""
     x_rows, y_rows = rows
     x, y = Encoding(x_rows), Encoding(y_rows)
     for e, given_rows in ((x, x_rows), (y, y_rows)):
         assert e.matrix == tuple(map(tuple, given_rows))
         assert all(type(v) is Fraction for row in e.matrix for v in row)
+        assert e.ints == tuple(tuple(v * e.den for v in row) for row in e.matrix)
     coupling = _left_curtain(x, y)
     assert coupling is not None
-    assert all(type(v) is Fraction for row in coupling for v in row)
-    assert StochasticMap(coupling)(x) == y
+    t_rows, den = coupling
+    assert all(type(v) is int for row in t_rows for v in row)
+    t = StochasticMap._from_ints(t_rows, den)
+    assert all(type(v) is Fraction for row in t.matrix for v in row)
+    # den reduced to the lcm of the reduced denominators
+    assert t.den == math.lcm(*(v.denominator for row in t.matrix for v in row))
+    assert t.ints == tuple(tuple(v * t.den for v in row) for row in t.matrix)
+    assert t(x) == y
+
+
+@st.composite
+def dichotomy_pairs(draw):
+    """(x, y) with two hypotheses: x's rows at times hold a zero row and two
+    rows of one type, and its columns are normalized by their sums, which
+    are often coprime; y is a post-processing of x (its map may have zero
+    rows) or a random encoding, which may have a zero row too."""
+    def rows_of(n, top):
+        rows = [list(draw(st.tuples(st.integers(0, top), st.integers(0, top))))
+                for _ in range(n)]
+        if draw(st.booleans()):
+            rows.append([2 * v for v in draw(st.sampled_from(rows))])  # a tied type
+        if draw(st.booleans()):
+            rows.insert(draw(st.integers(0, len(rows))), [0, 0])
+        for c in range(2):
+            if not any(r[c] for r in rows):
+                rows[0][c] = 1
+        return column_normalized(rows)
+
+    x = rows_of(draw(st.integers(1, 5)), 7)
+    if draw(st.booleans()):
+        return x, draw(stochastic_maps(x.outcomes))(x)
+    return x, rows_of(draw(st.integers(1, 4)), 5)
+
+
+def _curtain_rows(x, y):
+    coupling = _left_curtain(x, y)
+    if coupling is None:
+        return None
+    rows, den = coupling
+    return [[Fraction(v, den) for v in row] for row in rows]
+
+
+@given(dichotomy_pairs())
+@example((Encoding.from_columns([[0, Fraction(1, 5), Fraction(4, 5)],
+                                 [0, Fraction(2, 7), Fraction(5, 7)]]),
+          Encoding.from_columns([[Fraction(2, 5), Fraction(3, 5)],
+                                 [Fraction(3, 7), Fraction(4, 7)]])))
+def test_left_curtain_matches_fraction_reference(pair):
+    """The integer sweep gives the rows of the sweep in Fractions, or None
+    when it does: on y = t(x), on a random y and on x itself.  The example,
+    over 5 and 7, takes a break point that is not a multiple of the first
+    common scale, so the scale is refined."""
+    x, y = pair
+    for target in (y, x):
+        assert _curtain_rows(x, target) == left_curtain_reference(x, target)
 
 
 def test_ragged_rows_raise_format_error_reference():
@@ -274,7 +338,8 @@ def test_ragged_rows_raise_format_error_reference():
     cases = [(lambda: StochasticMap([[1, 0], [0]]), "stochastic map"),
              (lambda: Encoding([[H, -1], [H], [0, 2]]), "encoding"),
              (lambda: Encoding([[], [1]]), "encoding"),
-             (lambda: ChannelEncoding([[1, 0, 1], [0, 1]], 2), "channel")]
+             (lambda: ChannelEncoding([[1, 0, 1], [0, 1]], 2), "channel"),
+             (lambda: Encoding._from_ints([[1, 0], [0]], 1), "encoding")]
     for build, label in cases:
         with pytest.raises(FormatError) as err:
             build()
@@ -294,8 +359,10 @@ def witness_cases(draw):
 
 
 def _accepts_witness(x, y, rows):
+    ints, den = _scaled([v for row in rows for v in row])
+    width = len(rows[0])
     try:
-        res = _checked_witness(x, y, rows)
+        res = _checked_witness(x, y, [ints[i:i + width] for i in range(0, len(ints), width)], den)
     except RuntimeError:
         return False
     assert res.witness.matrix == tuple(map(tuple, rows))
@@ -383,7 +450,7 @@ def test_witness_is_replayed_before_it_is_reported(monkeypatch):
             Fraction(k < n_from) for k in range(problem.ncols)])
 
     def collapsing_coupling(x, y):
-        return [[Fraction(i == 0)] * x.outcomes for i in range(y.outcomes)]
+        return [[int(i == 0)] * x.outcomes for i in range(y.outcomes)], 1
 
     monkeypatch.setattr("rthy.majorize.lp_solve", collapsing_solver)
     x = incomparable_x()

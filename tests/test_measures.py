@@ -142,6 +142,19 @@ def test_robustness_closed_form(z):
     assert robustness(z) == 1 - Fraction(1) / ceil
 
 
+@given(encodings(min_hypotheses=1))
+@example(Encoding.from_columns([[H, H], [H, H]]))
+@example(Encoding.from_columns([[1, 0, 0], [0, 1, 0], [1, 0, 0]]))
+def test_integer_closed_forms_match_fraction_forms(x):
+    """weight, robustness and the free test read x's integer rows; they give
+    the Fraction forms on its rows: 1 - sum of row minima, 1 - 1 / sum of
+    row maxima, and equal columns."""
+    assert weight(x) == F1 - sum((min(row) for row in x.matrix), F0)
+    assert robustness(x) == F1 - F1 / sum((max(row) for row in x.matrix), F0)
+    assert type(weight(x)) is Fraction and type(robustness(x)) is Fraction
+    assert measures._is_free(x) == all(x.column(c) == x.column(0) for c in range(x.hypotheses))
+
+
 @given(encodings())
 def test_degenerate_free_measures(x):
     expected = 0 if _constant_columns(x) else PLUS_INF
