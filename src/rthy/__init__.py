@@ -78,6 +78,7 @@ from .majorize import (
     NotConvertible,
     StochasticMap,
     ZonotopeCertificate,
+    conversions_from,
     enumeration_guard,
     lorenz,
     majorizes,
@@ -88,6 +89,7 @@ from .majorize import (
     zonotope_includes,
 )
 from .measures import (
+    fmk,
     free_robustness,
     nonconvexity,
     robustness,
@@ -131,10 +133,11 @@ __all__ = [
     "MINUS_INF", "PLUS_INF", "PartialValuation", "cost", "cost_witness",
     "value_from_json", "value_to_json", "yield_", "yield_witness",
     "Convertible", "Encoding", "NotConvertible", "StochasticMap",
-    "ZonotopeCertificate", "enumeration_guard", "lorenz", "majorizes",
-    "markotope_contains", "relative_majorizes", "zonotope",
+    "ZonotopeCertificate", "conversions_from", "enumeration_guard", "lorenz",
+    "majorizes", "markotope_contains", "relative_majorizes", "zonotope",
     "zonotope_certificate", "zonotope_includes",
-    "free_robustness", "nonconvexity", "robustness", "weight", "weight_fmk",
+    "fmk", "free_robustness", "nonconvexity", "robustness", "weight",
+    "weight_fmk",
     "BoolEncoding", "BoolStochasticMap", "bool_majorizes", "ceil",
     "to_hypergraph",
     "ChannelEncoding", "ChannelYield", "apply_input",

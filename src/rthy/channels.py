@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 from .errors import FormatError, IndexOutOfRange, LengthMismatch
 from .exactmath import F0, F1, _rational_pair, format_rational, json_int
 from .majorize import (Convertible, Encoding, StochasticMap, _dot, _over_common_den,
-                       is_distribution, majorizes)
+                       conversions_from, is_distribution, majorizes)
 
 
 @dataclass(frozen=True)
@@ -130,29 +131,40 @@ def comb_simulates(x: Encoding, psi: ChannelEncoding):
 
     A comb sigma(b'|b,a) acts on each input a on its own: sigma(.|.,a) is a
     stochastic map that must take x to ``delta_input(psi, a)``.  So this is
-    one majorization of x per input, in input order.  The first refuted
+    one majorization of x per input, in input order, each LP re-solved from
+    the last optimal one (``conversions_from``).  The first refuted
     input's ``NotConvertible`` is returned as it is: its Farkas vector
     refutes x -> ``delta_input(psi, a)``.  Otherwise the witness sigma is
-    a ``ChannelEncoding`` whose input-a section is input a's witness map.
+    a ``ChannelEncoding`` whose input-a section is input a's witness map,
+    built from the witnesses' integer rows over one common denominator.
     """
+    convert = conversions_from(x)
     maps = []
     for a in range(psi.inputs):
-        res = majorizes(x, delta_input(psi, a))
+        res = convert(delta_input(psi, a))
         if not res.convertible:
             return res
         maps.append(res.witness)
-    sigma = ChannelEncoding.from_columns(
-        [t.column(b) for b in range(x.outcomes) for t in maps], psi.inputs)
-    return Convertible(witness=sigma)
+    den = lcm(*(t.den for t in maps))
+    rows = [[t.ints[i][b] * (den // t.den) for b in range(x.outcomes) for t in maps]
+            for i in range(psi.outputs)]
+    return Convertible(witness=ChannelEncoding._from_ints(rows, den, psi.inputs))
+
+
+def _converts_to_all(x: Encoding, states) -> bool:
+    """Does x majorize every encoding of ``states``?  The decision of
+    ``comb_simulates`` when ``states`` are a channel's delta inputs, without
+    its sigma."""
+    convert = conversions_from(x)
+    return all(convert(s).convertible for s in states)
 
 
 def channel_equivalent(psi: ChannelEncoding, x: Encoding) -> bool:
     """Mutual simulation: x builds psi via a comb (x majorizes every delta
-    input's encoding, the decision of ``comb_simulates`` without its sigma),
-    and some fixed input plus post-processing of psi recovers x."""
+    input's encoding) and some fixed input plus post-processing of psi
+    recovers x."""
     states = [delta_input(psi, a) for a in range(psi.inputs)]
-    return (all(majorizes(x, s).convertible for s in states)
-            and any(majorizes(s, x).convertible for s in states))
+    return _converts_to_all(x, states) and any(majorizes(s, x).convertible for s in states)
 
 
 @dataclass(frozen=True)
@@ -173,7 +185,8 @@ def channel_yield(psi: ChannelEncoding, f: Callable[[Encoding], object]) -> Chan
     over all input distributions mu.  ``exact`` certifies that the channel
     is equivalent to the state encoding x of some maximizing delta input:
     x majorizes every other delta input's encoding (its own by the
-    identity, which is not checked), so an input-copy comb builds
+    identity, which is not checked; one ``conversions_from`` series, so
+    each LP re-solves from the last optimal one), so an input-copy comb builds
     psi from x (the decision of ``comb_simulates``, without building its
     sigma), and feeding that input to psi gives back x.  ``maximizer`` is,
     as a distribution, the first maximizing delta input that certifies
@@ -184,8 +197,7 @@ def channel_yield(psi: ChannelEncoding, f: Callable[[Encoding], object]) -> Chan
     best = max(values)
     maximizers = [a for a, value in enumerate(values) if value == best]
     certified = next((a for a in maximizers
-                      if all(majorizes(states[a], s).convertible
-                             for b, s in enumerate(states) if b != a)), None)
+                      if _converts_to_all(states[a], states[:a] + states[a + 1:])), None)
     shown = maximizers[0] if certified is None else certified
     return ChannelYield(value=best, exact=certified is not None,
                         maximizer=tuple(F1 if i == shown else F0 for i in range(psi.inputs)))

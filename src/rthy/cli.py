@@ -110,7 +110,7 @@ def _monotone_from_args(args):
     if kind == "fmk":
         if args.m is None or args.k is None:
             raise FormatError("--monotone fmk needs --m and --k")
-        return lambda e: ms.weight_fmk(e, args.m, args.k)
+        return ms.fmk(args.m, args.k)
     if args.m is not None or args.k is not None:
         raise FormatError(f"--m and --k apply only to --monotone fmk, not {kind}")
     table = {

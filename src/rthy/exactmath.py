@@ -15,10 +15,15 @@ under that rule the solver makes exactly the pivots of the full tableau.
 After phase 2 the cost row holds the answer in integers: its artificial
 part is the duals and its right-hand side the objective, each up to a
 known factor, so every field of the outcome is read off the
-block, with one ``Fraction`` per reported entry.  Every solve reports its
-shape, the pivot count of each phase and the number of reduced costs
-priced (``LpStats``).  It returns machine-checkable certificates for all
-three outcomes:
+block, with one ``Fraction`` per reported entry.  An optimal outcome
+keeps its basis, so an LP with the very same A and c lists and a new b
+re-solves from it (``lp_solve``'s ``start``): a change of b keeps that
+basis dual feasible, and a dual simplex under Bland's rule applied to the
+dual, which cannot cycle, pivots it to the new optimum over the same
+fraction-free block; when it does not end optimal, the LP is solved cold.
+Every solve reports its shape, the pivot count of each phase, the number
+of reduced costs priced and its dual pivots (``LpStats``).  It returns
+machine-checkable certificates for all three outcomes:
 
 * ``Optimal``     -- primal solution plus dual multipliers (checked via
   feasibility, dual feasibility and complementary slackness),
@@ -32,10 +37,11 @@ from scratch, using nothing from the solver's internals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import FormatError, ShapeMismatch
@@ -174,10 +180,12 @@ class LpProblem:
 
 
 class LpStats(NamedTuple):
-    """Counters of one solve: the LP's shape, the pivots of each phase, and
-    the reduced costs priced over both phases.
+    """Counters of one solve: the LP's shape, the pivots of each phase, the
+    reduced costs priced over all of them, and the dual pivots of a re-solve
+    from an earlier optimal basis (0 on a cold solve).
 
-    Phase 1 counts the pivots that drive leftover artificials out too.
+    Phase 1 counts the pivots that drive leftover artificials out too.  A
+    re-solve that falls back to the cold solve keeps its dual pivots.
     """
 
     rows: int
@@ -185,6 +193,26 @@ class LpStats(NamedTuple):
     phase1_pivots: int
     phase2_pivots: int
     priced: int
+    dual_pivots: int = 0
+
+
+class _Basis(NamedTuple):
+    """An optimal solve's state, which a re-solve of the same A and c reuses:
+    the problem's ``a_rows`` and ``c`` (compared by identity), A' as sparse
+    columns, each row's flip and scale, the cleared objective, and the
+    block's den*B^-1 and cost rows over ``den`` with ``basis``; the block's
+    last column belongs to the old b."""
+
+    a_rows: list
+    c: list
+    cols: list
+    signs: list
+    scales: list
+    cost: list
+    cscale: int
+    block: list
+    den: int
+    basis: list
 
 
 @dataclass
@@ -196,6 +224,7 @@ class LpOutcome:
     ray: Optional[list] = None
     objective: Optional[Fraction] = None
     stats: Optional[LpStats] = None
+    _basis: Optional[_Basis] = field(default=None, repr=False, compare=False)
 
 
 # The simplex is the revised one in explicit-inverse form.  The full
@@ -227,12 +256,16 @@ def _pivot(block, den, r, column):
     ``column`` is the entering column of the full tableau, the cost row's
     entry last.  Every other row of ``block`` becomes
     ``(p*row - column[i]*prow) / den``, an exact division, and the pivot
-    ``p`` becomes the denominator.  Returns it, made positive by negating
-    the whole block when ``p < 0`` (possible only when driving artificials
-    out), so stored signs are true signs.
+    ``p`` becomes the denominator.  Returns it, made positive when ``p < 0``
+    (a dual pivot, or driving an artificial out) by negating every row in
+    the same pass, so stored signs are true signs.
     """
     prow = block[r]
     p = column[r]
+    negate = p < 0
+    if negate:  # every new row negated: (-p*row - (-column[i])*prow) / den
+        p = -p
+        column = [-f for f in column]
     nonzero = [j for j, w in enumerate(prow) if w]
     for i, (row, f) in enumerate(zip(block, column)):
         if i == r:
@@ -247,9 +280,8 @@ def _pivot(block, den, r, column):
             for j in nonzero:
                 new[j] -= f * prow[j] // den
             block[i] = new
-    if p < 0:
-        block[:] = [[-v for v in row] for row in block]
-        p = -p
+    if negate:
+        block[r] = [-w for w in prow]
     return p
 
 
@@ -334,8 +366,100 @@ def _price_and_pivot(block, basis, den, cols, cost, artificials):
         start = enter + 1
 
 
-def lp_solve(problem: LpProblem) -> LpOutcome:
-    """Two-phase simplex, fully exact, priced by ``_price_and_pivot``.
+def _dual_simplex(block, basis, den, cols, cost):
+    """Dual simplex pivots until no right-hand side is negative.
+
+    The basis starts dual feasible: no reduced cost of a structural column
+    is negative.  Each pivot leaves on the row with a negative right-hand
+    side whose basic column has the lowest index, and enters, among the
+    structural columns with a negative entry in that row, the one with the
+    least ratio of reduced cost to minus that entry (cross-multiplied), ties
+    going to the lowest index; so every reduced cost stays nonnegative.
+    These two choices are Bland's rule applied to the dual, which cannot
+    cycle (Bland 1977), and there are finitely many bases, so it ends.
+
+    A basic artificial sits on a row whose structural entries are all 0
+    (phase 1 drove out every other), and pivots only rescale that row, so
+    its right-hand side keeps its sign; one that is not 0 at the start
+    means the new b breaks that row's dependence.
+
+    Returns ``(den, pivots, priced, feasible)``: ``feasible`` is False when
+    a basic artificial is not 0, or when the leaving row has no negative
+    structural entry, which makes that row a dual ray and b infeasible.
+    """
+    n = len(cols)
+    if any(b >= n and row[-1] for b, row in zip(basis, block)):
+        return den, 0, 0, False
+    pivots = priced = 0
+    while True:
+        rows = [i for i, row in enumerate(block[:-1]) if row[-1] < 0]
+        if not rows:
+            return den, pivots, priced, True
+        r = min(rows, key=basis.__getitem__)
+        prow, crow = block[r], block[-1]
+        best = None
+        for j, col in enumerate(cols):
+            alpha = 0
+            for k, a in col:
+                alpha += prow[k] * a
+            if alpha >= 0:
+                continue
+            red = den * cost[j]
+            for k, a in col:
+                red += crow[k] * a
+            priced += 1
+            # red/-alpha against best_red/-best_alpha, cross-multiplied
+            if best is None or red * best_alpha > best_red * alpha:
+                best, best_alpha, best_red = j, alpha, red
+                if not red:  # no ratio is below 0
+                    break
+        if best is None:
+            return den, pivots, priced, False
+        column = _column(block, cols[best])
+        column.append(best_red)
+        den = _pivot(block, den, r, column)
+        basis[r] = best
+        pivots += 1
+
+
+def _rhs_column(b, signs, scales):
+    """The integers D*b' and D, for b' with entries signs[i]*scales[i]*b[i]
+    and D the lcm of their reduced denominators."""
+    pairs = []
+    for sign, s, b_i in zip(signs, scales, b):
+        g = gcd(s, b_i.denominator)
+        pairs.append((sign * b_i.numerator * (s // g), b_i.denominator // g))
+    rden = lcm(*(q for _, q in pairs))
+    return [p * (rden // q) for p, q in pairs], rden
+
+
+def _primal(block, basis, den, rden, n) -> list:
+    """The basic solution: each basic structural value is its row's last
+    entry, D*b' in basis terms, over den*D."""
+    primal = [F0] * n
+    for r, b in enumerate(basis):
+        if b < n:
+            primal[b] = Fraction(block[r][-1], den * rden)
+    return primal
+
+
+def _optimal(state: _Basis, rden: int, stats: LpStats) -> LpOutcome:
+    """The optimal outcome read off ``state``'s block; it keeps ``state``
+    for a re-solve."""
+    block, den = state.block, state.den
+    primal = _primal(block, state.basis, den, rden, len(state.cols))
+    costrow = block[-1]
+    scale = den * state.cscale
+    dual = [Fraction(-sg * s * y, scale) for sg, s, y in zip(state.signs, state.scales, costrow)]
+    objective = Fraction(-costrow[-1], scale * rden)
+    return LpOutcome(status=OPTIMAL, primal=primal, dual=dual, objective=objective,
+                     stats=stats, _basis=state)
+
+
+def lp_solve(problem: LpProblem, start: Optional[LpOutcome] = None) -> LpOutcome:
+    """Two-phase simplex, fully exact, priced by ``_price_and_pivot``; or a
+    dual simplex re-solve from ``start``, an earlier optimal outcome of the
+    same A and c.
 
     Row i is flipped to a nonnegative right-hand side (sign ``signs[i]``)
     and multiplied by ``scales[i]``, the lcm of the denominators of row i of
@@ -353,26 +477,48 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
     flipped, scaled row i, so the dual of row i of A is that entry times
     -signs[i]*scales[i] over den*cscale; its rhs is -den*D*cscale times the
     objective.  No field of the outcome is summed in ``Fraction``s.
+
+    An optimal outcome keeps that state.  When ``problem.a_rows`` and
+    ``problem.c`` are the very lists of ``start``'s problem (an identity
+    test: the caller must not change them in place), only b is new, so
+    A', the flips, the scales and the optimal basis are reused, and so is
+    its block but for the last column: b' is b under the old flips and
+    scales, and the last column becomes den B^-1 (D b') for the rows and
+    y.(D b') for the cost row, y its artificial part.  That basis is dual
+    feasible for every b, and ``_dual_simplex`` pivots it to a
+    nonnegative right-hand side.  The divisions in ``_pivot`` stay exact:
+    by Cramer's rule each entry of den B^-1 v, for any integer v, is a
+    minor of [A' | I | v] with den = |det B|, which is the invariant the
+    fraction-free pivots keep, whatever the last column holds.  The
+    re-solve is accepted only when it ends with every basic artificial at
+    0; otherwise, and for any other ``start``, the LP is solved cold, so a
+    Farkas vector or a ray always comes from the two phases.
     """
     m, n = problem.nrows, problem.ncols
-    signs, scales, rhs = [], [], []
+    dual_pivots = dual_priced = 0
+    warm = start._basis if start is not None else None
+    if warm is not None and problem.a_rows is warm.a_rows and problem.c is warm.c:
+        rhs, rden = _rhs_column(problem.b, warm.signs, warm.scales)
+        block = [row[:-1] + [sum(map(mul, row, rhs))] for row in warm.block]
+        basis = list(warm.basis)
+        den, dual_pivots, dual_priced, feasible = _dual_simplex(
+            block, basis, warm.den, warm.cols, warm.cost)
+        if feasible:
+            return _optimal(warm._replace(block=block, den=den, basis=basis), rden,
+                            LpStats(m, n, 0, 0, dual_priced, dual_pivots))
+
+    signs, scales = [], []
     cols = [[] for _ in range(n)]
     for i in range(m):
         ints, s = _scaled(problem.a_rows[i])
-        # s * b_i in lowest terms, as num / bden
-        b_i = problem.b[i]
-        g = gcd(s, b_i.denominator)
-        num, bden = b_i.numerator * (s // g), b_i.denominator // g
-        sign = -1 if num < 0 else 1
+        sign = -1 if problem.b[i].numerator < 0 else 1
         for col, a in zip(cols, ints):
             if a:
                 col.append((i, sign * a))
-        rhs.append((sign * num, bden))
         signs.append(sign)
         scales.append(s)
-    rden = lcm(*(bden for _, bden in rhs))
-    block = [[0] * i + [1] + [0] * (m - 1 - i) + [num * (rden // bden)]
-             for i, (num, bden) in enumerate(rhs)]
+    rhs, rden = _rhs_column(problem.b, signs, scales)
+    block = [[0] * i + [1] + [0] * (m - 1 - i) + [v] for i, v in enumerate(rhs)]
     basis = [n + i for i in range(m)]
 
     # phase 1: minimize sum_i L/s_i * art_i (L = lcm of the s_i); price it out
@@ -382,13 +528,15 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
     phase1_cost = [-sum(weights[k] * a for k, a in col) for col in cols]
     den, phase1, priced, _ = _price_and_pivot(block, basis, 1, cols, phase1_cost,
                                               artificials=True)
+    priced += dual_priced
 
     costrow = block[-1]
     if costrow[-1] < 0:  # residual infeasibility; costrow[-1] holds -objective
         scale = den * big
         farkas = [Fraction(sg * (scale - s * costrow[i]), scale)
                   for i, (sg, s) in enumerate(zip(signs, scales))]
-        return LpOutcome(status=INFEASIBLE, farkas=farkas, stats=LpStats(m, n, phase1, 0, priced))
+        return LpOutcome(status=INFEASIBLE, farkas=farkas,
+                         stats=LpStats(m, n, phase1, 0, priced, dual_pivots))
 
     # drive leftover artificials out of the basis where possible; the
     # phase-1 cost row is spent, and until phase 2 the zero objective, whose
@@ -415,26 +563,18 @@ def lp_solve(problem: LpProblem) -> LpOutcome:
     block[-1] = costrow
     den, phase2, priced2, enter = _price_and_pivot(block, basis, den, cols, cost,
                                                    artificials=False)
-    stats = LpStats(m, n, phase1, phase2, priced + priced2)
+    stats = LpStats(m, n, phase1, phase2, priced + priced2, dual_pivots)
 
-    primal = [F0] * n
-    for r, b in enumerate(basis):
-        if b < n:
-            primal[b] = Fraction(block[r][-1], den * rden)
     if enter is not None:
+        primal = _primal(block, basis, den, rden, n)
         ray = [F0] * n
         ray[enter] = F1
         for b, a in zip(basis, _column(block, cols[enter])):
             if b < n:
                 ray[b] = Fraction(-a, den)
         return LpOutcome(status=UNBOUNDED, primal=primal, ray=ray, stats=stats)
-
-    costrow = block[-1]
-    scale = den * cscale
-    dual = [Fraction(-sg * s * y, scale) for sg, s, y in zip(signs, scales, costrow)]
-    objective = Fraction(-costrow[-1], scale * rden)
-    return LpOutcome(status=OPTIMAL, primal=primal, dual=dual, objective=objective,
-                     stats=stats)
+    return _optimal(_Basis(problem.a_rows, problem.c, cols, signs, scales, cost, cscale,
+                           block, den, basis), rden, stats)
 
 
 def verify_certificate(problem: LpProblem, outcome: LpOutcome) -> bool:

@@ -237,7 +237,7 @@ class NotConvertible:
     convertible = False
 
 
-def _conversion_problem(x: Encoding, target_rows) -> LpProblem:
+def _conversion_problem(x: Encoding, target_rows, like: Optional[LpProblem] = None) -> LpProblem:
     """Feasibility LP for a stochastic t with t * x = target.
 
     Column ``i*n_from + j`` holds ``t[i][j]``.  One row per hypothesis c and
@@ -246,22 +246,25 @@ def _conversion_problem(x: Encoding, target_rows) -> LpProblem:
     (c, n_to - 1) is left out: x's and the target's columns sum to 1, so
     once t's columns do, it is 1 minus the rows (c, i) above it, and the
     feasible set is the same.  A Farkas vector of this LP, with 0 put back
-    at each row (c, n_to - 1), is one of the full LP.
+    at each row (c, n_to - 1), is one of the full LP.  A and c depend on x
+    and n_to alone: ``like``, an earlier problem of x for as many outputs,
+    lends its very lists, so ``lp_solve`` can re-solve from its basis.
     """
     n_from, h = x.outcomes, x.hypotheses
     n_to = len(target_rows)
+    b = [target_rows[i][c] for c in range(h) for i in range(n_to - 1)] + [1] * n_from
+    if like is not None:
+        return LpProblem(c=like.c, a_rows=like.a_rows, b=b)
     width = n_to * n_from
-    a_rows, b = [], []
+    a_rows = []
     for c in range(h):
         col = x.column(c)
         for i in range(n_to - 1):
             row = [0] * width
             row[i * n_from:(i + 1) * n_from] = col
             a_rows.append(row)
-            b.append(target_rows[i][c])
     for j in range(n_from):
         a_rows.append([1 if k % n_from == j else 0 for k in range(width)])
-        b.append(1)
     return LpProblem(c=[0] * width, a_rows=a_rows, b=b)
 
 
@@ -417,7 +420,25 @@ def _normal_farkas(x: Encoding, y: Encoding, w) -> list:
             + [-Fraction(max(0, _dot(w, row)), x.den) for row in x.ints])
 
 
-def _pairwise_normal(x: Encoding, y: Encoding) -> Optional[tuple]:
+def _pair_side(x: Encoding, c: int, d: int) -> list:
+    """x's side of the scan on hypotheses c < d: each distinct nonzero row
+    (a, b) = (x_jc, x_jd) of x, in row order, as (a, b, support) with
+    support = h_{Z(x)} of its normal (b, -a), sum_j max(0, b*x_jc - a*x_jd),
+    over ``x.den``.  It depends on x alone, so a series of targets shares
+    it."""
+    gx = [(r[c], r[d]) for r in x.ints if r[c] or r[d]]
+    normals = []
+    for a, b in dict.fromkeys(gx):
+        support = 0
+        for p, q in gx:
+            v = b * p - a * q
+            if v > 0:
+                support += v
+        normals.append((a, b, support))
+    return normals
+
+
+def _pairwise_normal(x: Encoding, y: Encoding, sides: Optional[list] = None) -> Optional[tuple]:
     """A primitive integer w, supported on one pair of hypotheses c < d, with
     h_{Z(y)}(w) > h_{Z(x)}(w), or None when no such w is found.
 
@@ -425,31 +446,80 @@ def _pairwise_normal(x: Encoding, y: Encoding) -> Optional[tuple]:
     any w found refutes x -> y (``_normal_farkas``).  For each pair in turn,
     the nonzero rows g = (a, b) = (x_jc, x_jd) of x are scanned in row
     order, each giving w_c = b, w_d = -a, and h_Z(w) = sum_j max(0, w.g_j)
-    is compared in integers, on x's rows times y's denominator and y's
-    times x's.  One sign of w is enough: x's and y's rows on (c, d) then sum
-    to the same total T, and h_Z(w) - h_Z(-w) = w.T for both.  With two
-    hypotheses the scan is complete: it finds a w exactly when x does not
-    convert to y.
+    is compared in integers, x's over ``x.den`` times y's denominator
+    against y's over ``y.den`` times x's.  One sign of w is enough: x's and
+    y's rows on (c, d) then sum to the same total T, and
+    h_Z(w) - h_Z(-w) = w.T for both.  With two hypotheses the scan is
+    complete: it finds a w exactly when x does not convert to y.
+
+    x's side of each pair (``_pair_side``) is appended to ``sides`` when
+    the scan first reaches that pair and read from it after, so the
+    targets of one source pass the same list.
     """
+    if sides is None:
+        sides = []
     dx, dy = x.den, y.den
-    for c, d in itertools.combinations(range(x.hypotheses), 2):
-        gx = [(r[c] * dy, r[d] * dy) for r in x.ints if r[c] or r[d]]
-        gy = [(r[c] * dx, r[d] * dx) for r in y.ints if r[c] or r[d]]
-        for a, b in dict.fromkeys(gx):  # each distinct row once, in row order
-            excess = 0  # h_{Z(y)}(w) - h_{Z(x)}(w)
+    for i, (c, d) in enumerate(itertools.combinations(range(x.hypotheses), 2)):
+        if i == len(sides):
+            sides.append(_pair_side(x, c, d))
+        gy = [(r[c], r[d]) for r in y.ints if r[c] or r[d]]
+        for a, b, support in sides[i]:
+            excess = 0  # h_{Z(y)}(w) over y.den
             for p, q in gy:
                 v = b * p - a * q
                 if v > 0:
                     excess += v
-            for p, q in gx:
-                v = b * p - a * q
-                if v > 0:
-                    excess -= v
-            if excess > 0:
+            if excess * dx > support * dy:
                 w = [0] * x.hypotheses
                 w[c], w[d] = b, -a
                 return _primitive(w)
     return None
+
+
+def conversions_from(x: Encoding):
+    """``majorizes(x, y)`` for one source x and many targets y, as a callable
+    that takes y.
+
+    The conversion LP's A and c depend on x and on y's outcome count alone,
+    so they are built once per count, and each LP is re-solved from the
+    last optimal outcome among them (``lp_solve``'s ``start``): a channel's
+    delta inputs, for one, share x and their outcome count.  A Farkas
+    vector comes from a cold solve, so it is the one ``majorizes`` gives.
+    x's side of the pair scan (``_pair_side``) is computed once too, each
+    pair when a scan first reaches it.
+    """
+    lps = {}  # y's outcome count -> [x's first LP for it, the last optimal outcome]
+    sides = []  # x's side of the pair scan, one pair at a time
+
+    def convert(y: Encoding):
+        if x.hypotheses != y.hypotheses:
+            raise HypothesisMismatch(
+                f"encodings have {x.hypotheses} vs {y.hypotheses} hypotheses")
+        if x.hypotheses == 2:
+            coupling = _left_curtain(x, y)
+            if coupling is not None:
+                return _checked_witness(x, y, *coupling)
+        w = _pairwise_normal(x, y, sides)
+        if w is not None or x.hypotheses == 2:  # at h = 2 finding none is a fault
+            return _checked_refutation(x, y, None if w is None else _normal_farkas(x, y, w))
+        lp = lps.get(y.outcomes)
+        problem = _conversion_problem(x, y.matrix, None if lp is None else lp[0])
+        if lp is None:
+            lp = lps[y.outcomes] = [problem, None]
+        outcome = lp_solve(problem, lp[1])
+        if outcome.status == OPTIMAL:
+            lp[1] = outcome
+            (t, den), n_from = _scaled(outcome.primal), x.outcomes
+            return _checked_witness(x, y, [t[i * n_from:(i + 1) * n_from]
+                                           for i in range(y.outcomes)], den)
+        f, n_y = outcome.farkas, y.outcomes
+        if f is not None:
+            f = list(f)
+            for c in range(x.hypotheses):
+                f.insert(c * n_y + n_y - 1, F0)  # the left-out row (c, n_y - 1)
+        return _checked_refutation(x, y, f)
+
+    return convert
 
 
 def majorizes(x: Encoding, y: Encoding):
@@ -464,29 +534,10 @@ def majorizes(x: Encoding, y: Encoding):
     martingale coupling (``_left_curtain``), and when there is none the scan
     finds a w.  Otherwise, when no pair separates, the witness or the
     Farkas vector comes from ``lp_solve``, whose Farkas vector gets 0 back
-    at each row that ``_conversion_problem`` leaves out.
+    at each row that ``_conversion_problem`` leaves out.  This is the
+    one-target case of ``conversions_from``.
     """
-    if x.hypotheses != y.hypotheses:
-        raise HypothesisMismatch(
-            f"encodings have {x.hypotheses} vs {y.hypotheses} hypotheses")
-    if x.hypotheses == 2:
-        coupling = _left_curtain(x, y)
-        if coupling is not None:
-            return _checked_witness(x, y, *coupling)
-    w = _pairwise_normal(x, y)
-    if w is not None or x.hypotheses == 2:  # at h = 2 finding none is a fault
-        return _checked_refutation(x, y, None if w is None else _normal_farkas(x, y, w))
-    outcome = lp_solve(_conversion_problem(x, y.matrix))
-    if outcome.status == OPTIMAL:
-        (t, den), n_from = _scaled(outcome.primal), x.outcomes
-        return _checked_witness(x, y, [t[i * n_from:(i + 1) * n_from]
-                                       for i in range(y.outcomes)], den)
-    f, n_y = outcome.farkas, y.outcomes
-    if f is not None:
-        f = list(f)
-        for c in range(x.hypotheses):
-            f.insert(c * n_y + n_y - 1, F0)  # the left-out row (c, n_y - 1)
-    return _checked_refutation(x, y, f)
+    return conversions_from(x)(y)
 
 
 # --------------------------------------------------------------------------

@@ -69,30 +69,40 @@ def nonconvexity(x: Encoding):
 # --------------------------------------------------------------------------
 
 
-def _mixture_weight(x: Encoding, entry_rows: list, n_primary: int):
-    """min total weight on the first ``n_primary`` vertices over all convex
-    combinations of the vertices equal to x; +inf when x is outside the hull.
+def _mixture_weight(entry_rows: list, n_primary: int, kept: int):
+    """The callable x -> min total weight on the first ``n_primary``
+    vertices over all convex combinations of the vertices equal to x, +inf
+    when x is outside the hull.
 
     ``entry_rows`` has one row per entry (i, c) of x, in row-major order,
     holding that entry of each vertex; the weights form the LP's columns,
-    and a last row asks them to sum to 1.  The entry rows (n - 1, c) are
-    left out: x's and every vertex's columns sum to 1, so once the weights
-    do, those rows are 1 minus the entry rows (i, c) above them, and the
-    feasible set is the same.  The +inf is returned only once the solver's
-    Farkas vector has been checked against the LP it solved.
+    and a last row asks them to sum to 1.  The entry rows (n - 1, c), all
+    after the first ``kept``, are left out: x's and every vertex's columns
+    sum to 1, so once the weights do, those rows are 1 minus the entry rows
+    (i, c) above them, and the feasible set is the same.  A and c are built
+    once, so each LP after the first re-solves from the last optimal
+    outcome (``lp_solve``'s ``start``).  The +inf is returned only once the
+    solver's Farkas vector has been checked against the LP it solved.
     """
     width = len(entry_rows[0])
-    kept = (x.outcomes - 1) * x.hypotheses
     a_rows = [*entry_rows[:kept], [1] * width]
-    b = [v for row in x.matrix[:-1] for v in row] + [1]
     cost = [1] * n_primary + [0] * (width - n_primary)
-    problem = LpProblem(c=cost, a_rows=a_rows, b=b)
-    outcome = lp_solve(problem)
-    if outcome.status == OPTIMAL:
-        return outcome.objective
-    if not verify_certificate(problem, outcome):
-        raise RuntimeError("mixture Farkas vector does not put x outside the hull: solver fault")
-    return PLUS_INF
+    last = None
+
+    def weigh(x: Encoding):
+        nonlocal last
+        b = [v for row in x.matrix[:-1] for v in row] + [1]
+        problem = LpProblem(c=cost, a_rows=a_rows, b=b)
+        outcome = lp_solve(problem, last)
+        if outcome.status == OPTIMAL:
+            last = outcome
+            return outcome.objective
+        if not verify_certificate(problem, outcome):
+            raise RuntimeError(
+                "mixture Farkas vector does not put x outside the hull: solver fault")
+        return PLUS_INF
+
+    return weigh
 
 
 def _assignments(n: int, h: int):
@@ -104,18 +114,29 @@ def _assignments(n: int, h: int):
     return itertools.product(range(n), repeat=h)
 
 
-def weight_fmk(x: Encoding, m: int, k: int):
-    """Rank-stratified weight: least total mass on deterministic encodings of
-    rank in (m, k] when decomposing x over all deterministic encodings of
-    rank at most k; +inf when x lies outside that hull.
+def fmk(m: int, k: int):
+    """The rank-stratified weight f_{m,k} as a callable on encodings.
 
-    A deterministic encoding is an outcome assignment ``a`` (hypothesis c
-    yields outcome a[c]): its entry (i, c) is ``a[c] == i`` and its rank is
-    the number of distinct outcomes it uses.  The LP is ``_mixture_weight``
-    over those encodings, with the rank-(m, k] vertices first, written
-    straight from the assignments.
+    For each shape (n outcomes, h hypotheses) it is given it builds the
+    mixture LP once and keeps it, so the encodings of one shape, such as a
+    channel's delta inputs, re-solve from the last optimal basis.  The
+    bounds are checked against h on the first encoding of each shape.
     """
-    h, n = x.hypotheses, x.outcomes
+    lps = {}
+
+    def f(x: Encoding):
+        shape = (x.outcomes, x.hypotheses)
+        weigh = lps.get(shape)
+        if weigh is None:
+            weigh = lps[shape] = _fmk_mixture(*shape, m, k)
+        return weigh(x)
+
+    return f
+
+
+def _fmk_mixture(n: int, h: int, m: int, k: int):
+    """``_mixture_weight`` over the deterministic encodings of shape n x h
+    and rank at most k, with the rank-(m, k] ones first."""
     if not (1 <= m < k <= h):
         raise BadStratumBounds(f"need 1 <= m < k <= {h}, got m={m}, k={k}")
     primary, base = [], []
@@ -127,4 +148,18 @@ def weight_fmk(x: Encoding, m: int, k: int):
             primary.append(a)
     verts = primary + base
     entry_rows = [[1 if a[c] == i else 0 for a in verts] for i in range(n) for c in range(h)]
-    return _mixture_weight(x, entry_rows, len(primary))
+    return _mixture_weight(entry_rows, len(primary), (n - 1) * h)
+
+
+def weight_fmk(x: Encoding, m: int, k: int):
+    """Rank-stratified weight: least total mass on deterministic encodings of
+    rank in (m, k] when decomposing x over all deterministic encodings of
+    rank at most k; +inf when x lies outside that hull.
+
+    A deterministic encoding is an outcome assignment ``a`` (hypothesis c
+    yields outcome a[c]): its entry (i, c) is ``a[c] == i`` and its rank is
+    the number of distinct outcomes it uses.  The LP is ``_mixture_weight``
+    over those encodings, with the rank-(m, k] vertices first, written
+    straight from the assignments.  It is the one-call case of ``fmk``.
+    """
+    return fmk(m, k)(x)

@@ -205,7 +205,7 @@ def convex_combination_weight(x: Encoding, primary, base):
     if any((e.outcomes, e.hypotheses) != (n, h) for e in verts):
         raise ShapeMismatch("mixture vertices must match the target's shape")
     entry_rows = [[e.matrix[i][c] for e in verts] for i in range(n) for c in range(h)]
-    return _mixture_weight(x, entry_rows, len(primary))
+    return _mixture_weight(entry_rows, len(primary), (n - 1) * h)(x)
 
 
 def ceil_map(t) -> BoolStochasticMap:

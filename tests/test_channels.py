@@ -17,6 +17,7 @@ from rthy import (
     channel_yield,
     check_comb_witness,
     comb_simulates,
+    conversions_from,
     delta_input,
     free_robustness,
     majorizes,
@@ -184,6 +185,23 @@ def test_comb_simulates_matches_reference(pair):
     assert res.farkas == majorizes(x, state).farkas
     assert verify_certificate(full_conversion_problem(x, state.matrix),
                               LpOutcome(status=INFEASIBLE, farkas=res.farkas))
+
+
+@given(comb_pairs())
+def test_comb_sigma_is_built_from_the_series_witnesses(pair):
+    """sigma's input-a section is the witness that x's conversion series
+    gives for input a, and sigma equals the channel ``from_columns`` builds
+    from those witnesses' ``Fraction`` columns."""
+    x, psi = pair
+    res = comb_simulates(x, psi)
+    if not res.convertible:
+        return
+    convert = conversions_from(x)
+    maps = [convert(delta_input(psi, a)).witness for a in range(psi.inputs)]
+    for a, t in enumerate(maps):
+        assert delta_input(res.witness, a) == Encoding(t.matrix)
+    assert res.witness == ChannelEncoding.from_columns(
+        [t.column(b) for b in range(x.outcomes) for t in maps], psi.inputs)
 
 
 @given(encodings(max_outcomes=3, max_hypotheses=2, min_hypotheses=2), st.data())

@@ -38,6 +38,7 @@ from rthy.exactmath import F0, F1, LpStats, _rational_pair
 from rthy.monotone import PLUS_INF
 
 from conftest import (
+    column_normalized,
     convex_combination_weight,
     deterministic_encodings,
     distributions,
@@ -502,9 +503,9 @@ def _fmk_problem(x, m, k):
     """The LP that ``weight_fmk(x, m, k)`` solves."""
     seen = []
 
-    def capture(problem):
+    def capture(problem, start=None):
         seen.append(problem)
-        return lp_solve(problem)
+        return lp_solve(problem, start)
 
     with mock.patch.object(measures, "lp_solve", capture):
         measures.weight_fmk(x, m, k)
@@ -610,6 +611,192 @@ def test_pivot_counts_match_reference(problem):
     stats = _bland_solve(problem).stats
     assert (stats.rows, stats.cols) == (problem.nrows, problem.ncols)
     assert stats == _reference_lp_solve(problem).stats
+
+
+# ---------------------------------------------------------------------------
+# re-solves from an earlier optimal basis: one A and c, several b
+# ---------------------------------------------------------------------------
+
+
+def _targets(draw, x, n_y, count):
+    """``count`` encodings with x's hypotheses and n_y outcomes: each either
+    a post-processing of x or drawn at random."""
+    h = x.hypotheses
+    out = []
+    for _ in range(count):
+        if draw(st.booleans()):
+            cols = [draw(distributions(n_y)) for _ in range(x.outcomes)]
+            out.append(StochasticMap([list(row) for row in zip(*cols)])(x))
+        else:
+            out.append(Encoding.from_columns([draw(distributions(n_y)) for _ in range(h)]))
+    return out
+
+
+@st.composite
+def lp_families(draw):
+    """LPs that share one A and c and differ in b, as (first problem, the
+    other b's): a random problem from ``mixed_problems`` or
+    ``tool_problems`` with right-hand sides that are A v for a random
+    v >= 0 or drawn at random; the conversion LPs (reduced or full) of one
+    x for targets with one outcome count; or the f_{m,k} LPs of encodings
+    of one shape."""
+    count = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["mixed", "tool", "conversion", "mixture"]))
+    if kind in ("mixed", "tool"):
+        first = draw(mixed_problems() if kind == "mixed" else tool_problems())
+        q = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+        v0 = st.fractions(min_value=0, max_value=3, max_denominator=6)
+        bs = []
+        for _ in range(count):
+            if draw(st.booleans()):
+                v = [draw(v0) for _ in range(first.ncols)]
+                bs.append([sum((a * w for a, w in zip(row, v)), F0) for row in first.a_rows])
+            else:
+                bs.append([draw(q) for _ in range(first.nrows)])
+        return first, bs
+    if kind == "conversion":
+        x = draw(encodings(max_outcomes=4, max_hypotheses=3))
+        build = draw(st.sampled_from([majorize._conversion_problem, full_conversion_problem]))
+        problems = [build(x, y.matrix)
+                    for y in _targets(draw, x, draw(st.integers(1, 4)), count + 1)]
+    else:
+        n, h = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+        m = draw(st.integers(1, h - 1))
+        k = draw(st.integers(m + 1, h))
+        xs = [Encoding.from_columns([draw(distributions(n)) for _ in range(h)])
+              for _ in range(count + 1)]
+        problems = [_fmk_problem(x, m, k) for x in xs]
+    return problems[0], [p.b for p in problems[1:]]
+
+
+def _warm_family(first, bs):
+    """Solve ``first`` cold, then each b over its very A and c lists, each
+    from the last optimal outcome; yields (problem, outcome)."""
+    last = lp_solve(first)
+    yield first, last
+    start = last if last.status == OPTIMAL else None
+    for b in bs:
+        problem = LpProblem(c=first.c, a_rows=first.a_rows, b=b)
+        out = lp_solve(problem, start)
+        yield problem, out
+        if out.status == OPTIMAL:
+            start = out
+
+
+@given(lp_families())
+def test_warm_lp_matches_cold_reference(family):
+    """Each re-solve reaches the status and objective of the Fraction
+    reference, with a certificate that verifies.  One that does not end
+    optimal is the cold solve, field for field, so its Farkas vector or ray
+    is the cold one; a cold solve reports no dual pivots."""
+    for problem, out in _warm_family(*family):
+        ref = _reference_lp_solve(problem)
+        assert (out.status, out.objective) == (ref.status, ref.objective)
+        assert verify_certificate(problem, out)
+        if out.status != OPTIMAL:
+            assert _fields(out) == _fields(lp_solve(problem))
+    assert lp_solve(family[0]).stats.dual_pivots == 0
+
+
+def test_warm_lp_needs_the_same_lists():
+    """A problem with equal but distinct ``a_rows`` or ``c`` lists is solved
+    cold, as if there were no start; with the same lists the start is used."""
+    x, y = spread_pair(3, 5, 5, seed=1)
+    first = majorize._conversion_problem(x, y.matrix)
+    start = lp_solve(first)
+    assert start.status == OPTIMAL
+    t = column_normalized([[1, 2, 0, 4, 5], [5, 0, 3, 2, 1], [0, 1, 1, 0, 2],
+                           [2, 2, 1, 1, 0], [1, 0, 2, 3, 1]])
+    target = StochasticMap(t.matrix)(x)
+    b = majorize._conversion_problem(x, target.matrix).b
+    for problem in (LpProblem(c=first.c, a_rows=[list(r) for r in first.a_rows], b=b),
+                    LpProblem(c=list(first.c), a_rows=first.a_rows, b=b)):
+        out = lp_solve(problem, start)
+        assert out.stats.dual_pivots == 0
+        assert _fields(out) == _fields(lp_solve(problem))
+        assert out.stats == lp_solve(problem).stats
+    warm = lp_solve(LpProblem(c=first.c, a_rows=first.a_rows, b=b), start)
+    assert warm.stats.phase1_pivots == warm.stats.phase2_pivots == 0
+    assert warm.status == OPTIMAL and warm.stats.dual_pivots > 0
+
+
+def _beale_dual():
+    """The columns and costs of the LP whose dual is Beale's (1955) cycling
+    LP, maximize b.y = 3/4 y0 - 20 y1 + 1/2 y2 - 6 y3 over y >= 0 and its
+    three rows: first -e_0 .. -e_3 at cost 0 (y >= 0), then the three rows
+    as columns, each costed by its right-hand side 0, 0 and 1."""
+    rows = [["1/4", "1/2", 0], [-8, -12, 0], [-1, "-1/2", 1], [9, 3, 0]]
+    a_rows = [[F(-(i == j)) for j in range(4)] + [F(v) for v in row]
+              for i, row in enumerate(rows)]
+    return a_rows, [F(0)] * 6 + [F(1)], [F(3, 4), F(-20), F(1, 2), F(-6)]
+
+
+def _reference_dual_pivots(problem, basis, most_negative, cap=100):
+    """Dual simplex on the dense Fraction tableau of ``problem`` from
+    ``basis`` (one column per row, dual feasible): the (leaving, entering)
+    columns of each pivot, or None when ``cap`` pivots do not end it.  The
+    leaving row is the negative one with the lowest basic column, or with
+    ``most_negative`` the most negative one (Dantzig's rule); the entering
+    column has the least ratio, ties to the lowest index."""
+    tableau = [list(row) + [b] for row, b in zip(problem.a_rows, problem.b)]
+    costrow = list(problem.c) + [F0]
+    basis = list(basis)
+    for r, col in enumerate(basis):
+        _reference_pivot(tableau, costrow, basis, r, col)
+    pivots = []
+    while len(pivots) < cap:
+        rows = [i for i, row in enumerate(tableau) if row[-1] < 0]
+        if not rows:
+            return pivots
+        key = (lambda i: (tableau[i][-1], basis[i])) if most_negative else basis.__getitem__
+        r = min(rows, key=key)
+        enter = min((j for j, a in enumerate(tableau[r][:-1]) if a < 0),
+                    key=lambda j: (costrow[j] / -tableau[r][j], j))
+        pivots.append((basis[r], enter))
+        _reference_pivot(tableau, costrow, basis, r, enter)
+    return None
+
+
+def test_dual_bland_rule_ends_beale_dual_cycle(monkeypatch):
+    """A cold solve for b = (-1, -1, -1, -1) ends in the basis of the four
+    -e_i columns; re-solved from it for b = Beale's objective, the dual
+    simplex is the primal simplex on Beale's LP.  From that basis Dantzig's
+    leaving rule cycles, while Bland's rule on the dual (``_dual_simplex``)
+    takes the reference's pivots, one for one, to Beale's optimum 5/4.  A
+    solve that pivots more than 1000 times raises instead of hanging."""
+    class Cycled(Exception):
+        pass
+
+    a_rows, c, beale_b = _beale_dual()
+    start = lp_solve(LpProblem(c=c, a_rows=a_rows, b=[F(-1)] * 4))
+    assert start.status == OPTIMAL and start.primal == [1, 1, 1, 1, 0, 0, 0]
+    problem = LpProblem(c=c, a_rows=a_rows, b=beale_b)
+    assert _reference_dual_pivots(problem, range(4), most_negative=True) is None
+    bland = _reference_dual_pivots(problem, range(4), most_negative=False)
+
+    taken, seen = [], {}
+    real_pivot, real_dual = exactmath._pivot, exactmath._dual_simplex
+
+    def capped(block, den, r, column):
+        if len(taken) >= 1000:
+            raise Cycled
+        basis, cols = seen["basis"], seen["cols"]
+        enter = next(j for j, col in enumerate(cols)
+                     if exactmath._column(block, col) == column[:-1])
+        taken.append((basis[r], enter))
+        return real_pivot(block, den, r, column)
+
+    def spied_dual(block, basis, den, cols, cost):
+        seen.update(basis=basis, cols=cols)
+        return real_dual(block, basis, den, cols, cost)
+
+    monkeypatch.setattr(exactmath, "_pivot", capped)
+    monkeypatch.setattr(exactmath, "_dual_simplex", spied_dual)
+    out = lp_solve(problem, start)
+    assert out.status == OPTIMAL and out.objective == F(5, 4)
+    assert verify_certificate(problem, out)
+    assert out.stats == LpStats(4, 7, 0, 0, out.stats.priced, len(bland))
+    assert taken == bland and len(bland) > 1
 
 
 # ---------------------------------------------------------------------------

@@ -442,7 +442,7 @@ def _two_input_channel(*states):
 
 
 def test_witness_is_replayed_before_it_is_reported(monkeypatch):
-    def collapsing_solver(problem):
+    def collapsing_solver(problem, start=None):
         # stochastic, but sends every outcome to outcome 0: t[0][j] is column j,
         # and the last row (input n_from - 1) has its first 1 in column n_from - 1
         n_from = problem.a_rows[-1].index(1) + 1
@@ -466,7 +466,7 @@ def test_witness_is_replayed_before_it_is_reported(monkeypatch):
 
 
 def test_farkas_vector_is_verified_before_it_is_reported(monkeypatch):
-    def vacuous_solver(problem):
+    def vacuous_solver(problem, start=None):
         # claims infeasibility with the zero vector, which refutes nothing
         return LpOutcome(status=INFEASIBLE, farkas=[0] * problem.nrows)
 
@@ -486,7 +486,8 @@ def test_farkas_vector_is_verified_before_it_is_reported(monkeypatch):
     # None is a scan that found none, which sends h >= 3 to the vacuous LP
     # and leaves h = 2 with no vector
     mixed = _two_input_channel(EIGHTH, QUARTER)
-    for normal in (lambda x, y: (1,) * x.hypotheses, lambda x, y: None):
+    for normal in (lambda x, y, sides=None: (1,) * x.hypotheses,
+                   lambda x, y, sides=None: None):
         monkeypatch.setattr("rthy.majorize._pairwise_normal", normal)
         _raises_solver_fault(lp_decisions + (
             lambda: majorizes(EIGHTH, QUARTER),
@@ -498,7 +499,7 @@ def test_farkas_vector_is_verified_before_it_is_reported(monkeypatch):
     # the zonotope test checks both of its searches' normals: at h = 2 the
     # pair scan's, and at h = 3 _separating_normal's, on y3 -> x3, which no
     # pair of hypotheses separates; an all-ones normal certifies nothing
-    monkeypatch.setattr("rthy.majorize._pairwise_normal", lambda x, y: (1, 1))
+    monkeypatch.setattr("rthy.majorize._pairwise_normal", lambda x, y, sides=None: (1, 1))
     _raises_solver_fault((lambda: zonotope_certificate(EIGHTH, QUARTER),))
     monkeypatch.setattr("rthy.majorize._pairwise_normal", _pairwise_normal)
     monkeypatch.setattr("rthy.majorize._separating_normal", lambda x, y: (1, 1, 1))
@@ -595,6 +596,41 @@ def test_pairwise_normal_refutes_full_lp_reference(x, data):
         assert lp_solve(problem).status == INFEASIBLE
 
 
+def _reference_pairwise_normal(x, y):
+    """The pair scan with x's side recomputed per target: x's rows times y's
+    denominator and y's times x's, both supports summed per row of x."""
+    dx, dy = x.den, y.den
+    for c, d in itertools.combinations(range(x.hypotheses), 2):
+        gx = [(r[c] * dy, r[d] * dy) for r in x.ints if r[c] or r[d]]
+        gy = [(r[c] * dx, r[d] * dx) for r in y.ints if r[c] or r[d]]
+        for a, b in dict.fromkeys(gx):
+            excess = (sum(max(0, b * p - a * q) for p, q in gy)
+                      - sum(max(0, b * p - a * q) for p, q in gx))
+            if excess > 0:
+                w = [0] * x.hypotheses
+                w[c], w[d] = b, -a
+                g = math.gcd(*w)
+                return tuple(v // g for v in w)
+    return None
+
+
+@given(st.integers(2, 4).flatmap(
+    lambda h: encodings(max_hypotheses=h, min_hypotheses=h)), st.data())
+def test_shared_pair_sides_match_reference(x, data):
+    """One ``sides`` list passed along a run of targets of x, as
+    ``conversions_from`` does, finds the normal of the reference scan that
+    recomputes x's side per target, for each target in turn."""
+    sides = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()):
+            y = data.draw(stochastic_maps(x.outcomes))(x)
+        else:
+            n_y = data.draw(st.integers(1, 4))
+            y = Encoding.from_columns([data.draw(distributions(n_y))
+                                       for _ in range(x.hypotheses)])
+        assert _pairwise_normal(x, y, sides) == _reference_pairwise_normal(x, y)
+
+
 def test_pairwise_normal_pinned():
     """No pair of hypotheses separates the bundled x3 and y3 either way, or
     y3 from its binary image b3: those refutations come from the LP, with 0
@@ -613,7 +649,7 @@ def test_pairwise_normal_pinned():
     assert verify_certificate(full_conversion_problem(b, x.matrix), replay)
 
 
-def _forbidden_lp(problem):
+def _forbidden_lp(problem, start=None):
     raise AssertionError("majorizes solved an LP for two hypotheses")
 
 

@@ -9,6 +9,7 @@ from rthy import (
     EnumerationTooLarge,
     PLUS_INF,
     ShapeMismatch,
+    fmk,
     free_robustness,
     nonconvexity,
     robustness,
@@ -22,6 +23,7 @@ from rthy.instances import incomparable_x, incomparable_y, two_point_encoding
 from conftest import (
     convex_combination_weight,
     deterministic_encodings,
+    distributions,
     encodings,
     rank,
     stochastic_maps,
@@ -314,9 +316,9 @@ def _with_lps(fn, *args):
     """fn(*args), and the (c, a_rows, b) of each LP it handed to lp_solve."""
     lps = []
 
-    def spy(problem):
+    def spy(problem, start=None):
         lps.append((problem.c, problem.a_rows, problem.b))
-        return lp_solve(problem)
+        return lp_solve(problem, start)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measures, "lp_solve", spy)
@@ -335,6 +337,45 @@ def test_weight_fmk_matches_reference(x):
             want, want_lps = _with_lps(_reference_weight_fmk, x, m, k)
             assert got == want
             assert got_lps == want_lps
+
+
+@given(st.integers(2, 3), st.integers(2, 3), st.data())
+def test_fmk_keeps_one_lp_per_shape(n, h, data):
+    """``fmk(m, k)`` gives ``weight_fmk``'s values on a run of encodings of
+    two shapes, and hands ``lp_solve`` one A and c list per shape, with the
+    last optimal outcome of that shape as the start."""
+    m = data.draw(st.integers(1, h - 1))
+    k = data.draw(st.integers(m + 1, h))
+    shapes = [(n, h), (n + 1, h)]
+    xs = [Encoding.from_columns([data.draw(distributions(size)) for _ in range(h)])
+          for size, _ in data.draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=5))]
+    calls = []
+
+    def spy(problem, start=None):
+        out = lp_solve(problem, start)
+        calls.append((problem, start, out))
+        return out
+
+    f = fmk(m, k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "lp_solve", spy)
+        values = [f(x) for x in xs]
+    assert values == [weight_fmk(x, m, k) for x in xs]
+    first, last = {}, {}
+    for x, (problem, start, out) in zip(xs, calls):
+        shape = (x.outcomes, x.hypotheses)
+        lists = first.setdefault(shape, (problem.a_rows, problem.c))
+        assert problem.a_rows is lists[0] and problem.c is lists[1]
+        assert start is last.get(shape)
+        if out.status == OPTIMAL:
+            last[shape] = out
+
+
+def test_fmk_checks_bounds_per_shape():
+    f = fmk(2, 3)
+    assert f(incomparable_x()) == weight_fmk(incomparable_x(), 2, 3)
+    with pytest.raises(BadStratumBounds):
+        f(two_point_encoding(H, Fraction(1, 4)))
 
 
 @given(encodings(max_outcomes=3, max_hypotheses=3, min_hypotheses=2))
