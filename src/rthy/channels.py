@@ -79,7 +79,7 @@ class ChannelEncoding(StochasticMap):
             columns[hh * a + aa] = [_rational_pair(v) for v in col]
         # h * a distinct in-range keys: every column is present
         columns, den = _over_common_den(columns)
-        return cls._from_sized_columns(columns, bb, a, den=den)
+        return cls(cls._sized_rows(columns, bb), den, a)
 
     def to_json(self) -> dict:
         a = self.inputs
@@ -94,15 +94,17 @@ class ChannelEncoding(StochasticMap):
 
 def apply_input(psi: ChannelEncoding, mu: Sequence) -> Encoding:
     """State encoding obtained by feeding the input distribution mu: entry
-    (i, h) is sum_a mu[a] psi[i][h*inputs + a]."""
+    (i, h) is sum_a mu[a] psi[i][h*inputs + a], read in integers with mu
+    cleared over the lcm of its denominators."""
     mu = [Fraction(v) for v in mu]
     if len(mu) != psi.inputs:
         raise LengthMismatch(f"channel takes {psi.inputs} inputs, got {len(mu)}")
     if not is_distribution(mu):
         raise FormatError("input must be a probability distribution")
-    k = psi.inputs
+    k, d = psi.inputs, lcm(*(v.denominator for v in mu))
+    mu = [v.numerator * (d // v.denominator) for v in mu]
     return Encoding([[_dot(mu, row[h * k:(h + 1) * k]) for h in range(psi.hypotheses)]
-                     for row in psi.matrix])
+                     for row in psi.ints], d * psi.den)
 
 
 def delta_input(psi: ChannelEncoding, a: int) -> Encoding:
@@ -111,7 +113,7 @@ def delta_input(psi: ChannelEncoding, a: int) -> Encoding:
     if not 0 <= a < psi.inputs:
         raise IndexOutOfRange(f"input index {a} is out of range for a channel with "
                               f"{psi.inputs} inputs")
-    return Encoding._from_ints([row[a::psi.inputs] for row in psi.ints], psi.den)
+    return Encoding([row[a::psi.inputs] for row in psi.ints], psi.den)
 
 
 def check_comb_witness(x: Encoding, psi: ChannelEncoding, sigma: ChannelEncoding) -> bool:
@@ -148,7 +150,7 @@ def comb_simulates(x: Encoding, psi: ChannelEncoding):
     den = lcm(*(t.den for t in maps))
     rows = [[t.ints[i][b] * (den // t.den) for b in range(x.outcomes) for t in maps]
             for i in range(psi.outputs)]
-    return Convertible(witness=ChannelEncoding._from_ints(rows, den, psi.inputs))
+    return Convertible(witness=ChannelEncoding(rows, den, psi.inputs))
 
 
 def _converts_to_all(x: Encoding, states) -> bool:

@@ -26,7 +26,7 @@ H = Fraction(1, 2)
 
 def incomparable_x() -> Encoding:
     """4-outcome encoding: a fair coin between outcome 0 and outcome h."""
-    return Encoding([
+    return Encoding.from_rows([
         [H, H, H],
         [H, F0, F0],
         [F0, H, F0],
@@ -36,7 +36,7 @@ def incomparable_x() -> Encoding:
 
 def incomparable_y() -> Encoding:
     """3-outcome encoding: a fair coin between outcomes h and h+2 (mod 3)."""
-    return Encoding([
+    return Encoding.from_rows([
         [H, F0, H],
         [H, H, F0],
         [F0, H, H],
@@ -46,7 +46,7 @@ def incomparable_y() -> Encoding:
 def binary_image_of_x() -> Encoding:
     """2-outcome post-processing of incomparable_x (merge outcomes 0,2,3)
     that no post-processing of incomparable_y can reach."""
-    return Encoding([
+    return Encoding.from_rows([
         [H, F0, F0],
         [H, F1, F1],
     ])
@@ -55,7 +55,7 @@ def binary_image_of_x() -> Encoding:
 def two_point_encoding(lam, nu) -> Encoding:
     """2x2 encoding with top row (lam, nu)."""
     lam, nu = Fraction(lam), Fraction(nu)
-    return Encoding([[lam, nu], [1 - lam, 1 - nu]])
+    return Encoding.from_rows([[lam, nu], [1 - lam, 1 - nu]])
 
 
 # --------------------------------------------------------------------------

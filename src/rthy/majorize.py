@@ -2,13 +2,14 @@
 
 An encoding is the stochastic map from hypotheses to outcomes: column c is
 the distribution of an observed system under hypothesis c.  Each map holds
-integer rows over one denominator (``ints``, ``den``) beside its
-``Fraction`` rows; JSON is read straight into the integers, and the checks
-read them.  Conversion by hypothesis-independent post-processing (matrix
-majorization) is decided exactly, with evidence: by a normal on one pair
-of hypotheses, a martingale coupling swept in integers (h = 2) or LP.
-Zonotope inclusion scans the same pairs first, and facets only at rank
->= 3; Markotopes and Lorenz curves show its geometry.
+integer rows over one denominator (``ints``, ``den``), and builds its
+``Fraction`` rows only when they are read; JSON is read straight into the
+integers, and the checks read them.  Conversion by hypothesis-independent
+post-processing (matrix majorization) is decided exactly, with evidence:
+by a normal on one pair of hypotheses, a martingale coupling swept in
+integers (h = 2) or LP.  Zonotope inclusion scans the same pairs first,
+and facets only at rank >= 3; Markotopes and Lorenz curves show its
+geometry.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import functools
 import itertools
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import List, Optional, Sequence, Tuple
@@ -33,7 +34,6 @@ from .errors import (
 )
 from .exactmath import (
     F0,
-    F1,
     LpProblem,
     OPTIMAL,
     _rational_pair,
@@ -82,74 +82,65 @@ def _over_common_den(cols):
     return [[p * (den // q) for p, q in col] for col in cols], den
 
 
-class _Cleared(tuple):
-    """(ints, den): the integer form ``StochasticMap._from_ints`` hands to the
-    constructor in place of the rows."""
-
-
 @dataclass(frozen=True)
 class StochasticMap:
     """Column-stochastic matrix (``to`` x ``from``); column j is the output
     distribution on input j.
 
-    It is held twice: ``ints``, its rows as integers over ``den``, the lcm
-    of the entries' reduced denominators, which the exact checks read; and
-    ``matrix``, the same rows as a tuple of ``Fraction`` tuples, built once
-    with the map.  ``_from_ints`` takes integer rows over any positive
-    denominator and reduces it (JSON, delta inputs and witnesses are built
-    so); the constructor takes rows of rationals and clears them.  Neither
-    ``ints`` nor ``den`` takes part in equality.
+    It is held once, as ``ints``, its rows of integers over ``den`` > 0.
+    The constructor takes integer rows over any positive denominator and
+    reduces them by their gcd, so ``(ints, den)`` is canonical: ``den`` is
+    the lcm of the entries' reduced denominators, and equality and hashing
+    read the pair.  ``from_rows`` clears rows of rationals.  ``matrix``,
+    the same rows as a tuple of ``Fraction`` tuples, is built on first read.
 
     JSON is column-major: ``{"from": n, "to": m, "columns": [[m rationals]
     per input]}``.  A subclass renames the two sizes (``json_keys``) and
     the label of its errors (``label``).
     """
 
-    matrix: tuple
-    ints: tuple = field(init=False, repr=False, compare=False)
-    den: int = field(init=False, repr=False, compare=False)
+    ints: tuple
+    den: int
     json_keys = ("from", "to")
     label = "stochastic map"
 
     def __post_init__(self):
-        if type(self.matrix) is _Cleared:
-            ints, den = self.matrix
-            self._check_lengths(ints)
-            g = gcd(den, *itertools.chain.from_iterable(ints))
-            if g > 1:
-                den //= g
-                ints = tuple(tuple(v // g for v in row) for row in ints)
-            _check_stochastic(ints, den, self.label)
-            entry = {v: Fraction(v, den) for v in set(itertools.chain.from_iterable(ints))}
-            rows = tuple(tuple(map(entry.__getitem__, row)) for row in ints)
-        else:
-            rows = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row)
-                         for row in self.matrix)
-            self._check_lengths(rows)
-            den = lcm(*(v.denominator for row in rows for v in row))
-            ints = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in rows)
-            _check_stochastic(ints, den, self.label)
-        object.__setattr__(self, "matrix", rows)
+        ints, den = tuple(map(tuple, self.ints)), self.den
+        if len({len(row) for row in ints}) > 1:
+            raise FormatError(f"{self.label} rows have unequal lengths")
+        if den < 1:
+            raise FormatError(f"{self.label} denominator must be positive")
+        g = gcd(den, *itertools.chain.from_iterable(ints))
+        if g > 1:
+            den //= g
+            ints = tuple(tuple(v // g for v in row) for row in ints)
+        _check_stochastic(ints, den, self.label)
         object.__setattr__(self, "ints", ints)
         object.__setattr__(self, "den", den)
 
-    def _check_lengths(self, rows):
-        if len({len(row) for row in rows}) > 1:
-            raise FormatError(f"{self.label} rows have unequal lengths")
-
     @classmethod
-    def _from_ints(cls, ints, den: int, *fields):
-        """The map whose rows are the integer rows ``ints`` over ``den`` > 0;
-        ``fields`` are a subclass's own fields, after ``matrix``."""
-        return cls(_Cleared((tuple(map(tuple, ints)), den)), *fields)
+    def from_rows(cls, rows, *fields):
+        """The map with these rows of rationals (anything ``Fraction``
+        takes), cleared over the lcm of their denominators; ``fields`` are a
+        subclass's own fields, after ``den``."""
+        rows = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in rows]
+        den = lcm(*(v.denominator for row in rows for v in row))
+        return cls([[v.numerator * (den // v.denominator) for v in row] for row in rows],
+                   den, *fields)
+
+    @functools.cached_property
+    def matrix(self) -> tuple:
+        """The rows as a tuple of ``Fraction`` tuples."""
+        entry = {v: Fraction(v, self.den) for v in set(itertools.chain.from_iterable(self.ints))}
+        return tuple(tuple(map(entry.__getitem__, row)) for row in self.ints)
 
     @property
     def n_from(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
+        return len(self.ints[0]) if self.ints else 0
 
     @property
     def n_to(self) -> int:
-        return len(self.matrix)
+        return len(self.ints)
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.matrix)
@@ -158,31 +149,26 @@ class StochasticMap:
         if self.n_from != x.outcomes:
             raise DimensionMismatch(
                 f"map expects {self.n_from} outcomes, encoding has {x.outcomes}")
-        cols = list(zip(*x.matrix))
-        return Encoding([[_dot(row, col) for col in cols] for row in self.matrix])
-
-    @staticmethod
-    def identity(n: int) -> "StochasticMap":
-        return StochasticMap([[F1 if i == j else F0 for j in range(n)] for i in range(n)])
+        cols = list(zip(*x.ints))
+        return Encoding([[_dot(row, col) for col in cols] for row in self.ints],
+                        self.den * x.den)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], *fields):
-        """The map with these columns; ``fields`` are a subclass's own fields,
-        after ``matrix``."""
+        """The map with these columns of rationals; ``fields`` are a
+        subclass's own fields, after ``den``."""
         cols = [list(col) for col in columns]
         if len({len(c) for c in cols}) > 1:
             raise FormatError(f"{cls.label} columns have unequal lengths")
-        return cls._from_sized_columns(cols, len(cols[0]) if cols else 0, *fields)
+        return cls.from_rows(cls._sized_rows(cols, len(cols[0]) if cols else 0), *fields)
 
     @classmethod
-    def _from_sized_columns(cls, cols, m: int, *fields, den=None):
-        """The map whose columns (each of length m) are ``cols``, integers
-        over ``den`` when it is given.  A map with no inputs keeps its m
-        rows; an empty column is no distribution."""
+    def _sized_rows(cls, cols, m: int) -> list:
+        """The rows of the columns ``cols``, each of length m.  A map with no
+        inputs keeps its m rows; an empty column is no distribution."""
         if cols and not m:
             raise FormatError(f"{cls.label} column 0 does not sum to 1")
-        rows = list(zip(*cols)) if cols else [()] * m
-        return cls(rows, *fields) if den is None else cls._from_ints(rows, den, *fields)
+        return list(zip(*cols)) if cols else [()] * m
 
     @classmethod
     def from_json(cls, doc):
@@ -199,7 +185,7 @@ class StochasticMap:
         if len(cols) != n or any(len(c) != m for c in cols):
             raise FormatError(f"{label} 'columns' shape disagrees with declared sizes")
         int_cols, den = _over_common_den([[_rational_pair(v) for v in col] for col in cols])
-        return cls._from_sized_columns(int_cols, m, den=den)
+        return cls(cls._sized_rows(int_cols, m), den)
 
     def to_json(self) -> dict:
         n_key, m_key = self.json_keys
@@ -384,7 +370,7 @@ def _checked_witness(x: Encoding, y: Encoding, rows, den: int) -> Convertible:
             or any(_dot(t_i, x_c) * y.den != y_ic * den * x.den
                    for t_i, y_i in zip(rows, y.ints) for x_c, y_ic in zip(cols, y_i))):
         raise RuntimeError("majorization witness does not map x to y: solver fault")
-    return Convertible(witness=StochasticMap._from_ints(rows, den))
+    return Convertible(witness=StochasticMap(rows, den))
 
 
 def _checked_refutation(x: Encoding, y: Encoding, farkas) -> NotConvertible:

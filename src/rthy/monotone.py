@@ -74,10 +74,6 @@ class PartialValuation:
                 clean[k] = Fraction(v)
         object.__setattr__(self, "values", clean)
 
-    @property
-    def domain(self) -> frozenset:
-        return frozenset(self.values)
-
     def __call__(self, atom):
         return self.values[atom]
 

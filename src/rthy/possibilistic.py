@@ -42,19 +42,13 @@ class BoolStochasticMap:
     def n_to(self) -> int:
         return len(self.matrix)
 
-    def _then(self, other, mismatch: str):
-        """The Boolean product self.matrix x other.matrix, of other's class."""
-        if self.n_from != other.n_to:
-            raise FormatError(mismatch)
-        cols = list(zip(*other.matrix))
-        return type(other)([[int(any(a and b for a, b in zip(row, col))) for col in cols]
-                            for row in self.matrix])
-
     def __call__(self, x: "BoolEncoding") -> "BoolEncoding":
-        return self._then(x, "boolean map/encoding size mismatch")
-
-    def compose(self, other: "BoolStochasticMap") -> "BoolStochasticMap":
-        return self._then(other, "boolean map composition size mismatch")
+        """The Boolean product self.matrix x x.matrix, of x's class."""
+        if self.n_from != x.n_to:
+            raise FormatError("boolean map/encoding size mismatch")
+        cols = list(zip(*x.matrix))
+        return type(x)([[int(any(a and b for a, b in zip(row, col))) for col in cols]
+                        for row in self.matrix])
 
 
 class BoolEncoding(BoolStochasticMap):
@@ -65,14 +59,9 @@ class BoolEncoding(BoolStochasticMap):
     outcomes = BoolStochasticMap.n_to
 
 
-def _support(rows) -> tuple:
-    """Entrywise positive -> 1, else 0, of rational rows."""
-    return tuple(tuple(1 if v > 0 else 0 for v in row) for row in rows)
-
-
 def ceil(x: Encoding) -> BoolEncoding:
-    """Support pattern of an encoding."""
-    return BoolEncoding(_support(x.matrix))
+    """Support pattern of an encoding: 1 where an entry is positive, else 0."""
+    return BoolEncoding([[int(v > 0) for v in row] for row in x.ints])
 
 
 def to_hypergraph(x: BoolEncoding) -> List[frozenset]:

@@ -59,7 +59,12 @@ def stochastic_maps(draw, n_from, max_to=4):
     n_to = draw(st.integers(1, max_to))
     cols = [draw(distributions(n_to)) for _ in range(n_from)]
     rows = [[cols[j][i] for j in range(n_from)] for i in range(n_to)]
-    return StochasticMap(rows)
+    return StochasticMap.from_rows(rows)
+
+
+def identity_map(n: int) -> StochasticMap:
+    """The n x n identity map."""
+    return StochasticMap([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
 
 def column_normalized(rows) -> Encoding:
@@ -76,7 +81,7 @@ def spread_pair(h, n_x, n_y, seed):
     rng = random.Random(seed)
     x = column_normalized([[rng.randint(1, 9) for _ in range(h)] for _ in range(n_x)])
     t = column_normalized([[rng.randint(1, 9) for _ in range(n_x)] for _ in range(n_y)])
-    return x, StochasticMap(t.matrix)(x)
+    return x, StochasticMap.from_rows(t.matrix)(x)
 
 
 def full_conversion_problem(x: Encoding, target_rows) -> LpProblem:
@@ -185,7 +190,7 @@ def rank(rows) -> int:
 def det_postprocessings(n: int, k: int):
     """All k^n deterministic (0/1) column-stochastic maps n -> k,
     lexicographic in the assignment of an output to each input."""
-    return [StochasticMap([[F1 if a[j] == i else F0 for j in range(n)] for i in range(k)])
+    return [StochasticMap.from_rows([[F1 if a[j] == i else F0 for j in range(n)] for i in range(k)])
             for a in _assignments(k, n)]
 
 
@@ -234,6 +239,6 @@ def interesting_pairs(p, f, names=None) -> frozenset:
     def index(key):
         return key if names is None else names.index(key)
 
-    dom = sorted(f.domain, key=index)
+    dom = sorted(f.values, key=index)
     return frozenset((x, y) for x in dom for y in dom
                      if f(x) < f(y) and not p.geq(index(x), index(y)))

@@ -205,7 +205,7 @@ def _random_encoding(rng, n, h):
 def _random_stochastic(rng, n_from, n_to):
     from rthy import StochasticMap
     cols = [_random_distribution(rng, n_to) for _ in range(n_from)]
-    return StochasticMap(list(zip(*cols)))
+    return StochasticMap.from_rows(list(zip(*cols)))
 
 
 def test_criterion_9a_lp_self_certification():

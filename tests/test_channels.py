@@ -60,7 +60,7 @@ def _reference_comb_simulates(x, psi):
     copied = Encoding.from_columns(
         [[x.matrix[b][h] if a2 == a else 0 for b in range(nb) for a2 in range(na)]
          for h in hs for a in range(na)])
-    res = majorizes(copied, Encoding(psi.matrix))
+    res = majorizes(copied, Encoding.from_rows(psi.matrix))
     if not res.convertible:
         return res
     t = res.witness
@@ -199,7 +199,7 @@ def test_comb_sigma_is_built_from_the_series_witnesses(pair):
     convert = conversions_from(x)
     maps = [convert(delta_input(psi, a)).witness for a in range(psi.inputs)]
     for a, t in enumerate(maps):
-        assert delta_input(res.witness, a) == Encoding(t.matrix)
+        assert delta_input(res.witness, a) == Encoding.from_rows(t.matrix)
     assert res.witness == ChannelEncoding.from_columns(
         [t.column(b) for b in range(x.outcomes) for t in maps], psi.inputs)
 

@@ -45,6 +45,7 @@ from conftest import (
     encodings,
     full_conversion_problem,
     full_mixture_problem,
+    identity_map,
     rank,
     spread_pair,
     stochastic_maps,
@@ -104,12 +105,12 @@ def test_format_refuses_non_rationals(value):
 
 def test_matrix_basics():
     # the identity map composes as the identity, on either side
-    t = StochasticMap([[F(1, 3), F(1)], [F(2, 3), F(0)]])
-    x = Encoding([[F(1, 2), F(1, 4), F(1)], [F(1, 2), F(3, 4), F(0)]])
-    assert StochasticMap.identity(2)(x) == x
-    assert t(StochasticMap.identity(2)(x)) == StochasticMap.identity(2)(t(x)) == t(x)
-    assert StochasticMap.identity(2).matrix == ((F1, F0), (F0, F1))
-    assert StochasticMap.identity(0).matrix == ()
+    t = StochasticMap.from_rows([[F(1, 3), F(1)], [F(2, 3), F(0)]])
+    x = Encoding.from_rows([[F(1, 2), F(1, 4), F(1)], [F(1, 2), F(3, 4), F(0)]])
+    assert identity_map(2)(x) == x
+    assert t(identity_map(2)(x)) == identity_map(2)(t(x)) == t(x)
+    assert identity_map(2).matrix == ((F1, F0), (F0, F1))
+    assert identity_map(0).matrix == ()
 
 
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=1, max_size=4),
@@ -122,7 +123,7 @@ def test_rank_vs_sympy(rows):
 
 def test_rank_pinned():
     assert rank([[F(1), F(2)], [F(2), F(4)]]) == 1
-    assert rank(StochasticMap.identity(3).matrix) == 3
+    assert rank(identity_map(3).matrix) == 3
     assert rank([[F(0)]]) == 0
 
 
@@ -571,7 +572,7 @@ def test_default_pricing_matches_reference_on_tool_lps(case):
             # the conversion LP's column i*n_x + j holds t[i][j]
             x, y = pair
             n = x.outcomes
-            t = StochasticMap([out.primal[i * n:(i + 1) * n] for i in range(y.outcomes)])
+            t = StochasticMap.from_rows([out.primal[i * n:(i + 1) * n] for i in range(y.outcomes)])
             assert t(x) == y
 
 
@@ -626,7 +627,7 @@ def _targets(draw, x, n_y, count):
     for _ in range(count):
         if draw(st.booleans()):
             cols = [draw(distributions(n_y)) for _ in range(x.outcomes)]
-            out.append(StochasticMap([list(row) for row in zip(*cols)])(x))
+            out.append(StochasticMap.from_rows([list(row) for row in zip(*cols)])(x))
         else:
             out.append(Encoding.from_columns([draw(distributions(n_y)) for _ in range(h)]))
     return out
@@ -707,7 +708,7 @@ def test_warm_lp_needs_the_same_lists():
     assert start.status == OPTIMAL
     t = column_normalized([[1, 2, 0, 4, 5], [5, 0, 3, 2, 1], [0, 1, 1, 0, 2],
                            [2, 2, 1, 1, 0], [1, 0, 2, 3, 1]])
-    target = StochasticMap(t.matrix)(x)
+    target = StochasticMap.from_rows(t.matrix)(x)
     b = majorize._conversion_problem(x, target.matrix).b
     for problem in (LpProblem(c=first.c, a_rows=[list(r) for r in first.a_rows], b=b),
                     LpProblem(c=list(first.c), a_rows=first.a_rows, b=b)):

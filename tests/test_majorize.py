@@ -67,6 +67,7 @@ from conftest import (
     rank,
     encodings,
     full_conversion_problem,
+    identity_map,
     left_curtain_reference,
     spread_pair,
     stochastic_maps,
@@ -93,7 +94,7 @@ def test_encoding_json_rejects():
 
 def test_stochastic_map_json_rejects():
     good = {"from": 2, "to": 2, "columns": [["1", "0"], ["0", "1"]]}
-    assert StochasticMap.from_json(good) == StochasticMap.identity(2)
+    assert StochasticMap.from_json(good) == identity_map(2)
     for bad in ({**good, "columns": 5}, {**good, "columns": [5, 6]},
                 {**good, "columns": ["10", "01"]}, {**good, "from": 2.5},
                 {**good, "to": True}, {**good, "from": "2"}, {"from": 2, "to": 2}):
@@ -102,7 +103,7 @@ def test_stochastic_map_json_rejects():
 
 
 def test_stochastic_map_json_roundtrip():
-    t = StochasticMap([[H, 1], [H, 0]])
+    t = StochasticMap.from_rows([[H, 1], [H, 0]])
     assert StochasticMap.from_json(t.to_json()) == t
     assert t.to_json() == {"from": 2, "to": 2, "columns": [["1/2", "1/2"], ["1", "0"]]}
 
@@ -113,7 +114,7 @@ def test_encoding_is_the_stochastic_map_from_hypotheses_to_outcomes():
     assert (x.n_from, x.n_to) == (x.hypotheses, x.outcomes) == (3, 4)
     assert x.column(1) == tuple(row[1] for row in x.matrix)
     # a map and an encoding with the same matrix are different objects
-    t = StochasticMap(x.matrix)
+    t = StochasticMap.from_rows(x.matrix)
     assert t != x and t.to_json()["columns"] == x.to_json()["columns"]
 
 
@@ -143,10 +144,10 @@ def test_inputs_with_no_outputs_are_rejected():
 def test_stochastic_errors_name_their_class():
     cases = [
         (lambda: Encoding.from_columns([[H, H / 2]]), "encoding column 0 does not sum to 1"),
-        (lambda: StochasticMap([[-1, 0], [2, 1]]),
+        (lambda: StochasticMap.from_rows([[-1, 0], [2, 1]]),
          "stochastic map has a negative entry at (0,0)"),
         # the first negative entry in row order, and negatives before sums
-        (lambda: Encoding([[1, -1], [-1, 2], [1, 0]]),
+        (lambda: Encoding.from_rows([[1, -1], [-1, 2], [1, 0]]),
          "encoding has a negative entry at (0,1)"),
         (lambda: Encoding.from_columns([[H, H / 2], [2, -1]]),
          "encoding has a negative entry at (1,1)"),
@@ -160,8 +161,9 @@ def test_stochastic_errors_name_their_class():
          "encoding has a negative entry at (1,1)"),
         (lambda: Encoding.from_json({"hypotheses": 1, "outcomes": 2, "columns": [["1/2", "1/4"]]}),
          "encoding column 0 does not sum to 1"),
-        (lambda: StochasticMap._from_ints([[-2, 4], [6, 0]], 4),
+        (lambda: StochasticMap([[-2, 4], [6, 0]], 4),
          "stochastic map has a negative entry at (0,0)"),
+        (lambda: Encoding([[0, 0], [0, 0]], 0), "encoding denominator must be positive"),
     ]
     for build, message in cases:
         with pytest.raises(FormatError) as err:
@@ -210,7 +212,7 @@ def test_stochastic_check_matches_fraction_reference(rows):
             continue  # an encoding needs a hypothesis
         expected = _reference_stochastic_error(rows, cls.label)
         try:
-            cls(rows)
+            cls.from_rows(rows)
         except FormatError as err:
             assert str(err) == expected
         else:
@@ -219,17 +221,28 @@ def test_stochastic_check_matches_fraction_reference(rows):
 
 @given(perturbed_rows())
 def test_integer_form_matches_fraction_reference(rows):
-    """Built once with the map: rows times den, the lcm of the entries'
-    denominators, over which each integer reads back as its entry."""
+    """The one stored form: rows times den, the lcm of the entries'
+    denominators, over which ``matrix`` reads each integer back as its
+    entry; equality and hashing read the reduced pair."""
     if _reference_stochastic_error(rows, "") is not None:
         return
-    t = StochasticMap(rows)
+    t = StochasticMap.from_rows(rows)
     assert t.den == math.lcm(*(Fraction(v).denominator for row in rows for v in row))
     assert len(t.ints) == t.n_to and all(len(row) == t.n_from for row in t.ints)
-    assert all(Fraction(t.ints[i][j], t.den) == t.matrix[i][j]
+    assert "matrix" not in vars(t)  # built on first read, then kept
+    assert t.matrix == tuple(tuple(map(Fraction, row)) for row in rows) and t.matrix is t.matrix
+    assert all(t.matrix[i][j] == Fraction(t.ints[i][j], t.den)
                for i in range(t.n_to) for j in range(t.n_from))
-    # the form does not take part in equality
-    assert t == StochasticMap(rows) and hash(t) == hash(StochasticMap(t.matrix))
+    # (ints, den) is reduced, so any multiple of it is the same map
+    scaled = StochasticMap([[3 * v for v in row] for row in t.ints], 3 * t.den)
+    assert t == scaled and hash(t) == hash(scaled) and scaled.ints == t.ints
+    pinned = StochasticMap([[2, 4], [6, 4]], 8)
+    rational = StochasticMap.from_rows([[Fraction(1, 4), Fraction(1, 2)],
+                                        [Fraction(3, 4), Fraction(1, 2)]])
+    assert pinned == rational and hash(pinned) == hash(rational)
+    assert (pinned.ints, pinned.den) == (((1, 2), (3, 2)), 4)
+    assert all(pinned.matrix[i][j] == Fraction(pinned.ints[i][j], pinned.den)
+               for i in range(2) for j in range(2))
 
 
 @given(encodings(), st.data())
@@ -268,7 +281,7 @@ def test_int_entries_are_held_as_fractions_reference(rows):
     form the checks read; the left-curtain coupling, swept on that form,
     gives integer rows whose map (of Fraction rows) takes x to y."""
     x_rows, y_rows = rows
-    x, y = Encoding(x_rows), Encoding(y_rows)
+    x, y = Encoding.from_rows(x_rows), Encoding.from_rows(y_rows)
     for e, given_rows in ((x, x_rows), (y, y_rows)):
         assert e.matrix == tuple(map(tuple, given_rows))
         assert all(type(v) is Fraction for row in e.matrix for v in row)
@@ -277,7 +290,7 @@ def test_int_entries_are_held_as_fractions_reference(rows):
     assert coupling is not None
     t_rows, den = coupling
     assert all(type(v) is int for row in t_rows for v in row)
-    t = StochasticMap._from_ints(t_rows, den)
+    t = StochasticMap(t_rows, den)
     assert all(type(v) is Fraction for row in t.matrix for v in row)
     # den reduced to the lcm of the reduced denominators
     assert t.den == math.lcm(*(v.denominator for row in t.matrix for v in row))
@@ -335,11 +348,11 @@ def test_left_curtain_matches_fraction_reference(pair):
 def test_ragged_rows_raise_format_error_reference():
     """Rows of unequal length are refused with a FormatError naming the
     class, as ``BoolStochasticMap`` refuses them, before any other check."""
-    cases = [(lambda: StochasticMap([[1, 0], [0]]), "stochastic map"),
-             (lambda: Encoding([[H, -1], [H], [0, 2]]), "encoding"),
-             (lambda: Encoding([[], [1]]), "encoding"),
-             (lambda: ChannelEncoding([[1, 0, 1], [0, 1]], 2), "channel"),
-             (lambda: Encoding._from_ints([[1, 0], [0]], 1), "encoding")]
+    cases = [(lambda: StochasticMap.from_rows([[1, 0], [0]]), "stochastic map"),
+             (lambda: Encoding.from_rows([[H, -1], [H], [0, 2]]), "encoding"),
+             (lambda: Encoding.from_rows([[], [1]]), "encoding"),
+             (lambda: ChannelEncoding.from_rows([[1, 0, 1], [0, 1]], 2), "channel"),
+             (lambda: Encoding([[1, 0], [0]], 1), "encoding")]
     for build, label in cases:
         with pytest.raises(FormatError) as err:
             build()
@@ -353,7 +366,7 @@ def witness_cases(draw):
     h = draw(st.integers(2, 4))
     x = draw(encodings(max_hypotheses=h, min_hypotheses=h))
     if draw(st.booleans()):
-        x = Encoding(x.matrix + ((Fraction(0),) * h,))
+        x = Encoding.from_rows(x.matrix + ((Fraction(0),) * h,))
     y = draw(stochastic_maps(x.outcomes))(x)
     return x, y, [list(row) for row in majorizes(x, y).witness.matrix]
 
@@ -392,7 +405,7 @@ def test_checked_witness_matches_fraction_reference(case, delta):
     accepted = 0
     for v in variants:
         try:
-            expected = StochasticMap(v)(x) == y
+            expected = StochasticMap.from_rows(v)(x) == y
         except (FormatError, DimensionMismatch):
             expected = False
         assert _accepts_witness(x, y, v) == expected, v
@@ -1048,7 +1061,7 @@ def test_zonotope_certificate_pinned():
     assert cert.normal == (-1, 1, 1) and cert.subset == (0, 2, 3)
     assert (cert.support_y, cert.support_x) == (Fraction(3, 2), 1)
     # y outside span(x): the normal annihilates x's rows
-    cert = zonotope_certificate(two_point_encoding(1, 1), Encoding([[H, 0], [H, 1]]))
+    cert = zonotope_certificate(two_point_encoding(1, 1), Encoding.from_rows([[H, 0], [H, 1]]))
     assert cert.normal == (1, -1) and cert.subset == (0,)
     assert (cert.support_y, cert.support_x) == (H, 0)
 

@@ -40,7 +40,7 @@ def _constant_columns(x: Encoding) -> bool:
 def _mix(lam, y: Encoding, z: Encoding) -> Encoding:
     rows = [[lam * y.matrix[i][c] + (1 - lam) * z.matrix[i][c]
              for c in range(y.hypotheses)] for i in range(y.outcomes)]
-    return Encoding(rows)
+    return Encoding.from_rows(rows)
 
 
 # Reference LPs: each minimizes the mixing weight lam directly over the

@@ -67,10 +67,11 @@ def test_bool_map_application_and_composition():
     assert swap(x).matrix == ((0, 1), (1, 0))
     merge = BoolStochasticMap([[1, 1]])
     assert merge(x).matrix == ((1, 1),)
-    assert merge.compose(swap)(x) == merge(swap(x))
-    # a map applied to an encoding gives an encoding, composed with a map a map
-    assert type(merge(x)) is BoolEncoding and type(merge.compose(swap)) is BoolStochasticMap
-    for bad in (lambda: merge(BoolEncoding([[1]])), lambda: swap.compose(merge)):
+    # composition is application to a map: applied to an encoding a map
+    # gives an encoding, applied to a map a map
+    assert merge(swap)(x) == merge(swap(x))
+    assert type(merge(x)) is BoolEncoding and type(merge(swap)) is BoolStochasticMap
+    for bad in (lambda: merge(BoolEncoding([[1]])), lambda: swap(merge)):
         with pytest.raises(FormatError):
             bad()
 
