@@ -151,7 +151,12 @@ def replay_channel_yields(tmp):
             a = mu.index(1)
             x = rthy("channel", "apply", path, "--delta", str(a))["encoding"]
             assert rows(x) == rows({"columns": [channel_c[a] for channel_c in tensor]}), x
-            sim = rthy("channel", "simulate", save(tmp, f"{name}_delta{a}", x), path)
+            delta = save(tmp, f"{name}_delta{a}", x)
+            if monotone[0] in ("weight", "fmk"):
+                # the value is the monotone of the maximizer, evaluated on its own
+                own = rthy("weight", delta, *monotone[1:])
+                assert own["value"] == res["value"], (own, res)
+            sim = rthy("channel", "simulate", delta, path)
             assert sim["convertible"] is True, sim
             replay_comb(sim["witness"]["sigma"], rows(x), tensor)
             replayed.append(f"{name} {monotone[0]} (delta {a}, value {res['value']})")

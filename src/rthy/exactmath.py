@@ -470,7 +470,9 @@ def lp_solve(problem: LpProblem, start: Optional[LpOutcome] = None) -> LpOutcome
     is read as that entry over den*D.  All scalings are positive, and D is
     the same for every row, so every sign test, ratio comparison and pivot
     is that of the unscaled tableau.  ``cols[j]`` lists the nonzeros
-    ``(i, a)`` of column j of the result A'.
+    ``(i, a)`` of column j of the result A'; each row's nonzeros are listed
+    once and both its lcm and its entries of A' are read off that list
+    (a zero's denominator is 1, so leaving zeros out keeps the lcm).
 
     The phase-2 objective is c times its lcm ``cscale``.  At the optimum
     the cost row's artificial entry i is -den*cscale times the dual of the
@@ -509,12 +511,13 @@ def lp_solve(problem: LpProblem, start: Optional[LpOutcome] = None) -> LpOutcome
 
     signs, scales = [], []
     cols = [[] for _ in range(n)]
-    for i in range(m):
-        ints, s = _scaled(problem.a_rows[i])
-        sign = -1 if problem.b[i].numerator < 0 else 1
-        for col, a in zip(cols, ints):
-            if a:
-                col.append((i, sign * a))
+    for i, (row, b_i) in enumerate(zip(problem.a_rows, problem.b)):
+        nonzeros = [(j, v) for j, v in enumerate(row) if v]
+        s = lcm(*(v.denominator for _, v in nonzeros))
+        sign = -1 if b_i.numerator < 0 else 1
+        flipped = sign * s
+        for j, v in nonzeros:
+            cols[j].append((i, v.numerator * (flipped // v.denominator)))
         signs.append(sign)
         scales.append(s)
     rhs, rden = _rhs_column(problem.b, signs, scales)

@@ -69,29 +69,32 @@ def nonconvexity(x: Encoding):
 # --------------------------------------------------------------------------
 
 
-def _mixture_weight(entry_rows: list, n_primary: int, kept: int):
-    """The callable x -> min total weight on the first ``n_primary``
-    vertices over all convex combinations of the vertices equal to x, +inf
-    when x is outside the hull.
+def _mixture_weight(entry_rows: list, entries: list, n_primary: int, width: int):
+    """The callable x -> min total weight on the first ``n_primary`` of
+    ``width`` vertices over all convex combinations of the vertices equal
+    to x, +inf when x is outside the hull.
 
-    ``entry_rows`` has one row per entry (i, c) of x, in row-major order,
-    holding that entry of each vertex; the weights form the LP's columns,
-    and a last row asks them to sum to 1.  The entry rows (n - 1, c), all
-    after the first ``kept``, are left out: x's and every vertex's columns
-    sum to 1, so once the weights do, those rows are 1 minus the entry rows
-    (i, c) above them, and the feasible set is the same.  A and c are built
-    once, so each LP after the first re-solves from the last optimal
-    outcome (``lp_solve``'s ``start``).  The +inf is returned only once the
-    solver's Farkas vector has been checked against the LP it solved.
+    The weights form the LP's columns.  ``entry_rows`` has one row per
+    entry ``entries[r] = (i, c)`` of x, holding that entry of each vertex,
+    and its right-hand side is x's entry (i, c); a last row asks the
+    weights to sum to 1.  An entry left out of ``entries`` must hold
+    whenever the kept rows do.  The rows (n - 1, c) do: x's and every
+    vertex's columns sum to 1, so once the weights do, each is 1 minus the
+    rows (i, c) above it.  So does a row where x and every vertex are 0.
+    ``width`` is given, not read off a row, because no entry row may be
+    kept at all.  A and c are built once, so each LP after the first
+    re-solves from the last optimal outcome (``lp_solve``'s ``start``).
+    The +inf is returned only once the solver's Farkas vector has been
+    checked against the LP it solved.
     """
-    width = len(entry_rows[0])
-    a_rows = [*entry_rows[:kept], [1] * width]
+    a_rows = [*entry_rows, [1] * width]
     cost = [1] * n_primary + [0] * (width - n_primary)
     last = None
 
     def weigh(x: Encoding):
         nonlocal last
-        b = [v for row in x.matrix[:-1] for v in row] + [1]
+        rows = x.matrix
+        b = [rows[i][c] for i, c in entries] + [1]
         problem = LpProblem(c=cost, a_rows=a_rows, b=b)
         outcome = lp_solve(problem, last)
         if outcome.status == OPTIMAL:
@@ -105,50 +108,71 @@ def _mixture_weight(entry_rows: list, n_primary: int, kept: int):
     return weigh
 
 
-def _assignments(n: int, h: int):
-    """All n^h assignments of an outcome to each hypothesis, lexicographic;
-    raises before the first one when n^h exceeds the guard."""
-    total, guard = n ** h, enumeration_guard()
+def _assignments(n: int, supports):
+    """The assignments a of an outcome a[c] in ``supports[c]`` to each
+    hypothesis c, lexicographic; raises before the first one when n^h
+    (h = ``len(supports)``) exceeds the guard, however few the supports
+    allow."""
+    total, guard = n ** len(supports), enumeration_guard()
     if total > guard:
-        raise EnumerationTooLarge(f"{n}^{h} deterministic encodings", total, guard)
-    return itertools.product(range(n), repeat=h)
+        raise EnumerationTooLarge(f"{n}^{len(supports)} deterministic encodings", total, guard)
+    return itertools.product(*supports)
 
 
 def fmk(m: int, k: int):
     """The rank-stratified weight f_{m,k} as a callable on encodings.
 
-    For each shape (n outcomes, h hypotheses) it is given it builds the
-    mixture LP once and keeps it, so the encodings of one shape, such as a
-    channel's delta inputs, re-solve from the last optimal basis.  The
-    bounds are checked against h on the first encoding of each shape.
+    For each outcome count n and support of x (the outcomes with positive
+    mass, per column) it is given, it builds the mixture LP of
+    ``_fmk_mixture`` once and keeps it, so the encodings of one shape and
+    support, such as a channel's delta inputs, re-solve from the last
+    optimal basis.  A full-support x gets the LP over all n^h
+    deterministic encodings.  The bounds are checked against h on the
+    first encoding of each shape and support.
     """
     lps = {}
 
     def f(x: Encoding):
-        shape = (x.outcomes, x.hypotheses)
-        weigh = lps.get(shape)
+        key = (x.outcomes, tuple(tuple(i for i, v in enumerate(col) if v) for col in zip(*x.ints)))
+        weigh = lps.get(key)
         if weigh is None:
-            weigh = lps[shape] = _fmk_mixture(*shape, m, k)
+            weigh = lps[key] = _fmk_mixture(*key, m, k)
         return weigh(x)
 
     return f
 
 
-def _fmk_mixture(n: int, h: int, m: int, k: int):
-    """``_mixture_weight`` over the deterministic encodings of shape n x h
-    and rank at most k, with the rank-(m, k] ones first."""
+def _fmk_mixture(n: int, support: tuple, m: int, k: int):
+    """``_mixture_weight`` over the deterministic encodings of rank at most
+    k, with n outcomes, whose ones lie inside ``support`` (``support[c]``
+    the outcomes of column c that x gives positive mass), the rank-(m, k]
+    ones first.
+
+    This is the LP over all n^h of them, less what x's zeros force out.
+    In any decomposition x = sum_a w_a D_a with w >= 0, an entry x_ic = 0
+    forces w_a = 0 for every a with a[c] = i, so those columns are left out,
+    and so is entry row (i, c), which is 0 = 0 on the rest.  The optimum is
+    the full LP's, and the restricted LP is infeasible exactly when the
+    full one is: a feasible w of the full LP lives on the kept columns.
+    So a Farkas vector of the restricted LP, checked by ``_mixture_weight``,
+    proves x outside the hull.  The guard still counts all n^h
+    assignments, and a full support lists them all, in the order and with
+    the entry rows of the full LP.
+    """
+    h = len(support)
     if not (1 <= m < k <= h):
         raise BadStratumBounds(f"need 1 <= m < k <= {h}, got m={m}, k={k}")
     primary, base = [], []
-    for a in _assignments(n, h):
+    for a in _assignments(n, support):
         r = len(set(a))
         if r <= m:
             base.append(a)
         elif r <= k:
             primary.append(a)
     verts = primary + base
-    entry_rows = [[1 if a[c] == i else 0 for a in verts] for i in range(n) for c in range(h)]
-    return _mixture_weight(entry_rows, len(primary), (n - 1) * h)
+    entries = [(i, c) for i in range(n - 1) for c in range(h) if i in support[c]]
+    entry_rows = [[1 if a[c] == i else 0 for a in verts] for i, c in entries]
+    return _mixture_weight(entry_rows, entries, len(primary), len(verts))
 
 
 def weight_fmk(x: Encoding, m: int, k: int):
@@ -159,7 +183,8 @@ def weight_fmk(x: Encoding, m: int, k: int):
     A deterministic encoding is an outcome assignment ``a`` (hypothesis c
     yields outcome a[c]): its entry (i, c) is ``a[c] == i`` and its rank is
     the number of distinct outcomes it uses.  The LP is ``_mixture_weight``
-    over those encodings, with the rank-(m, k] vertices first, written
-    straight from the assignments.  It is the one-call case of ``fmk``.
+    over those encodings that put their ones inside x's support (the others
+    must weigh 0), with the rank-(m, k] vertices first, written straight
+    from the assignments.  It is the one-call case of ``fmk``.
     """
     return fmk(m, k)(x)

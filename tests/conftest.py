@@ -55,6 +55,30 @@ def encodings(draw, max_outcomes=4, max_hypotheses=3, min_hypotheses=2):
 
 
 @st.composite
+def supports(draw, n, h):
+    """One nonempty set of the n outcomes per hypothesis, as sorted tuples."""
+    return tuple(tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+                 for _ in range(h))
+
+
+@st.composite
+def supported_encodings(draw, n, support):
+    """An encoding with n outcomes whose column c has positive mass on the
+    outcomes ``support[c]`` and no other."""
+    cols = []
+    for outcomes in support:
+        weights = [draw(st.integers(1, 6)) if i in outcomes else 0 for i in range(n)]
+        cols.append([Fraction(w, sum(weights)) for w in weights])
+    return Encoding.from_columns(cols)
+
+
+def support_of(x: Encoding) -> tuple:
+    """The outcomes of each column of x with positive mass."""
+    return tuple(tuple(i for i in range(x.outcomes) if x.matrix[i][c])
+                 for c in range(x.hypotheses))
+
+
+@st.composite
 def stochastic_maps(draw, n_from, max_to=4):
     n_to = draw(st.integers(1, max_to))
     cols = [draw(distributions(n_to)) for _ in range(n_from)]
@@ -109,7 +133,8 @@ def full_mixture_problem(x: Encoding, vertices, n_primary: int) -> LpProblem:
     """The mixture LP with all n*h entry rows: min the weight on the first
     ``n_primary`` vertices over weights that sum to 1 and mix the vertices
     into x.  The tests' reference for ``measures._mixture_weight``, which
-    leaves out the entry rows (n - 1, c)."""
+    leaves out the entry rows (n - 1, c), and, in ``weight_fmk``, also the
+    entry rows where x is 0 and the vertices with a one there."""
     n, h = x.outcomes, x.hypotheses
     a_rows = [[v.matrix[i][c] for v in vertices] for i in range(n) for c in range(h)]
     return LpProblem(c=[1] * n_primary + [0] * (len(vertices) - n_primary),
@@ -191,14 +216,14 @@ def det_postprocessings(n: int, k: int):
     """All k^n deterministic (0/1) column-stochastic maps n -> k,
     lexicographic in the assignment of an output to each input."""
     return [StochasticMap.from_rows([[F1 if a[j] == i else F0 for j in range(n)] for i in range(k)])
-            for a in _assignments(k, n)]
+            for a in _assignments(k, [range(k)] * n)]
 
 
 def deterministic_encodings(n: int, h: int):
     """All n^h encodings with delta columns, lexicographic in the outcome
     assignment: the vertices ``weight_fmk`` writes as 0/1 columns."""
     return [Encoding.from_columns([[F1 if i == a_c else F0 for i in range(n)] for a_c in a])
-            for a in _assignments(n, h)]
+            for a in _assignments(n, [range(n)] * h)]
 
 
 def convex_combination_weight(x: Encoding, primary, base):
@@ -209,8 +234,9 @@ def convex_combination_weight(x: Encoding, primary, base):
     verts = [*primary, *base]
     if any((e.outcomes, e.hypotheses) != (n, h) for e in verts):
         raise ShapeMismatch("mixture vertices must match the target's shape")
-    entry_rows = [[e.matrix[i][c] for e in verts] for i in range(n) for c in range(h)]
-    return _mixture_weight(entry_rows, len(primary), (n - 1) * h)(x)
+    entries = [(i, c) for i in range(n - 1) for c in range(h)]
+    entry_rows = [[e.matrix[i][c] for e in verts] for i, c in entries]
+    return _mixture_weight(entry_rows, entries, len(primary), len(verts))(x)
 
 
 def ceil_map(t) -> BoolStochasticMap:

@@ -49,6 +49,8 @@ from conftest import (
     rank,
     spread_pair,
     stochastic_maps,
+    supported_encodings,
+    supports,
 )
 
 F = Fraction
@@ -640,7 +642,7 @@ def lp_families(draw):
     ``tool_problems`` with right-hand sides that are A v for a random
     v >= 0 or drawn at random; the conversion LPs (reduced or full) of one
     x for targets with one outcome count; or the f_{m,k} LPs of encodings
-    of one shape."""
+    of one shape and support, which share A and c."""
     count = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["mixed", "tool", "conversion", "mixture"]))
     if kind in ("mixed", "tool"):
@@ -664,9 +666,10 @@ def lp_families(draw):
         n, h = draw(st.integers(2, 3)), draw(st.integers(2, 3))
         m = draw(st.integers(1, h - 1))
         k = draw(st.integers(m + 1, h))
-        xs = [Encoding.from_columns([draw(distributions(n)) for _ in range(h)])
-              for _ in range(count + 1)]
-        problems = [_fmk_problem(x, m, k) for x in xs]
+        support = draw(supports(n, h))
+        problems = [_fmk_problem(draw(supported_encodings(n, support)), m, k)
+                    for _ in range(count + 1)]
+        assert all((p.c, p.a_rows) == (problems[0].c, problems[0].a_rows) for p in problems)
     return problems[0], [p.b for p in problems[1:]]
 
 

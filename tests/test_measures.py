@@ -23,10 +23,13 @@ from rthy.instances import incomparable_x, incomparable_y, two_point_encoding
 from conftest import (
     convex_combination_weight,
     deterministic_encodings,
-    distributions,
     encodings,
+    full_mixture_problem,
     rank,
     stochastic_maps,
+    support_of,
+    supported_encodings,
+    supports,
 )
 
 H = Fraction(1, 2)
@@ -325,30 +328,56 @@ def _with_lps(fn, *args):
         return fn(*args), lps
 
 
+def _support_restricted_lp(x: Encoding, m: int, k: int):
+    """The (c, a_rows, b) ``weight_fmk(x, m, k)`` should hand ``lp_solve``:
+    the mixture LP over the deterministic encodings of rank at most k that
+    put no one where x is 0, the rank-(m, k] ones first, with an entry row
+    (i, c) for each i < n - 1 where x is positive, then the sum row."""
+    n, h = x.outcomes, x.hypotheses
+    cells = [(i, c) for i in range(n) for c in range(h)]
+    inside = [e for e in deterministic_encodings(n, h)
+              if all(x.matrix[i][c] or not e.matrix[i][c] for i, c in cells)]
+    ranks = [rank(e.matrix) for e in inside]
+    primary = [e for e, r in zip(inside, ranks) if m < r <= k]
+    base = [e for e, r in zip(inside, ranks) if r <= m]
+    verts = primary + base
+    entries = [(i, c) for i, c in cells if i < n - 1 and x.matrix[i][c]]
+    return ([1] * len(primary) + [0] * len(base),
+            [[e.matrix[i][c] for e in verts] for i, c in entries] + [[1] * len(verts)],
+            [x.matrix[i][c] for i, c in entries] + [1])
+
+
 @given(encodings(max_outcomes=4, max_hypotheses=3, min_hypotheses=2))
 @example(Encoding.from_columns([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))  # outside low-rank hulls
 @example(Encoding.from_columns([[1, 0], [0, 1], [H, H], [Fraction(1, 3), Fraction(2, 3)]]))
 @example(incomparable_x())
 def test_weight_fmk_matches_reference(x):
+    """``weight_fmk`` gives the reference enumeration's value from the LP
+    restricted to x's support; on a full-support x that LP is the
+    reference's own, all n^h encodings, row for row and column for column."""
     h = x.hypotheses
     for m in range(1, h):
         for k in range(m + 1, h + 1):
             got, got_lps = _with_lps(weight_fmk, x, m, k)
             want, want_lps = _with_lps(_reference_weight_fmk, x, m, k)
             assert got == want
-            assert got_lps == want_lps
+            assert got_lps == [_support_restricted_lp(x, m, k)]
+            if all(map(all, x.ints)):
+                assert got_lps == want_lps
 
 
 @given(st.integers(2, 3), st.integers(2, 3), st.data())
 def test_fmk_keeps_one_lp_per_shape(n, h, data):
     """``fmk(m, k)`` gives ``weight_fmk``'s values on a run of encodings of
-    two shapes, and hands ``lp_solve`` one A and c list per shape, with the
-    last optimal outcome of that shape as the start."""
+    two shapes and up to two supports each, and hands ``lp_solve`` one A and
+    c list per (shape, support), with the last optimal outcome of that shape
+    and support as the start."""
     m = data.draw(st.integers(1, h - 1))
     k = data.draw(st.integers(m + 1, h))
-    shapes = [(n, h), (n + 1, h)]
-    xs = [Encoding.from_columns([data.draw(distributions(size)) for _ in range(h)])
-          for size, _ in data.draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=5))]
+    keys = [(size, support) for size in (n, n + 1)
+            for support in data.draw(st.lists(supports(size, h), min_size=1, max_size=2))]
+    xs = [data.draw(supported_encodings(size, support))
+          for size, support in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=6))]
     calls = []
 
     def spy(problem, start=None):
@@ -363,12 +392,49 @@ def test_fmk_keeps_one_lp_per_shape(n, h, data):
     assert values == [weight_fmk(x, m, k) for x in xs]
     first, last = {}, {}
     for x, (problem, start, out) in zip(xs, calls):
-        shape = (x.outcomes, x.hypotheses)
-        lists = first.setdefault(shape, (problem.a_rows, problem.c))
+        key = (x.outcomes, x.hypotheses, support_of(x))
+        lists = first.setdefault(key, (problem.a_rows, problem.c))
         assert problem.a_rows is lists[0] and problem.c is lists[1]
-        assert start is last.get(shape)
+        assert start is last.get(key)
         if out.status == OPTIMAL:
-            last[shape] = out
+            last[key] = out
+    assert len({id(a_rows) for a_rows, _ in first.values()}) == len(first)
+
+
+def _full_reference_fmk(x: Encoding, m: int, k: int):
+    """f_{m,k}(x) from the full mixture LP, all entry rows and every
+    deterministic encoding of rank at most k, solved cold."""
+    primary, base = [], []
+    for e in deterministic_encodings(x.outcomes, x.hypotheses):
+        r = rank(e.matrix)
+        if r <= m:
+            base.append(e)
+        elif r <= k:
+            primary.append(e)
+    out = lp_solve(full_mixture_problem(x, primary + base, len(primary)))
+    return out.objective if out.status == OPTIMAL else PLUS_INF
+
+
+@st.composite
+def _sparse_encodings(draw):
+    n, h = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    return draw(supported_encodings(n, draw(supports(n, h))))
+
+
+@given(_sparse_encodings())
+@example(Encoding.from_columns([[0, 0, 1]] * 3))  # deterministic, no entry row kept
+@example(Encoding.from_columns([[H, H, 0], [Fraction(1, 3), Fraction(2, 3), 0], [1, 0, 0]]))
+@example(Encoding.from_columns([[1, 0, 0], [0, 1, 0], [0, H, H]]))  # one rank-2 vertex left
+@example(Encoding.from_columns([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))  # none of rank 2 left
+def test_sparse_fmk_matches_full_reference(x):
+    """The LP over x's support gives the full LP's value for every (m, k),
+    +inf included: for a deterministic x whose ones are all in the last
+    outcome (only the sum row is left), for zeros in the last outcome, and
+    for x outside the rank-k hull with one or no vertex left."""
+    h = x.hypotheses
+    for m in range(1, h):
+        for k in range(m + 1, h + 1):
+            assert weight_fmk(x, m, k) == _full_reference_fmk(x, m, k)
 
 
 def test_fmk_checks_bounds_per_shape():
