@@ -226,28 +226,47 @@ def lift(cell, left, right):
     return {c for a in left for b in right for c in cell(a, b)}
 
 
-def replay_modules(tmp):
-    """The bundled three-chain and two-level modules validate.  The three-chain
-    module with f000*f000 = f111 does not: for its first associativity violation
-    (i, j, k), (i*j)*k and i*(j*k) are recomputed as sets from its star table
-    and differ.  On the max quantale, catalyst 2 relates source 0 to target 1:
-    target*2 lies inside free*(source*2), by its box table."""
-    for name, doc in (("three_chain", three_chain_module().to_json()),
-                      ("two_level", two_level_module()[0].to_json())):
-        res = rthy("module", "validate", save(tmp, name, doc))
-        assert res == {"valid": True, "violations": []}, (name, res)
-    broken = three_chain_module().to_json()
-    broken["star"]["f000,f000"] = ["f111"]
-    res = rthy("module", "validate", save(tmp, "broken", broken))
+def replay_first_violation(tmp, doc):
+    """``rthy module validate`` refuses ``doc``, and its first violation
+    (i, j, k) is one of associativity: recomputed as sets from the tables,
+    (i*j)*k and i*(j*k) differ (with the action as the last product when k
+    is a resource)."""
+    res = rthy("module", "validate", save(tmp, "tampered", doc))
     first = res["violations"][0]
-    assert res["valid"] is False and first["kind"] == "AssociativityViolation", first
+    kinds = ("AssociativityViolation", "MixedAssociativityViolation")
+    assert res["valid"] is False and first["kind"] in kinds, first
     i, j, k = first["witness"]
 
     def star(a, b):
-        return broken["star"].get(f"{a},{b}", ())
+        return doc["star"].get(f"{a},{b}", ())
 
-    left, right = lift(star, lift(star, {i}, {j}), {k}), lift(star, {i}, lift(star, {j}, {k}))
+    def act(a, x):
+        return doc["act"].get(f"{a},{x}", ())
+
+    last = star if first["kind"] == kinds[0] else act
+    left, right = lift(last, lift(star, {i}, {j}), {k}), lift(last, {i}, lift(last, {j}, {k}))
     assert left != right, (first, left, right)
+    return f"({i}*{j})*{k} = {sorted(left)}, {i}*({j}*{k}) = {sorted(right)}"
+
+
+def replay_modules(tmp):
+    """The bundled three-chain module (all 27 self-maps of a 3-chain) and the
+    two-level module validate.  Copies of the three-chain module with one cell
+    changed do not, and their first violations replay as sets: f000*f000 =
+    f111, a star cell of two atoms, and an action cell moved.  On the max
+    quantale, catalyst 2 relates source 0 to target 1: target*2 lies inside
+    free*(source*2), by its box table."""
+    three_chain = three_chain_module().to_json()
+    for name, doc in (("three_chain", three_chain), ("two_level", two_level_module()[0].to_json())):
+        res = rthy("module", "validate", save(tmp, name, doc))
+        assert res == {"valid": True, "violations": []}, (name, res)
+    lines = []
+    for label, table, key, out in (("broken", "star", "f000,f000", ["f111"]),
+                                   ("two-atom star cell", "star", "f000,f111", ["f000", "f111"]),
+                                   ("moved action cell", "act", "f120,0", ["2"])):
+        doc = json.loads(json.dumps(three_chain))
+        doc[table][key] = out
+        lines.append(f"{label} module: {replay_first_violation(tmp, doc)}")
     doc = max_quantale().to_json()
 
     def box(a, b):  # the table gives one triangle of the symmetric product
@@ -257,8 +276,7 @@ def replay_modules(tmp):
                "--source", "0", "--target", "1", "--catalyst", "2")
     related = lift(box, {"1"}, {"2"}) <= lift(box, doc["free"], lift(box, {"0"}, {"2"}))
     assert res == {"related": related, "catalyst": "2"} and related, res
-    return [f"broken module: ({i}*{j})*{k} = {sorted(left)}, {i}*({j}*{k}) = {sorted(right)}",
-            "max quantale: 0 -> 1 with catalyst 2"]
+    return lines + ["max quantale: 0 -> 1 with catalyst 2"]
 
 
 def replay_beale():

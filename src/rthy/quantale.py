@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain
+from itertools import chain, count, product
 from operator import itemgetter, or_
 from typing import Dict, FrozenSet, Iterable, Tuple
 
@@ -76,48 +76,77 @@ def _names_from(mask: int, names: tuple) -> FrozenSet[str]:
 # product of row atom i and column atom j; JSON spells a cell ``"a,b"``.
 
 
-def _pairs_from_json(section) -> Iterable:
-    """``{"a,b": names}`` as ``((a, b), names)`` pairs, each key split when it is reached."""
+def _json_cells(section):
+    """The ``("a,b", names)`` cells of a JSON table."""
     if not isinstance(section, dict):
         raise FormatError("a table must be a JSON object with 'a,b' keys")
-    for key, out in section.items():
-        pair = key.split(",")
-        if len(pair) != 2:
-            raise FormatError(f"table key {key!r} is not two comma-separated atom names")
-        yield pair, out
+    return section.items()
 
 
-def _table(pairs, row_index: dict, col_index: dict, symmetric: bool = False) -> tuple:
-    """Bitmask table of ``pairs``; cells hold column atoms, absent cells are empty.
+def _key_cells(row_names: tuple, col_names: tuple):
+    """Where each JSON key lands: ``{"a,b": i * len(col_names) + j}.get``."""
+    return dict(zip(map(",".join, product(row_names, col_names)), count())).get
 
-    ``pairs`` is a ``{(a, b): names}`` dict or an iterable of
-    ``((a, b), names)`` pairs, read in one pass.  ``symmetric`` also fills
-    the mirror of each cell where ``pairs`` leaves it out, so one triangle
-    gives a symmetric table and cells given both ways stay as given.  Each
-    distinct list of names is read by ``_mask_from`` once, at its first
-    occurrence, so errors are raised as if every cell were read.
-    """
-    table = [[0] * len(col_index) for _ in row_index]
-    masks = {}  # tuple of a list's names -> its mask
-    given = set()  # cells that ``pairs`` names, when ``symmetric``
-    for (a, b), out in (pairs.items() if isinstance(pairs, dict) else pairs):
-        key = tuple(out) if isinstance(out, list) else None
+
+def _pair_cells(row_index: dict, col_index: dict):
+    """Where each ``(a, b)`` key lands, as ``_key_cells`` places JSON keys."""
+    width = len(col_index)
+
+    def where(pair):
+        a, b = pair
         try:
-            mask = masks[key]
+            return row_index[a] * width + col_index[b]
+        except KeyError:
+            return None
+    return where
+
+
+def _key_fault(key, out, col_index: dict) -> FormatError:
+    """Why a cell's key has no place: a JSON key that is not two names, else
+    a fault in the cell's names, else an atom the key names that is unknown."""
+    if isinstance(key, str):
+        if key.count(",") != 1:
+            return FormatError(f"table key {key!r} is not two comma-separated atom names")
+    else:
+        key = "{},{}".format(*key)
+    _mask_from(out, col_index)
+    return FormatError(f"table key '{key}' names an unknown atom")
+
+
+def _table(cells, nrows: int, col_index: dict, where, symmetric: bool = False) -> tuple:
+    """Bitmask table of ``cells``; cells hold column atoms, absent cells are empty.
+
+    ``cells`` is a dict or an iterable of ``(key, names)`` pairs, read in one
+    pass; ``where(key)`` is the key's flat index ``i * len(col_index) + j``,
+    or None, and only then is the key diagnosed (``_key_fault``).
+    ``symmetric`` also fills the mirror of each cell where ``cells`` leaves it
+    out, so one triangle gives a symmetric table and cells given both ways
+    stay as given.  Each distinct list of names is read by ``_mask_from``
+    once, at its first occurrence, so errors are raised as if every cell
+    were read.
+    """
+    width = len(col_index)
+    flat = [0] * (nrows * width)
+    masks = {}  # tuple of a list's names -> its mask
+    given = set()  # cells that ``cells`` names, when ``symmetric``
+    for key, out in (cells.items() if isinstance(cells, dict) else cells):
+        n = where(key)
+        if n is None:
+            raise _key_fault(key, out, col_index)
+        names = tuple(out) if isinstance(out, list) else None
+        try:
+            mask = masks[names]
         except (KeyError, TypeError):  # a first occurrence, or names that are not hashable
             mask = _mask_from(out, col_index)
-            if key is not None:
-                masks[key] = mask
-        try:
-            i, j = row_index[a], col_index[b]
-        except KeyError:
-            raise FormatError(f"table key '{a},{b}' names an unknown atom") from None
-        table[i][j] = mask
+            if names is not None:
+                masks[names] = mask
+        flat[n] = mask
         if symmetric:
-            given.add((i, j))
-            if (j, i) not in given:
-                table[j][i] = mask
-    return tuple(tuple(r) for r in table)
+            given.add(n)
+            i, j = divmod(n, width)
+            if j * width + i not in given:
+                flat[j * width + i] = mask
+    return tuple(tuple(flat[i * width:(i + 1) * width]) for i in range(nrows))
 
 
 def _table_to_json(table: tuple, row_names: tuple, col_names: tuple, upper: bool = False) -> dict:
@@ -131,13 +160,20 @@ def _table_to_json(table: tuple, row_names: tuple, col_names: tuple, upper: bool
 
 
 def _lift(table: tuple, left: int, right: int) -> int:
-    """Product of two atom sets: the union of the cells of ``left`` x ``right``."""
-    out = 0
-    for i in _bits(left):
-        row = table[i]
-        for j in _bits(right):
-            out |= row[j]
-    return out
+    """Product of two atom sets: the union of the cells of ``left`` x ``right``.
+
+    The atoms of ``right`` are resolved once, not per row of ``left``: one
+    column is read by index, several by one ``itemgetter``.
+    """
+    if right & (right - 1):
+        get = itemgetter(*_bits(right))
+        return reduce(or_, chain.from_iterable(map(get, map(table.__getitem__, _bits(left)))), 0)
+    if not right:
+        return 0
+    j = right.bit_length() - 1
+    if left & (left - 1):
+        return reduce(or_, [table[i][j] for i in _bits(left)], 0)
+    return table[left.bit_length() - 1][j] if left else 0
 
 
 def _union(images, mask: int) -> int:
@@ -153,43 +189,69 @@ def _assoc_sweep(table: tuple, right_table: tuple) -> list:
 
     ``table`` composes the first two atoms (star, or box); ``right_table``
     applies the result to k (the same table, or the action).  Each row atom
-    i compares two flat tuples over every (j, k).  The right one lifts each
-    distinct cell of ``right_table`` through row i once and spreads the
-    lifts over the table with one ``itemgetter``; the left one chains, over
-    j, the precomputed row of cell ``table[i][j]``: the union of the
-    ``right_table`` rows of its atoms.  Only rows i whose tuples differ are
-    scanned for their (j, k).
+    i compares two flat sequences over every (j, k).  The right one lifts
+    each distinct cell of ``right_table`` through row i once (a singleton
+    {b} to row_i[b], any other cell to a union) and spreads the lifts over
+    the table; the left one chains, over j, the row of cell ``table[i][j]``:
+    the union of the ``right_table`` rows of its atoms.  Only rows i whose
+    sequences differ are scanned for their (j, k).
+
+    The sequences are byte strings when the masks met (the cells, their
+    lifts and the left rows) are at most 256, one byte id each.  The cells
+    of ``right_table`` take the first ids, so the right side is the bytes
+    of its cell ids translated through row i's lift ids, and a singleton's
+    left row is a slice of those bytes.  Past 256 masks no byte names them
+    all, and tuples of the masks themselves are compared instead.
     """
     width = len(right_table[0]) if right_table else 0
     if not width:
         return []
-    # distinct cells of ``right_table``, singletons first: a singleton {b}
-    # lifts through row i to row_i[b], any other cell to a union
     cells = set(chain.from_iterable(right_table))
     singles = [c for c in cells if c and not c & (c - 1)]
-    others = list(cells.difference(singles))
-    index = {c: n for n, c in enumerate(singles + others)}
-    flat = list(map(index.__getitem__, chain.from_iterable(right_table)))
-    pick = itemgetter(*flat) if len(flat) > 1 else lambda lifts: (lifts[flat[0]],)
+    order = singles + list(cells.difference(singles))
     single_atoms = [c.bit_length() - 1 for c in singles]
-    other_atoms = [tuple(_bits(c)) for c in others]
-    # the left row of each distinct cell of ``table``
-    left_of = {}
+    other_atoms = [tuple(_bits(c)) for c in order[len(singles):]]
+    lifts = []  # lifts[i][n]: cell order[n] lifted through row i
+    for row in right_table:
+        get = row.__getitem__
+        lift = list(map(get, single_atoms))
+        lift += [reduce(or_, map(get, atoms), 0) for atoms in other_atoms]
+        lifts.append(lift)
+    # each distinct cell of ``table``: its one atom, or the union of its atoms' rows
+    left_atom, left_union = {}, {}
     for c in set(chain.from_iterable(table)):
         if c and not c & (c - 1):
-            left_of[c] = right_table[c.bit_length() - 1]
+            left_atom[c] = c.bit_length() - 1
         else:
             row = (0,) * width
             for a in _bits(c):
                 row = tuple(map(or_, row, right_table[a]))
-            left_of[c] = row
+            left_union[c] = row
+    masks = cells.union(*lifts, *left_union.values())
+    if len(masks) <= 256:
+        idg = dict(zip(chain(order, masks.difference(cells)), count())).__getitem__
+        flat = bytes(map(idg, chain.from_iterable(right_table)))
+        pad = bytes(256 - len(order))
+        left_of = {c: flat[a * width:(a + 1) * width] for c, a in left_atom.items()}
+        left_of.update((c, bytes(map(idg, row))) for c, row in left_union.items())
+
+        def spread(lift):
+            return flat.translate(bytes(map(idg, lift)) + pad)
+        join = b"".join
+    else:
+        index = {c: n for n, c in enumerate(order)}
+        # T x width > 1 here (a 1 x 1 table meets at most three masks), so ``spread`` gives tuples
+        spread = itemgetter(*map(index.__getitem__, chain.from_iterable(right_table)))
+        left_of = {c: right_table[a] for c, a in left_atom.items()}
+        left_of.update(left_union)
+
+        def join(rows):
+            return tuple(chain.from_iterable(rows))
+    get = left_of.__getitem__
     out = []
-    for i, row_i in enumerate(right_table):
-        get = row_i.__getitem__
-        lifts = list(map(get, single_atoms))
-        lifts += [reduce(or_, map(get, atoms), 0) for atoms in other_atoms]
-        right = pick(lifts)
-        left = tuple(chain.from_iterable(map(left_of.__getitem__, table[i])))
+    for i, lift in enumerate(lifts):
+        right = spread(lift)
+        left = join(map(get, table[i]))
         if left != right:
             out.extend((i, *divmod(n, width)) for n, (a, b) in enumerate(zip(left, right)) if a != b)
     return out
@@ -221,19 +283,28 @@ class FiniteQuantaleModule:
         return FiniteQuantaleModule(
             transformations=tnames,
             resources=xnames,
-            star_table=_table(star, tindex, tindex),
-            act_table=_table(act, tindex, xindex),
+            star_table=_table(star, len(tnames), tindex, _pair_cells(tindex, tindex)),
+            act_table=_table(act, len(tnames), xindex, _pair_cells(tindex, xindex)),
             unit_mask=_mask_from(unit, tindex),
             free_mask=_mask_from(free, tindex),
         )
 
     @staticmethod
     def from_json(doc) -> "FiniteQuantaleModule":
-        tnames, xnames = _atom_lists(doc, ("T", "X"), "module JSON needs 'T' and 'X' atom lists")
-        return FiniteQuantaleModule.build(
-            tnames, xnames,
-            _pairs_from_json(doc.get("star", {})), _pairs_from_json(doc.get("act", {})),
-            doc.get("unit", []), doc.get("free", []),
+        """The module of a ``{"T", "X", "star", "act", "unit", "free"}`` document;
+        each table is read through one ``"a,b"`` key map (``_key_cells``)."""
+        tlist, xlist = _atom_lists(doc, ("T", "X"), "module JSON needs 'T' and 'X' atom lists")
+        tnames, tindex = _index_names(tlist)
+        xnames, xindex = _index_names(xlist)
+        return FiniteQuantaleModule(
+            transformations=tnames,
+            resources=xnames,
+            star_table=_table(_json_cells(doc.get("star", {})), len(tnames), tindex,
+                              _key_cells(tnames, tnames)),
+            act_table=_table(_json_cells(doc.get("act", {})), len(tnames), xindex,
+                             _key_cells(tnames, xnames)),
+            unit_mask=_mask_from(doc.get("unit", []), tindex),
+            free_mask=_mask_from(doc.get("free", []), tindex),
         )
 
     def to_json(self) -> dict:
@@ -471,15 +542,21 @@ class CommutativeQuantale(FiniteQuantaleModule):
     @staticmethod
     def build(resources, box, unit, free) -> "CommutativeQuantale":
         names, index = _index_names(resources)
-        table = _table(box, index, index, symmetric=True)
-        return CommutativeQuantale(names, names, table, table,
-                                   _mask_from(unit, index), _mask_from(free, index))
+        return CommutativeQuantale._of(names, index, box, _pair_cells(index, index), unit, free)
 
     @staticmethod
     def from_json(doc) -> "CommutativeQuantale":
         names, = _atom_lists(doc, ("R",), "quantale JSON needs an 'R' atom list")
-        return CommutativeQuantale.build(names, _pairs_from_json(doc.get("box", {})),
-                                         doc.get("unit", []), doc.get("free", []))
+        names, index = _index_names(names)
+        return CommutativeQuantale._of(names, index, _json_cells(doc.get("box", {})),
+                                       _key_cells(names, names), doc.get("unit", []),
+                                       doc.get("free", []))
+
+    @staticmethod
+    def _of(names, index, box, where, unit, free) -> "CommutativeQuantale":
+        table = _table(box, len(names), index, where, symmetric=True)
+        return CommutativeQuantale(names, names, table, table,
+                                   _mask_from(unit, index), _mask_from(free, index))
 
     def to_json(self) -> dict:
         r = self.resources

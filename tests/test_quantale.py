@@ -4,6 +4,7 @@ symmetry, morphisms, and the commutative (UCRT) case."""
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -149,9 +150,21 @@ def test_module_tables_read_in_one_pass():
             ({"e,e,e": ["e"], "e,q": ["e"]}, {"e": ["x"]}, "not two comma-separated"),
             ({"e,e": ["q"]}, {"e": ["x"]}, "unknown atom 'q'"),
             ({"e,e": ["e"]}, {"e": ["x"]}, "not two comma-separated"),
-            ({"e,e": ["e"]}, [["e", "x"]], "JSON object")):
+            ({"e,e": ["e"]}, [["e", "x"]], "JSON object"),
+            # one cell with bad names under a bad key: the names are named
+            ({"e,q": ["z"]}, {"e,x": ["x"]}, "^unknown atom 'z'$"),
+            ({"e,e,e": ["z"]}, {"e,x": ["x"]}, "'e,e,e' is not two comma-separated"),
+            # an act key whose second atom is a transformation, not a resource
+            ({"e,e": ["e"]}, {"e,e": ["x"]}, "table key 'e,e' names an unknown atom"),
+            ({"e,e": ["e"]}, {"e,x,x": ["x"]}, "'e,x,x' is not two comma-separated")):
         with pytest.raises(FormatError, match=fault):
             FiniteQuantaleModule.from_json({**unit_module, "star": star, "act": act})
+    # a box may give a cell and its mirror, with the same atoms
+    q = max_quantale()
+    box = q.to_json()["box"]
+    both = {**box, **{",".join(key.split(",")[::-1]): out for key, out in box.items()}}
+    assert len(both) > len(box)
+    assert CommutativeQuantale.from_json({**q.to_json(), "box": both}) == q
 
 
 def test_function_module_names_maps_apart_on_twelve_points():
@@ -202,19 +215,35 @@ def test_validate_catches_free_problems():
     assert "FreeNotIdempotent" in {v.kind for v in validate(leaky)}
 
 
+def _product(table, left, right):
+    """The product of two atom sets, by the definition: the union of the
+    cells ``table[a][b]`` over a in ``left`` and b in ``right``."""
+    out = 0
+    while left:
+        low = left & -left
+        left ^= low
+        row, cols = table[low.bit_length() - 1], right
+        while cols:
+            col = cols & -cols
+            cols ^= col
+            out |= row[col.bit_length() - 1]
+    return out
+
+
 def _reference_validate(m):
     """``validate`` by the textbook sweep: both associativity laws checked on
-    every atom triple (i, j, k), one cell at a time."""
+    every atom triple (i, j, k), one cell at a time, with products taken by
+    ``_product``, not by the module's own ``star_set`` and ``act_set``."""
     out = []
     nt = len(m.transformations)
     nx = len(m.resources)
-    tb = m.star_table
+    tb, ab = m.star_table, m.act_table
     for i in range(nt):
         for j in range(nt):
             ij = tb[i][j]
             for k in range(nt):
-                left = m.star_set(ij, 1 << k)
-                right = m.star_set(1 << i, tb[j][k])
+                left = _product(tb, ij, 1 << k)
+                right = _product(tb, 1 << i, tb[j][k])
                 if left != right:
                     out.append(Violation("AssociativityViolation",
                                          (m.transformations[i], m.transformations[j],
@@ -223,21 +252,21 @@ def _reference_validate(m):
         for j in range(nt):
             ij = tb[i][j]
             for x in range(nx):
-                left = m.act_set(ij, 1 << x)
-                right = m.act_set(1 << i, m.act_table[j][x])
+                left = _product(ab, ij, 1 << x)
+                right = _product(ab, 1 << i, ab[j][x])
                 if left != right:
                     out.append(Violation("MixedAssociativityViolation",
                                          (m.transformations[i], m.transformations[j],
                                           m.resources[x])))
     for x in range(nx):
-        if m.act_set(m.unit_mask, 1 << x) != 1 << x:
+        if _product(ab, m.unit_mask, 1 << x) != 1 << x:
             out.append(Violation("UnitActionViolation", (m.resources[x],)))
     for i in range(nt):
-        if m.star_set(m.unit_mask, 1 << i) != 1 << i or m.star_set(1 << i, m.unit_mask) != 1 << i:
+        if _product(tb, m.unit_mask, 1 << i) != 1 << i or _product(tb, 1 << i, m.unit_mask) != 1 << i:
             out.append(Violation("UnitStarViolation", (m.transformations[i],)))
     if m.unit_mask & ~m.free_mask:
         out.append(Violation("FreeNotReflexive"))
-    if m.star_set(m.free_mask, m.free_mask) & ~m.free_mask:
+    if _product(tb, m.free_mask, m.free_mask) & ~m.free_mask:
         out.append(Violation("FreeNotIdempotent"))
     return out
 
@@ -246,25 +275,81 @@ def _reference_validate_quantale(q):
     """``validate_quantale`` by the textbook sweep over every atom triple."""
     out = []
     n = len(q.resources)
+    box = q.star_table
     for i in range(n):
         for j in range(i + 1, n):
-            if q.star_table[i][j] != q.star_table[j][i]:
+            if box[i][j] != box[j][i]:
                 out.append(Violation("CommutativityViolation", (q.resources[i], q.resources[j])))
     for i in range(n):
         for j in range(n):
-            ij = q.star_table[i][j]
+            ij = box[i][j]
             for k in range(n):
-                if q.star_set(ij, 1 << k) != q.star_set(1 << i, q.star_table[j][k]):
+                if _product(box, ij, 1 << k) != _product(box, 1 << i, box[j][k]):
                     out.append(Violation("AssociativityViolation",
                                          (q.resources[i], q.resources[j], q.resources[k])))
     for i in range(n):
-        if q.star_set(q.unit_mask, 1 << i) != 1 << i:
+        if _product(box, q.unit_mask, 1 << i) != 1 << i:
             out.append(Violation("UnitStarViolation", (q.resources[i],)))
     if q.unit_mask & ~q.free_mask:
         out.append(Violation("FreeNotReflexive"))
-    if q.star_set(q.free_mask, q.free_mask) & ~q.free_mask:
+    if _product(box, q.free_mask, q.free_mask) & ~q.free_mask:
         out.append(Violation("FreeNotIdempotent"))
     return out
+
+
+def _sweep_masks(table, right_table):
+    """How many distinct masks the associativity sweep of ``table`` over
+    ``right_table`` meets: the cells of ``right_table``, each lifted through
+    each row, and the left rows (the union of the rows of a cell's atoms)
+    of the cells of ``table``.  Up to 256 it compares byte strings, past
+    that tuples."""
+    cells = set(itertools.chain.from_iterable(right_table))
+    width = len(right_table[0])
+    lifts = {_product(right_table, 1 << i, c) for i in range(len(right_table)) for c in cells}
+    lefts = {_product(right_table, c, 1 << k)
+             for c in set(itertools.chain.from_iterable(table)) for k in range(width)}
+    return len(cells | lifts | lefts)
+
+
+def _random_module(t, x, seed):
+    """A module on ``t`` transformations and ``x`` resources whose every cell
+    is a seeded random set, each atom in it with probability 1/4."""
+    rng = random.Random(seed)
+
+    def table(rows, cols):
+        return tuple(tuple(rng.getrandbits(cols) & rng.getrandbits(cols) for _ in range(cols))
+                     for _ in range(rows))
+
+    return FiniteQuantaleModule(tuple(f"t{i}" for i in range(t)), tuple(f"x{i}" for i in range(x)),
+                                table(t, t), table(t, x), 1, 1)
+
+
+def _random_quantale(n, seed):
+    """A commutative quantale on ``n`` atoms: ``_random_module``'s star
+    table, mirrored from its upper triangle."""
+    star = _random_module(n, 0, seed).star_table
+    box = tuple(tuple(star[min(i, j)][max(i, j)] for j in range(n)) for i in range(n))
+    names = tuple(str(i) for i in range(n))
+    return CommutativeQuantale(names, names, box, box, 1, 1)
+
+
+def _all_functions_tampered():
+    """The lawful 27-map module of every self-map of a 3-chain, with one star
+    cell made the two-atom set {f000, f111}."""
+    m = function_module(chain(3), all_functions=True)
+    star = [list(row) for row in m.star_table]
+    star[5][7] = m.tmask(["f000", "f111"])
+    return FiniteQuantaleModule(m.transformations, m.resources, tuple(map(tuple, star)),
+                                m.act_table, m.unit_mask, m.free_mask)
+
+
+def _every_action_subset():
+    """32 transformations, the cyclic group of order 32 under star, whose
+    256 action cells over 8 resources are the 256 subsets of them, each once."""
+    t = tuple(f"r{i}" for i in range(32))
+    star = tuple(tuple(1 << (i + j) % 32 for j in range(32)) for i in range(32))
+    act = tuple(tuple(range(8 * i, 8 * i + 8)) for i in range(32))
+    return FiniteQuantaleModule(t, tuple(f"x{k}" for k in range(8)), star, act, 1, 1)
 
 
 def _cell(width):
@@ -323,10 +408,16 @@ def _quantales(draw):
     return CommutativeQuantale(r, r, box, box, unit, free)
 
 
-@given(_modules(), _quantales())
-def test_validate_matches_reference_sweep(m, q):
+@given(_modules(), _quantales(), st.none())
+# random boxes whose sweeps meet exactly 256 masks (bytes, every id taken) and 364 (tuples)
+@example(FiniteQuantaleModule(("e",), (), ((1,),), ((),), 1, 1), _random_quantale(10, 11), 256)
+@example(FiniteQuantaleModule(("e",), (), ((1,),), ((),), 1, 1), _random_quantale(11, 11), 364)
+def test_validate_matches_reference_sweep(m, q, box_masks):
     """The row sweep lists the same violations, in the same order, as the
-    full atom-triple loops, on lawful, tampered and random tables."""
+    full atom-triple loops, on lawful, tampered and random tables, and on
+    quantales whose box sweep meets exactly 256 masks and more."""
+    if box_masks is not None:
+        assert _sweep_masks(q.star_table, q.star_table) == box_masks
     assert validate(m) == _reference_validate(m)
     assert validate_quantale(q) == _reference_validate_quantale(q)
     assert validate(q) == _reference_validate(q)
@@ -350,16 +441,26 @@ def _larger_modules(draw):
 
 
 @settings(max_examples=10)
-@given(_larger_modules())
-@example(FiniteQuantaleModule(("e",), ("x",), ((1,),), ((1,),), 1, 1))  # T = 1
-@example(FiniteQuantaleModule(("e",), ("x",), ((0,),), ((1,),), 1, 1))  # T = 1, mixed law fails
-@example(FiniteQuantaleModule(("a", "b"), (), ((1, 2), (2, 3)), ((), ()), 1, 3))  # X = 0
-@example(FiniteQuantaleModule(("a", "b"), ("x", "y"), ((0, 0), (0, 0)), ((3, 1), (0, 2)), 1, 1))  # empty star
-@example(FiniteQuantaleModule(("a", "b"), ("x", "y"), ((1, 3), (2, 2)), ((0, 0), (0, 0)), 1, 1))  # empty action
-def test_validate_matches_reference_on_larger_modules(m):
+@given(_larger_modules(), st.none())
+@example(FiniteQuantaleModule(("e",), ("x",), ((1,),), ((1,),), 1, 1), None)  # T = 1
+@example(FiniteQuantaleModule(("e",), ("x",), ((0,),), ((1,),), 1, 1), None)  # T = 1, mixed law fails
+@example(FiniteQuantaleModule(("a", "b"), (), ((1, 2), (2, 3)), ((), ()), 1, 3), None)  # X = 0
+@example(FiniteQuantaleModule(("a", "b"), ("x", "y"), ((0, 0), (0, 0)), ((3, 1), (0, 2)), 1, 1),
+         None)  # empty star
+@example(FiniteQuantaleModule(("a", "b"), ("x", "y"), ((1, 3), (2, 2)), ((0, 0), (0, 0)), 1, 1),
+         None)  # empty action
+# the (star, mixed) sweeps' distinct masks, each side of the 256 one-byte ids:
+@example(_all_functions_tampered(), (30, 4))  # bytes, bytes
+@example(_random_module(11, 3, 11), (844, 8))  # tuples, bytes
+@example(_every_action_subset(), (32, 256))  # bytes, bytes with every id taken
+def test_validate_matches_reference_on_larger_modules(m, masks):
     """The row sweep agrees with the atom-triple loops on lawful modules of
-    realistic size with a few cells redrawn, and on the 1 x 1, zero-column
-    and all-empty tables."""
+    realistic size with a few cells redrawn, on the 1 x 1, zero-column and
+    all-empty tables, and on modules whose sweeps meet up to 256 distinct
+    masks (byte strings) or more (tuples)."""
+    if masks is not None:
+        assert (_sweep_masks(m.star_table, m.star_table),
+                _sweep_masks(m.star_table, m.act_table)) == masks
     assert validate(m) == _reference_validate(m)
 
 
