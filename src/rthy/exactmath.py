@@ -5,7 +5,15 @@ produced.  Inside, the simplex is the revised one in explicit-inverse
 form: it stores only den*B^-1 and den*D*B^-1*b (B the basis, den one common
 positive denominator) as Python ints, together with the cost row's
 entries in those columns, and pivots that block fraction-free
-(Edmonds/Bareiss), so no cell update pays a gcd.  Each row is cleared by
+(Edmonds/Bareiss), so no cell update pays a gcd.  A pivot that changes
+den leaves alone each row whose entering-column entry is 0, the cost row
+excepted: its true entries do not change, so it keeps them times the den
+it was last brought up to date at.  Such a row is brought up to date when it is
+eliminated or becomes the pivot row, and all at once when the simplex
+loop that left it alone ends; the entering column brings its entry up to
+date, and sign tests and ratio tests read it as stored, a positive
+multiple.  So every read-out and every kept basis sees the block of the
+eager pivot (``_pivot``, ``_settle``).  Each row is cleared by
 the denominators of its row of A alone, and every right-hand side shares
 one common denominator D, so the denominators of b never scale a row of A
 and never reach a pivot.  Reduced costs and entering columns are computed
@@ -247,46 +255,92 @@ class LpOutcome:
 # scaled rows, and the objective, each times a known negative factor.
 # Every field of an ``LpOutcome`` is read off ``block``: the primal and the
 # ray off rows 0..m-1, the duals and the objective off the phase-2 cost
-# row, the Farkas vector off the phase-1 one.
+# row, the Farkas vector off the phase-1 one.  Within a simplex loop a row
+# that pivots leave alone holds these values times a positive factor
+# (``_pivot``); the loop brings it up to date before it returns.
 
 
-def _pivot(block, den, r, column):
-    """Fraction-free (Edmonds/Bareiss) pivot on ``column[r]``.
+def _pivot(block, den, r, column, stale):
+    """Fraction-free (Edmonds/Bareiss) pivot on ``column[r]`` that leaves
+    alone the rows it does not change.
 
-    ``column`` is the entering column of the full tableau, the cost row's
-    entry last.  Every other row of ``block`` becomes
+    ``column`` is the entering column of the full tableau at ``den``, the
+    cost row's entry last.  ``stale`` maps each left-alone row to the den it
+    was last brought up to date at (see ``_settle``).  A row with a nonzero
+    entry in ``column`` is brought up to date and becomes
     ``(p*row - column[i]*prow) / den``, an exact division, and the pivot
-    ``p`` becomes the denominator.  Returns it, made positive when ``p < 0``
-    (a dual pivot, or driving an artificial out) by negating every row in
-    the same pass, so stored signs are true signs.
+    row is brought up to date; ``p`` becomes the denominator.  A row whose
+    entry is 0 keeps its true entries, so when den changes it is left alone
+    and recorded in ``stale``, but the cost row, which pricing reads whole,
+    is rescaled.  Returns ``p``, made positive when ``p < 0`` (a dual pivot,
+    or driving an artificial out) by negating every row it rewrites, so
+    stored signs are true signs.
     """
+    if r in stale:
+        at = stale.pop(r)
+        block[r] = [v * den // at for v in block[r]]
     prow = block[r]
     p = column[r]
     negate = p < 0
     if negate:  # every new row negated: (-p*row - (-column[i])*prow) / den
         p = -p
         column = [-f for f in column]
-    nonzero = [j for j, w in enumerate(prow) if w]
-    for i, (row, f) in enumerate(zip(block, column)):
-        if i == r:
-            continue
-        if p != den:
-            block[i] = ([(p * v - f * w) // den for v, w in zip(row, prow)] if f
-                        else [p * v // den for v in row])
-        elif f:
-            # (den*v - f*w) / den is exact, so den divides f*w: only the
-            # pivot row's nonzero places move
-            new = row[:]
-            for j in nonzero:
-                new[j] -= f * prow[j] // den
-            block[i] = new
+    if p == den:
+        # (den*v - f*w) / den is exact, so den divides f*w: only the pivot
+        # row's nonzero places move, and rows with f = 0 keep their entries
+        nonzero = [j for j, w in enumerate(prow) if w]
+        for i, f in enumerate(column):
+            if f and i != r:
+                at = stale.pop(i, None)
+                new = block[i][:] if at is None else [v * den // at for v in block[i]]
+                for j in nonzero:
+                    new[j] -= f * prow[j] // den
+                block[i] = new
+    else:
+        last = len(block) - 1
+        for i, f in enumerate(column):
+            if i == r:
+                continue
+            if f:
+                at = stale.pop(i, None)
+                if at is None:
+                    block[i] = [(p * v - f * w) // den for v, w in zip(block[i], prow)]
+                else:  # brought up to date in the same pass
+                    block[i] = [(p * (v * den // at) - f * w) // den
+                                for v, w in zip(block[i], prow)]
+            elif i == last:
+                block[i] = [p * v // den for v in block[i]]
+            elif i not in stale:
+                stale[i] = den
     if negate:
         block[r] = [-w for w in prow]
     return p
 
 
+def _settle(block, den, stale):
+    """Bring every left-alone row of ``block`` up to date at ``den``.
+
+    A row left alone since den was ``at`` holds its true entries times
+    ``at``; by the Bareiss invariant its true entries times ``den`` are
+    integers, so each is its stored value times den over ``at``, an exact
+    division.
+    """
+    for i, at in stale.items():
+        block[i] = [v * den // at for v in block[i]]
+    stale.clear()
+
+
+def _up_to_date(entries, den, stale):
+    """``entries``, one read off each stored row, with the entry of each row
+    left alone brought up to date at ``den``, in place."""
+    for i, at in stale.items():
+        entries[i] = entries[i] * den // at
+    return entries
+
+
 def _column(block, col):
-    """Rows 0..m-1 of the tableau's structural column whose A' nonzeros are ``col``."""
+    """Rows 0..m-1 of the tableau's structural column whose A' nonzeros are
+    ``col``, as stored: a left-alone row's entry is that of its last den."""
     out = [0] * (len(block) - 1)
     for k, a in col:
         out = [v + row[k] * a for v, row in zip(out, block)]
@@ -309,7 +363,10 @@ def _price_and_pivot(block, basis, den, cols, cost, artificials):
     ratio test breaks ties by the lowest basis index.  After ``STALL``
     consecutive degenerate pivots (the ratio test's rhs is 0) each scan
     starts at column 0 instead, which is Bland's rule, until a pivot is
-    nondegenerate.
+    nondegenerate.  The ratio test reads a row that pivots leave alone
+    (``_pivot``) as stored, a positive multiple, which keeps its ratio; the
+    entering column's entry of such a row is brought up to date before the
+    pivot, and every row is before this returns.
 
     This terminates.  A nondegenerate pivot strictly lowers the objective
     and a degenerate one keeps it, so a basis can recur only within one run
@@ -326,6 +383,7 @@ def _price_and_pivot(block, basis, den, cols, cost, artificials):
     n = len(cost)
     width = n + len(basis) if artificials else n
     pivots = priced = stalled = start = 0
+    stale = {}
     while True:
         crow = block[-1]
         if stalled >= STALL:
@@ -343,6 +401,7 @@ def _price_and_pivot(block, basis, den, cols, cost, artificials):
                 column = [row[enter - n] for row in block]
                 break
         else:
+            _settle(block, den, stale)
             return den, pivots, priced + width, None
         priced += (enter - start) % width + 1
         best = None
@@ -358,9 +417,10 @@ def _price_and_pivot(block, basis, den, cols, cost, artificials):
                     continue
             best, best_a, best_rhs = i, a, rhs
         if best is None:
+            _settle(block, den, stale)
             return den, pivots, priced, enter
         stalled = stalled + 1 if best_rhs == 0 else 0
-        den = _pivot(block, den, best, column)
+        den = _pivot(block, den, best, _up_to_date(column, den, stale), stale)
         basis[best] = enter
         pivots += 1
         start = enter + 1
@@ -379,9 +439,12 @@ def _dual_simplex(block, basis, den, cols, cost):
     cycle (Bland 1977), and there are finitely many bases, so it ends.
 
     A basic artificial sits on a row whose structural entries are all 0
-    (phase 1 drove out every other), and pivots only rescale that row, so
+    (phase 1 drove out every other), and pivots leave that row alone, so
     its right-hand side keeps its sign; one that is not 0 at the start
-    means the new b breaks that row's dependence.
+    means the new b breaks that row's dependence.  A row left alone is a
+    positive multiple of its current one, so the signs and ratios read off
+    it here are current ones; the entering column is brought up to date,
+    and so is every row before this returns.
 
     Returns ``(den, pivots, priced, feasible)``: ``feasible`` is False when
     a basic artificial is not 0, or when the leaving row has no negative
@@ -391,9 +454,11 @@ def _dual_simplex(block, basis, den, cols, cost):
     if any(b >= n and row[-1] for b, row in zip(basis, block)):
         return den, 0, 0, False
     pivots = priced = 0
+    stale = {}
     while True:
         rows = [i for i, row in enumerate(block[:-1]) if row[-1] < 0]
         if not rows:
+            _settle(block, den, stale)
             return den, pivots, priced, True
         r = min(rows, key=basis.__getitem__)
         prow, crow = block[r], block[-1]
@@ -414,10 +479,11 @@ def _dual_simplex(block, basis, den, cols, cost):
                 if not red:  # no ratio is below 0
                     break
         if best is None:
+            _settle(block, den, stale)
             return den, pivots, priced, False
-        column = _column(block, cols[best])
+        column = _up_to_date(_column(block, cols[best]), den, stale)
         column.append(best_red)
-        den = _pivot(block, den, r, column)
+        den = _pivot(block, den, r, column, stale)
         basis[r] = best
         pivots += 1
 
@@ -545,15 +611,18 @@ def lp_solve(problem: LpProblem, start: Optional[LpOutcome] = None) -> LpOutcome
     # phase-1 cost row is spent, and until phase 2 the zero objective, whose
     # cost row is zero in every basis, stands in for it
     block[-1] = [0] * (m + 1)
+    stale = {}
     for r in range(m):
         if basis[r] >= n:
             row = block[r]
             e = next((j for j, col in enumerate(cols) if sum(row[k] * a for k, a in col)), None)
             if e is not None:
-                den = _pivot(block, den, r, _column(block, cols[e]) + [0])
+                column = _up_to_date(_column(block, cols[e]), den, stale)
+                den = _pivot(block, den, r, column + [0], stale)
                 basis[r] = e
                 phase1 += 1
             # else: redundant 0 = 0 row; inert from here on
+    _settle(block, den, stale)
 
     # phase 2: the objective times the lcm of its denominators; artificial
     # columns are barred from entering

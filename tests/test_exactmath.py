@@ -724,6 +724,125 @@ def test_warm_lp_needs_the_same_lists():
     assert warm.status == OPTIMAL and warm.stats.dual_pivots > 0
 
 
+# ---------------------------------------------------------------------------
+# pivots that leave rows alone, against the eager pivot they replaced
+# ---------------------------------------------------------------------------
+
+
+def _eager_pivot(block, den, r, column):
+    """The fraction-free pivot that rewrites every row of ``block`` on every
+    pivot, as ``exactmath._pivot`` did before it left rows alone."""
+    prow = block[r]
+    p = column[r]
+    negate = p < 0
+    if negate:  # every new row negated: (-p*row - (-column[i])*prow) / den
+        p = -p
+        column = [-f for f in column]
+    nonzero = [j for j, w in enumerate(prow) if w]
+    for i, (row, f) in enumerate(zip(block, column)):
+        if i == r:
+            continue
+        if p != den:
+            block[i] = ([(p * v - f * w) // den for v, w in zip(row, prow)] if f
+                        else [p * v // den for v in row])
+        elif f:
+            new = row[:]
+            for j in nonzero:
+                new[j] -= f * prow[j] // den
+            block[i] = new
+    if negate:
+        block[r] = [-w for w in prow]
+    return p
+
+
+def _settled(block, den, stale):
+    """A copy of ``block`` with every row that pivots left alone brought up
+    to date at ``den``."""
+    current = [row[:] for row in block]
+    exactmath._settle(current, den, dict(stale))
+    return current
+
+
+@st.composite
+def larger_conversion_problems(draw):
+    """The conversion LP ``majorizes`` builds for x and t(x), with up to 6
+    outcomes and 3 or 4 hypotheses: large enough that most of its pivots
+    find rows to leave alone, which the LPs of ``tool_problems`` seldom do."""
+    x = draw(encodings(max_outcomes=6, max_hypotheses=4, min_hypotheses=3))
+    return majorize._conversion_problem(x, draw(stochastic_maps(x.outcomes, max_to=6))(x).matrix)
+
+
+@given(st.one_of(st.one_of(mixed_problems(), tool_problems(), larger_conversion_problems())
+                 .map(lambda p: (p, [])), lp_families()).map(lambda family: (*family, None)))
+@example((_lp([[-2, 0], [0, -2]], [0, 0], [1, 0]), [], "negative"))
+@example((_lp([[2, 0], [0, 1]], [2, 3], [3, 3]), [], "p == den"))
+@example((_lp([[0, 3], [-2, -2]], [3, -2], [2, 3]), [], "tie"))
+@example((_lp([[0, 0], [-2, 3]], [0, -2], [2, -1]), [[F(0), F(3)]], "dual"))
+def test_skipped_rows_match_eager_reference(case):
+    """After every pivot of a cold solve, and of the re-solves from its
+    basis, the block with its left-alone rows brought up to date equals,
+    cell for cell, the block that the eager pivot makes of the same block
+    brought up to date, with the same new denominator.  Each entering column
+    is a column of that up-to-date block, the cost row is never left alone,
+    and every simplex loop, the artificial drive-out included, hands on a
+    block with no row left alone.
+
+    An example names the case it is there for: a negative pivot that drives
+    an artificial out after rows were left alone; a pivot with p == den on a
+    left-alone row; a ratio-test tie between a left-alone row and an
+    up-to-date one; and a dual simplex pivot of a re-solve that leaves a row
+    alone (there, a redundant 0 = 0 row)."""
+    first, bs, event = case
+    seen, loop = set(), {"name": "drive-out", "stale": {}}
+    real = {name: getattr(exactmath, name)
+            for name in ("_pivot", "_price_and_pivot", "_dual_simplex")}
+
+    def spied_loop(name):
+        def run(block, basis, den, cols, *args, **kwargs):
+            assert not loop["stale"]  # the last loop, or the drive-out, settled
+            loop.update(name=name, cols=cols)
+            out = real[name](block, basis, den, cols, *args, **kwargs)
+            assert not loop["stale"]
+            loop["name"] = "drive-out"
+            return out
+        return run
+
+    def pivot(block, den, r, column, stale):
+        m = len(block) - 1
+        assert m not in stale
+        current = _settled(block, den, stale)
+        entering = [exactmath._column(current, col) for col in loop["cols"]]
+        entering += [[row[k] for row in current[:-1]] for k in range(m)]
+        assert column[:-1] in entering
+        if column[r] < 0 and stale and loop["name"] == "drive-out":
+            seen.add("negative")
+        if abs(column[r]) == den and (r in stale or any(column[i] for i in stale)):
+            seen.add("p == den")
+        if loop["name"] == "_price_and_pivot":
+            ratios = [(F(current[i][-1], a), i in stale) for i, a in enumerate(column[:-1])
+                      if a > 0]
+            least = min(ratios)[0]
+            if {skipped for ratio, skipped in ratios if ratio == least} == {True, False}:
+                seen.add("tie")
+        eager = [row[:] for row in current]
+        eager_den = _eager_pivot(eager, den, r, column)
+        den = real["_pivot"](block, den, r, column, stale)
+        assert den == eager_den and m not in stale
+        if stale and loop["name"] == "_dual_simplex":
+            seen.add("dual")
+        assert _settled(block, den, stale) == eager
+        loop["stale"] = stale
+        return den
+
+    with mock.patch.multiple(exactmath, _pivot=pivot,
+                             _price_and_pivot=spied_loop("_price_and_pivot"),
+                             _dual_simplex=spied_loop("_dual_simplex")):
+        for problem, out in _warm_family(first, bs):
+            assert verify_certificate(problem, out)
+    if event is not None:
+        assert event in seen
+
+
 def _beale_dual():
     """The columns and costs of the LP whose dual is Beale's (1955) cycling
     LP, maximize b.y = 3/4 y0 - 20 y1 + 1/2 y2 - 6 y3 over y >= 0 and its
@@ -781,14 +900,15 @@ def test_dual_bland_rule_ends_beale_dual_cycle(monkeypatch):
     taken, seen = [], {}
     real_pivot, real_dual = exactmath._pivot, exactmath._dual_simplex
 
-    def capped(block, den, r, column):
+    def capped(block, den, r, column, stale):
         if len(taken) >= 1000:
             raise Cycled
         basis, cols = seen["basis"], seen["cols"]
+        current = _settled(block, den, stale)
         enter = next(j for j, col in enumerate(cols)
-                     if exactmath._column(block, col) == column[:-1])
+                     if exactmath._column(current, col) == column[:-1])
         taken.append((basis[r], enter))
-        return real_pivot(block, den, r, column)
+        return real_pivot(block, den, r, column, stale)
 
     def spied_dual(block, basis, den, cols, cost):
         seen.update(basis=basis, cols=cols)
@@ -908,9 +1028,9 @@ def test_drive_out_on_negative_pivot(monkeypatch):
     pivots = []
     real_pivot = exactmath._pivot
 
-    def spy(block, den, r, column):
+    def spy(block, den, r, column, stale):
         pivots.append(column[r])
-        return real_pivot(block, den, r, column)
+        return real_pivot(block, den, r, column, stale)
 
     monkeypatch.setattr(exactmath, "_pivot", spy)
     problem = _lp([[-1, 0, -1], [0, -2, 0]], [-2, 0], [2, -1, -2])
@@ -939,12 +1059,12 @@ def test_beale_cycling_lp_solves(monkeypatch):
     pivots = 0
     real_pivot = exactmath._pivot
 
-    def capped(block, den, r, column):
+    def capped(block, den, r, column, stale):
         nonlocal pivots
         pivots += 1
         if pivots > 1000:
             raise Cycled
-        return real_pivot(block, den, r, column)
+        return real_pivot(block, den, r, column, stale)
 
     monkeypatch.setattr(exactmath, "_pivot", capped)
     for stall in (exactmath.STALL, 1, 0):
@@ -980,18 +1100,19 @@ def test_bland_stretch_is_entered_and_left(monkeypatch):
     degenerate_run = 0
     real_pivot = exactmath._pivot
 
-    def spy(block, den, r, column):
+    def spy(block, den, r, column, stale):
         nonlocal degenerate_run
-        crow = block[-1]
+        current = _settled(block, den, stale)
+        crow = current[-1]
         if column[-1] < 0:  # a priced pivot, not an artificial driven out
             reds = [den * -len(col) + sum(crow[k] for k, _ in col) for col in cols] + crow[:-1]
             j = next(j for j, red in enumerate(reds) if red < 0)
-            bland = (exactmath._column(block, cols[j]) + [reds[j]] if j < len(cols)
-                     else [row[j - len(cols)] for row in block])
-            degenerate = block[r][-1] == 0
+            bland = (exactmath._column(current, cols[j]) + [reds[j]] if j < len(cols)
+                     else [row[j - len(cols)] for row in current])
+            degenerate = current[r][-1] == 0
             pivots.append((degenerate_run >= 2, column == bland, degenerate))
             degenerate_run = degenerate_run + 1 if degenerate else 0
-        return real_pivot(block, den, r, column)
+        return real_pivot(block, den, r, column, stale)
 
     monkeypatch.setattr(exactmath, "STALL", 2)
     monkeypatch.setattr(exactmath, "_pivot", spy)
@@ -1008,15 +1129,16 @@ def test_conversion_lp_entries_stay_small(monkeypatch):
     """Rows are cleared by the denominators of A alone, so the large
     denominators of y = t.x stay out of the pivots: on this 56 x 144
     check-order LP (the full LP's 60 rows less row (c, 11) of each of the 4
-    hypotheses) every stored block entry stays within 256 bits, and peaks at
-    162 (on the full LP, clearing each row by the lcm over [A_i | b_i]
-    reached 1648).  Cyclic pricing takes 106 pivots here, 129 on the full
+    hypotheses) every stored block entry, rows left alone by a pivot as
+    stored, stays within 256 bits, and peaks at 162, as it did when every
+    pivot rewrote every row (on the full LP, clearing each row by the lcm
+    over [A_i | b_i] reached 1648).  Cyclic pricing takes 106 pivots here, 129 on the full
     LP; Bland's rule from column 0 takes 489."""
     peak = []
     real_pivot = exactmath._pivot
 
-    def spy(block, den, r, column):
-        den = real_pivot(block, den, r, column)
+    def spy(block, den, r, column, stale):
+        den = real_pivot(block, den, r, column, stale)
         peak.append(max(abs(v).bit_length() for row in block for v in row))
         return den
 
